@@ -8,7 +8,7 @@ after; any node of a trained network can be turned into images by
 Hamiltonian Monte Carlo on the tilted density.
 """
 
-from .data import BatchIterator, Dataset, read_idx, synthetic_dataset
+from .data import Dataset, read_idx, synthetic_dataset
 from .errors import (CacheError, CheckpointError, ConfigError, DataError,
                      NumericsError, ShapeError)
 from .hmc import (ChainState, HmcConfig, SampleRecord, hmc_iterate, leapfrog,
@@ -25,7 +25,7 @@ from .train import (MetricsLog, OptimizerState, TrainConfig, evaluate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchIterator", "Dataset", "read_idx", "synthetic_dataset",
+    "Dataset", "read_idx", "synthetic_dataset",
     "CacheError", "CheckpointError", "ConfigError", "DataError",
     "NumericsError", "ShapeError",
     "ChainState", "HmcConfig", "SampleRecord", "hmc_iterate", "leapfrog",

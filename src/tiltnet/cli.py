@@ -25,7 +25,8 @@ from . import hmc as hmc_mod
 from . import net as net_mod
 from . import train as train_mod
 from .config import DataSpec, RunSpec, parse_config
-from .errors import CheckpointError, ConfigError, DataError, NumericsError
+from .errors import (CheckpointError, ConfigError, DataError, NumericsError,
+                     ShapeError)
 
 
 def _load_train_set(spec: DataSpec, seed: int) -> data_mod.Dataset:
@@ -61,9 +62,9 @@ def cmd_train(spec: RunSpec) -> int:
     _require(train_set.num_classes <= spec.network.num_classes,
              f"dataset has {train_set.num_classes} classes, network outputs "
              f"{spec.network.num_classes}")
+    network = net_mod.build_network(spec.network)
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    network = net_mod.build_network(spec.network)
     log = train_mod.MetricsLog(out / "train.log", echo=True)
     train_mod.run_training(network, train_set, spec.train, eval_set=eval_set,
                            out_dir=out, log=log)
@@ -188,7 +189,7 @@ def main(argv=None) -> int:
         if args.command == "sample":
             return cmd_sample(spec, args.checkpoint, args.layer, args.channel)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DataError, CheckpointError, OSError) as exc:

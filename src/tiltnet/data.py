@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import gzip
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +25,6 @@ class Dataset:
     images: np.ndarray   # [N, 1, H, W] float64 in [0, 1]
     labels: np.ndarray   # [N] int64
     num_classes: int
-    scale: float = 1.0   # applied to raw pixel values on load
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.images.ndim != 4 or self.images.shape[0] != self.labels.shape[0]:
@@ -78,9 +76,7 @@ def read_idx(images_path, labels_path) -> Dataset:
         raise DataError(f"image count {count} != label count {lcount}")
     labels = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
     num_classes = int(labels.max()) + 1 if count else 0
-    return Dataset(images, labels, num_classes, scale=1.0 / 255.0,
-                   meta={"source": "idx", "images": str(images_path),
-                         "labels": str(labels_path)})
+    return Dataset(images, labels, num_classes)
 
 
 def synthetic_dataset(n: int, classes: int, image_size: int = 28, seed: int = 0,
@@ -114,8 +110,7 @@ def synthetic_dataset(n: int, classes: int, image_size: int = 28, seed: int = 0,
         r, c = corners[y]
         images[i, 0, r:r + rect, c:c + rect] += 1.0
     np.clip(images, 0.0, 1.0, out=images)
-    return Dataset(images, labels, classes,
-                   meta={"source": "synthetic", "seed": seed, "rect": rect})
+    return Dataset(images, labels, classes)
 
 
 def epoch_permutation(n: int, seed: int, epoch: int) -> np.ndarray:
@@ -134,23 +129,3 @@ def epoch_batches(dataset: Dataset, batch_size: int, seed: int, epoch: int):
         pick = order[start:start + batch_size]
         yield dataset.images[pick], dataset.labels[pick]
 
-
-class BatchIterator:
-    """Stateful view over epoch_batches that rolls epochs automatically."""
-
-    def __init__(self, dataset: Dataset, batch_size: int, seed: int = 0):
-        if len(dataset) < 1:
-            raise DataError("cannot iterate an empty dataset")
-        self.dataset = dataset
-        self.batch_size = int(batch_size)
-        self.seed = int(seed)
-        self.epoch = 0
-        self._gen = epoch_batches(dataset, batch_size, seed, 0)
-
-    def next_batch(self):
-        try:
-            return next(self._gen)
-        except StopIteration:
-            self.epoch += 1
-            self._gen = epoch_batches(self.dataset, self.batch_size, self.seed, self.epoch)
-            return next(self._gen)

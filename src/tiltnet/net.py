@@ -6,6 +6,11 @@ pass it supports two exact backward passes (to parameters for training, to
 the input image for sampling), truncation at any layer to expose a single
 internal node as the score, spatial input-size inversion for truncated
 prefixes, and versioned binary checkpoints.
+
+What a layer kind means (its auto-name stem, output shape, parameter init,
+forward, backward and receptive-field inverse) lives in one record of
+``_KINDS``; the passes below only loop over it. Adding a kind means adding
+one record there and one token in ``config.parse_layers``.
 """
 
 from __future__ import annotations
@@ -14,16 +19,12 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
 from . import tensor
 from .errors import CacheError, CheckpointError, ShapeError
-
-LAYER_KINDS = ("conv", "maxpool", "flatten", "dense", "relu")
-
-_NAME_STEM = {"conv": "conv", "maxpool": "pool", "flatten": "flatten",
-              "dense": "dense", "relu": "relu"}
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,101 @@ def lenet_config(num_classes: int = 10, input_shape=(1, 28, 28), seed: int = 0) 
     return NetworkConfig(tuple(input_shape), layers, num_classes, "gaussian", seed)
 
 
+# ---------------------------------------------------------------------------
+# layer kinds
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything one layer kind means; shapes exclude the batch axis.
+    Parameter-free kinds get weight and bias None and return None for gw, gb.
+    Primitives are looked up as ``tensor.<fn>`` at call time, so a wrapper
+    patched onto the tensor module (a profiler, a counter) sees every call."""
+    stem: str            # prefix of auto-generated layer names
+    out_shape: Callable  # (spec, in_shape) -> out_shape; raises ShapeError
+    forward: Callable    # (spec, x, weight, bias) -> (y, ArgmaxMap or None)
+    backward: Callable   # (spec, up, x, weight, amap, need_input) -> (gx, gw, gb)
+    init: Callable = None  # (spec, in_shape, rng) -> (weight, bias); None: no parameters
+    grow: Callable = None  # (spec, out_extent) -> in_extent; None: no spatial inverse
+
+
+def _spatial(shape, message: str) -> tuple:
+    if len(shape) != 3:
+        raise ShapeError(message)
+    return shape
+
+
+def _conv_shape(spec, shape) -> tuple:
+    _, h, w = _spatial(shape, f"conv layer {spec.name or spec.kind!r} needs spatial "
+                              f"input, got flat width {shape}")
+    if spec.channels < 1 or spec.kernel < 1:
+        raise ShapeError("conv layer needs channels >= 1 and kernel >= 1")
+    return (spec.channels,
+            tensor.output_extent(h, spec.kernel, spec.stride, spec.pad, "conv height"),
+            tensor.output_extent(w, spec.kernel, spec.stride, spec.pad, "conv width"))
+
+
+def _pool_shape(spec, shape) -> tuple:
+    c, h, w = _spatial(shape, "maxpool layer needs spatial input")
+    return (c,
+            tensor.output_extent(h, spec.kernel, spec.stride, 0, "pool height"),
+            tensor.output_extent(w, spec.kernel, spec.stride, 0, "pool width"))
+
+
+def _dense_shape(spec, shape) -> tuple:
+    if len(shape) != 1:
+        raise ShapeError("dense layer needs flat input; add a flatten layer")
+    if spec.width < 1:
+        raise ShapeError("dense layer needs width >= 1")
+    if spec.in_width and spec.in_width != shape[0]:
+        raise ShapeError(f"dense layer expects input width {spec.in_width}, "
+                         f"gets {shape[0]}")
+    return (spec.width,)
+
+
+_KINDS = {
+    "conv": _Kind(
+        stem="conv", out_shape=_conv_shape,
+        forward=lambda s, x, w, b: (tensor.conv2d_forward_batch(x, w, b, s.stride, s.pad), None),
+        backward=lambda s, up, x, w, amap, need_input: tensor.conv2d_backward_batch(
+            up, x, w, s.stride, s.pad, need_input_grad=need_input),
+        init=lambda s, shape, rng: (
+            rng.normal(0.0, 0.01, (s.channels, shape[0], s.kernel, s.kernel)),
+            np.zeros(s.channels)),
+        grow=lambda s, e: (e - 1) * s.stride + s.kernel - 2 * s.pad),
+    "maxpool": _Kind(
+        stem="pool", out_shape=_pool_shape,
+        forward=lambda s, x, w, b: tensor.maxpool_forward_batch(x, s.kernel, s.stride),
+        backward=lambda s, up, x, w, amap, need_input: (
+            tensor.maxpool_backward_batch(up, amap), None, None),
+        grow=lambda s, e: (e - 1) * s.stride + s.kernel),
+    "flatten": _Kind(
+        stem="flatten",
+        out_shape=lambda s, shape: (
+            int(np.prod(_spatial(shape, "flatten layer needs spatial input"))),),
+        forward=lambda s, x, w, b: (np.ascontiguousarray(x.reshape(len(x), -1)), None),
+        backward=lambda s, up, x, w, amap, need_input: (up.reshape(x.shape), None, None)),
+    "dense": _Kind(
+        stem="dense", out_shape=_dense_shape,
+        forward=lambda s, x, w, b: (tensor.dense_forward_batch(x, w, b), None),
+        backward=lambda s, up, x, w, amap, need_input: tensor.dense_backward_batch(up, x, w),
+        init=lambda s, shape, rng: (
+            rng.normal(0.0, 1.0 / np.sqrt(shape[0]), (s.width, shape[0])),
+            np.zeros(s.width))),
+    "relu": _Kind(
+        stem="relu", out_shape=lambda s, shape: shape,
+        forward=lambda s, x, w, b: (tensor.relu_forward(x), None),
+        backward=lambda s, up, x, w, amap, need_input: (tensor.relu_backward(up, x), None, None),
+        grow=lambda s, e: e),
+}
+
+
+def _kind(spec: LayerSpec) -> _Kind:
+    """spec's record; the one place an unknown kind is rejected."""
+    if spec.kind not in _KINDS:
+        raise ShapeError(f"unknown layer kind {spec.kind!r}; have {', '.join(_KINDS)}")
+    return _KINDS[spec.kind]
+
+
 def _resolve_names(layers) -> list:
     counters: dict = {}
     names = []
@@ -74,7 +170,7 @@ def _resolve_names(layers) -> list:
         if spec.name:
             name = spec.name
         else:
-            stem = _NAME_STEM[spec.kind]
+            stem = _kind(spec).stem
             counters[stem] = counters.get(stem, 0) + 1
             name = f"{stem}{counters[stem]}"
         if name in names:
@@ -92,40 +188,7 @@ def propagate_shapes(config: NetworkConfig) -> list:
     shape = tuple(int(d) for d in config.input_shape)
     shapes = []
     for spec in config.layers:
-        if spec.kind == "conv":
-            if len(shape) != 3:
-                raise ShapeError(f"conv layer {spec.name or spec.kind!r} needs spatial "
-                                 f"input, got flat width {shape}")
-            c, h, w = shape
-            if spec.channels < 1 or spec.kernel < 1:
-                raise ShapeError("conv layer needs channels >= 1 and kernel >= 1")
-            shape = (spec.channels,
-                     tensor.output_extent(h, spec.kernel, spec.stride, spec.pad, "conv height"),
-                     tensor.output_extent(w, spec.kernel, spec.stride, spec.pad, "conv width"))
-        elif spec.kind == "maxpool":
-            if len(shape) != 3:
-                raise ShapeError("maxpool layer needs spatial input")
-            c, h, w = shape
-            shape = (c,
-                     tensor.output_extent(h, spec.kernel, spec.stride, 0, "pool height"),
-                     tensor.output_extent(w, spec.kernel, spec.stride, 0, "pool width"))
-        elif spec.kind == "flatten":
-            if len(shape) != 3:
-                raise ShapeError("flatten layer needs spatial input")
-            shape = (int(np.prod(shape)),)
-        elif spec.kind == "dense":
-            if len(shape) != 1:
-                raise ShapeError("dense layer needs flat input; add a flatten layer")
-            if spec.width < 1:
-                raise ShapeError("dense layer needs width >= 1")
-            if spec.in_width and spec.in_width != shape[0]:
-                raise ShapeError(f"dense layer expects input width {spec.in_width}, "
-                                 f"gets {shape[0]}")
-            shape = (spec.width,)
-        elif spec.kind == "relu":
-            pass
-        else:
-            raise ShapeError(f"unknown layer kind {spec.kind!r}")
+        shape = _kind(spec).out_shape(spec, shape)
         shapes.append(shape)
     if not shapes:
         raise ShapeError("network needs at least one layer")
@@ -187,19 +250,11 @@ def build_network(config: NetworkConfig) -> Network:
         raise ShapeError(f"unknown init scheme {config.init!r}")
     rng = np.random.default_rng(config.seed)
     params: dict = {}
-    in_shape = tuple(config.input_shape)
-    for spec, name, out_shape in zip(config.layers, names, shapes):
-        if spec.kind == "conv":
-            c_in = in_shape[0]
-            params[name + ".weight"] = rng.normal(
-                0.0, 0.01, (spec.channels, c_in, spec.kernel, spec.kernel))
-            params[name + ".bias"] = np.zeros(spec.channels)
-        elif spec.kind == "dense":
-            fan_in = in_shape[0]
-            params[name + ".weight"] = rng.normal(
-                0.0, 1.0 / np.sqrt(fan_in), (spec.width, fan_in))
-            params[name + ".bias"] = np.zeros(spec.width)
-        in_shape = out_shape
+    in_shapes = [tuple(config.input_shape)] + shapes[:-1]
+    for spec, name, in_shape in zip(config.layers, names, in_shapes):
+        init = _KINDS[spec.kind].init
+        if init is not None:
+            params[name + ".weight"], params[name + ".bias"] = init(spec, in_shape, rng)
     return Network(config, config.layers, names, shapes, params)
 
 
@@ -220,24 +275,14 @@ def forward_batch(net: Network, images) -> tuple:
     elif x.shape[1] != net.config.input_shape[0]:
         raise ShapeError(f"batch has {x.shape[1]} channels, network expects "
                          f"{net.config.input_shape[0]}")
-    n = x.shape[0]
     layer_inputs = []
     argmax: dict = {}
     for i, (spec, name) in enumerate(zip(net.layers, net.names)):
         layer_inputs.append(x)
-        if spec.kind == "conv":
-            x = tensor.conv2d_forward_batch(x, net.params[name + ".weight"],
-                                            net.params[name + ".bias"],
-                                            spec.stride, spec.pad)
-        elif spec.kind == "maxpool":
-            x, argmax[i] = tensor.maxpool_forward_batch(x, spec.kernel, spec.stride)
-        elif spec.kind == "flatten":
-            x = np.ascontiguousarray(x.reshape(n, -1))
-        elif spec.kind == "dense":
-            x = tensor.dense_forward_batch(x, net.params[name + ".weight"],
-                                           net.params[name + ".bias"])
-        elif spec.kind == "relu":
-            x = tensor.relu_forward(x)
+        x, amap = _KINDS[spec.kind].forward(spec, x, net.params.get(name + ".weight"),
+                                            net.params.get(name + ".bias"))
+        if amap is not None:
+            argmax[i] = amap
     output = x
     if net.head is None:
         scores = output
@@ -274,28 +319,12 @@ def _backward(net: Network, cache: ActivationCache, score_grad,
     grads: dict = {}
     for i in reversed(range(len(net.layers))):
         spec, name = net.layers[i], net.names[i]
-        xin = cache.layer_inputs[i]
-        need_below = want_input or i > 0
-        if spec.kind == "conv":
-            gx, gk, gb = tensor.conv2d_backward_batch(
-                up, xin, net.params[name + ".weight"], spec.stride, spec.pad,
-                need_input_grad=need_below)
-            if want_params:
-                grads[name + ".weight"] = gk
-                grads[name + ".bias"] = gb
-            up = gx
-        elif spec.kind == "maxpool":
-            up = tensor.maxpool_backward_batch(up, cache.argmax[i])
-        elif spec.kind == "flatten":
-            up = up.reshape(xin.shape)
-        elif spec.kind == "dense":
-            gx, gw, gb = tensor.dense_backward_batch(up, xin, net.params[name + ".weight"])
-            if want_params:
-                grads[name + ".weight"] = gw
-                grads[name + ".bias"] = gb
-            up = gx
-        elif spec.kind == "relu":
-            up = tensor.relu_backward(up, xin)
+        up, gw, gb = _KINDS[spec.kind].backward(
+            spec, up, cache.layer_inputs[i], net.params.get(name + ".weight"),
+            cache.argmax.get(i), want_input or i > 0)
+        if want_params and gw is not None:
+            grads[name + ".weight"] = gw
+            grads[name + ".bias"] = gb
     return grads, up
 
 
@@ -350,29 +379,24 @@ def required_input_shape(net: Network, layer_name: str) -> tuple:
     """Smallest input (C, H, W) for which the prefix ending at layer_name has
     spatial extent exactly 1x1.
 
-    Only defined for prefixes made of conv / maxpool / relu layers; flatten
-    and dense discard spatial semantics.
+    Only defined for prefixes whose kinds all have a receptive-field inverse
+    (conv / maxpool / relu); flatten and dense discard spatial semantics.
+    Windows are square, so height and width grow alike.
     """
     if layer_name not in net.names:
         raise ShapeError(f"unknown layer {layer_name!r}; have {', '.join(net.names)}")
-    idx = net.names.index(layer_name)
-    prefix = net.layers[:idx + 1]
+    prefix = net.layers[:net.names.index(layer_name) + 1]
     for spec in prefix:
-        if spec.kind in ("flatten", "dense"):
+        if _KINDS[spec.kind].grow is None:
             raise ShapeError(f"layer {layer_name!r} has no spatial semantics: the "
                              f"prefix contains a {spec.kind} layer")
-    h = w = 1
+    extent = 1
     for spec in reversed(prefix):
-        if spec.kind == "conv":
-            h = (h - 1) * spec.stride + spec.kernel - 2 * spec.pad
-            w = (w - 1) * spec.stride + spec.kernel - 2 * spec.pad
-        elif spec.kind == "maxpool":
-            h = (h - 1) * spec.stride + spec.kernel
-            w = (w - 1) * spec.stride + spec.kernel
-        if h < 1 or w < 1:
+        extent = _KINDS[spec.kind].grow(spec, extent)
+        if extent < 1:
             raise ShapeError(f"no valid input size for layer {layer_name!r}: "
                              f"padding swallows the window")
-    return (int(net.config.input_shape[0]), int(h), int(w))
+    return (int(net.config.input_shape[0]), int(extent), int(extent))
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +505,10 @@ def load_checkpoint(path) -> Network:
     meta, tensors = read_tensor_file(path)
     if meta.get("kind") != "network":
         raise CheckpointError(f"file holds {meta.get('kind')!r}, not a network")
-    config = _config_from_meta(meta)
-    net = build_network(config)
+    try:
+        net = build_network(_config_from_meta(meta))
+    except ShapeError as exc:
+        raise CheckpointError(f"checkpoint describes an invalid network: {exc}") from exc
     if set(tensors) != set(net.params):
         raise CheckpointError("checkpoint parameter names do not match its config")
     for name, arr in tensors.items():

@@ -3,9 +3,8 @@ argmax tracking, affine maps, and the rectifier, each paired with its exact
 adjoint.
 
 Everything operates on float64 numpy arrays and is deterministic: the same
-inputs give bit-identical outputs. The batched variants (leading sample axis)
-do the real work; the single-sample functions are thin wrappers kept for
-callers that think in terms of one image.
+inputs give bit-identical outputs. Every primitive is batch-first: images are
+[n, C, H, W] and flat activations [n, D]; a single image is a batch of one.
 """
 
 from __future__ import annotations
@@ -133,24 +132,6 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
     return grad_input, grad_kernels, grad_bias
 
 
-def conv2d_forward(x, kernels, bias, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Single-image convolution: [C_in, H, W] -> [C_out, H', W']."""
-    x = np.asarray(x)
-    if x.ndim != 3:
-        raise ShapeError(f"conv2d: single image must be 3-D, got {x.shape}")
-    return conv2d_forward_batch(x[None], kernels, bias, stride, pad)[0]
-
-
-def conv2d_backward(upstream, x, kernels, stride: int = 1, pad: int = 0):
-    """Single-image adjoint; returns (grad_input, grad_kernels, grad_bias)."""
-    upstream = np.asarray(upstream)
-    x = np.asarray(x)
-    if x.ndim != 3 or upstream.ndim != 3:
-        raise ShapeError("conv2d backward: single-image arrays must be 3-D")
-    gx, gk, gb = conv2d_backward_batch(upstream[None], x[None], kernels, stride, pad)
-    return gx[0], gk, gb
-
-
 # ---------------------------------------------------------------------------
 # max pooling
 
@@ -207,25 +188,6 @@ def maxpool_backward_batch(upstream: np.ndarray, amap: ArgmaxMap) -> np.ndarray:
     return grad.reshape(amap.input_shape)
 
 
-def maxpool_forward(x, kernel: int, stride: int):
-    """Single-image pooling: [C, H, W] -> ([C, H', W'], ArgmaxMap)."""
-    x = np.asarray(x)
-    if x.ndim != 3:
-        raise ShapeError(f"maxpool: single image must be 3-D, got {x.shape}")
-    pooled, amap = maxpool_forward_batch(x[None], kernel, stride)
-    # flat indices for n=1 are already valid within the 3-D array
-    return pooled[0], ArgmaxMap(pooled.shape[1:], x.shape, amap.indices[0])
-
-
-def maxpool_backward(upstream, amap: ArgmaxMap, input_shape) -> np.ndarray:
-    """Adjoint of pooling for an explicit input shape (must match the map)."""
-    if tuple(input_shape) != tuple(amap.input_shape):
-        raise ShapeError(
-            f"maxpool backward: requested shape {tuple(input_shape)} != "
-            f"map {amap.input_shape}")
-    return maxpool_backward_batch(np.asarray(upstream), amap)
-
-
 # ---------------------------------------------------------------------------
 # dense / rectifier
 
@@ -258,24 +220,6 @@ def dense_backward_batch(upstream: np.ndarray, x: np.ndarray, weight: np.ndarray
     grad_bias = upstream.sum(axis=0)
     _count("dense_bwd", x.shape[0] * weight.size)
     return grad_input, grad_weight, grad_bias
-
-
-def dense_forward(x, weight, bias) -> np.ndarray:
-    """Single-vector affine map: [D] -> [K]."""
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise ShapeError(f"dense: single input must be 1-D, got {x.shape}")
-    return dense_forward_batch(x[None], weight, bias)[0]
-
-
-def dense_backward(upstream, x, weight):
-    """Single-vector adjoint; returns (grad_input, grad_weight, grad_bias)."""
-    upstream = np.asarray(upstream)
-    x = np.asarray(x)
-    if x.ndim != 1 or upstream.ndim != 1:
-        raise ShapeError("dense backward: single-sample arrays must be 1-D")
-    gx, gw, gb = dense_backward_batch(upstream[None], x[None], weight)
-    return gx[0], gw, gb
 
 
 def relu_forward(x) -> np.ndarray:

@@ -100,7 +100,6 @@ class MetricsLog:
     def __init__(self, path=None, echo: bool = False):
         self.path = path
         self.echo = echo
-        self.header_lines: list = []
         self.records: list = []
         if path is not None:
             open(path, "a").close()
@@ -112,9 +111,7 @@ class MetricsLog:
         return str(value)
 
     def header(self, text: str) -> None:
-        line = "# " + text
-        self.header_lines.append(line)
-        self._emit(line)
+        self._emit("# " + text)
 
     def record(self, **fields_) -> None:
         line = " ".join(f"{k}={self._fmt(v)}" for k, v in fields_.items())
@@ -265,7 +262,6 @@ def resume_training(train_set: Dataset, config: TrainConfig, out_dir,
                     eval_set: Dataset = None, log: MetricsLog = None):
     """Continue an interrupted run from the newest epoch checkpoint in
     out_dir; bit-identical to the uninterrupted run."""
-    from pathlib import Path
     out = Path(out_dir)
     done = sorted(out.glob("[0-9][0-9][0-9].ckpt"))
     if not done:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tiltnet import cli
+from tiltnet import cli, net
 from tiltnet.config import parse_config, parse_layers
 from tiltnet.errors import ConfigError
 
@@ -258,6 +258,39 @@ def test_corrupt_checkpoint_exits_3(tmp_path, capsys):
     bad.write_bytes(b"not a checkpoint at all")
     assert cli.main(["inspect", "--checkpoint", str(bad)]) == 3
     capsys.readouterr()
+
+
+def test_unknown_layer_kind_in_checkpoint_exits_3(tmp_path, capsys):
+    bogus = tmp_path / "bogus.ckpt"
+    network = net.build_network(parse_config(write_config(tmp_path)).network)
+    net.save_checkpoint(network, bogus)
+    meta, tensors = net.read_tensor_file(bogus)
+    meta["layers"][0]["kind"] = "bogus"
+    net.write_tensor_file(bogus, meta, tensors)
+    assert cli.main(["inspect", "--checkpoint", str(bogus)]) == 3
+    assert "unknown layer kind 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layer,channel,fragment", [
+    ("nope", "0", "unknown layer 'nope'"),
+    ("conv1", "99", "channel 99 out of range"),
+    ("conv1", "-1", "channel -1 out of range"),
+])
+def test_bad_sample_node_exits_2(tmp_path, capsys, layer, channel, fragment):
+    config = write_config(tmp_path)
+    ckpt = tmp_path / "net.ckpt"
+    net.save_checkpoint(net.build_network(parse_config(config).network), ckpt)
+    assert cli.main(["sample", "--config", str(config), "--checkpoint", str(ckpt),
+                     "--layer", layer, "--channel", channel]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_untileable_layer_stack_exits_2_without_output(tmp_path, capsys):
+    text = BASE_CONFIG.replace("conv:2@3, pool:2/2, flatten", "conv:2@9, flatten")
+    config = write_config(tmp_path, text=text)
+    assert cli.main(["train", "--config", str(config)]) == 2
+    assert "exceeds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()   # the network is built before any mkdir
 
 
 def test_missing_required_flag_exits_2(capsys):

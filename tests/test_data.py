@@ -42,7 +42,6 @@ def test_idx_roundtrip(idx_pair):
     np.testing.assert_allclose(ds.images[:, 0], raw / 255.0)
     np.testing.assert_array_equal(ds.labels, labels)
     assert ds.num_classes == 3
-    assert ds.scale == pytest.approx(1 / 255)
 
 
 def test_idx_gzip_detected_by_magic(idx_pair, tmp_path):
@@ -149,10 +148,3 @@ def test_epoch_permutations_differ_by_epoch():
     assert (a != b).any()
     np.testing.assert_array_equal(a, data.epoch_permutation(100, seed=3, epoch=0))
 
-
-def test_batch_iterator_rolls_epochs():
-    ds = data.synthetic_dataset(10, 2, 8, seed=0)
-    it = data.BatchIterator(ds, batch_size=4, seed=0)
-    sizes = [len(it.next_batch()[1]) for _ in range(5)]
-    assert sizes == [4, 4, 2, 4, 4]
-    assert it.epoch == 1

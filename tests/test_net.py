@@ -46,6 +46,22 @@ def test_bad_configs_rejected():
             (1, 6, 6),
             (net.LayerSpec("flatten", name="a"),
              net.LayerSpec("dense", width=4, name="a")), 4))
+    for unknown in (net.LayerSpec("softmax"), net.LayerSpec("softmax", name="s")):
+        with pytest.raises(ShapeError, match="unknown layer kind 'softmax'"):
+            net.build_network(net.NetworkConfig((1, 6, 6), (unknown,), 4))
+
+
+def test_auto_names_count_only_unnamed_layers():
+    network = net.build_network(net.NetworkConfig((1, 7, 7), (
+        net.LayerSpec("conv", channels=2, kernel=3),
+        net.LayerSpec("conv", channels=2, kernel=3, name="mid"),
+        net.LayerSpec("conv", channels=2, kernel=3),
+        net.LayerSpec("flatten"),
+        net.LayerSpec("dense", width=2)), 2))
+    assert network.names == ["conv1", "mid", "conv2", "flatten1", "dense1"]
+    assert list(network.params) == [
+        "conv1.weight", "conv1.bias", "mid.weight", "mid.bias",
+        "conv2.weight", "conv2.bias", "dense1.weight", "dense1.bias"]
 
 
 def test_forward_rejects_wrong_input_shape(tiny_net):
@@ -94,6 +110,47 @@ def test_backward_input_matches_fd(tiny_net, rng):
         return float(s[1, 2])
 
     assert rel_err(fd_grad(obj, xb[1].copy()), gin) < 1e-6
+
+
+def test_every_kind_stack_gradients_match_fd(rng):
+    # strided padded conv, overlapping pool, flatten, dense, relu, dense
+    network = net.build_network(net.NetworkConfig((2, 7, 7), (
+        net.LayerSpec("conv", channels=2, kernel=3, stride=2, pad=1),
+        net.LayerSpec("maxpool", kernel=2, stride=1),
+        net.LayerSpec("flatten"),
+        net.LayerSpec("dense", width=5),
+        net.LayerSpec("relu"),
+        net.LayerSpec("dense", width=3)), 3, seed=1))
+    assert [s.kind for s in network.layers] == ["conv", "maxpool", "flatten",
+                                                 "dense", "relu", "dense"]
+    for p in network.params.values():
+        p += rng.normal(0.0, 0.3, p.shape)
+    network.bump_version()
+    xb = rng.normal(0.5, 0.5, (2, 2, 7, 7))
+    yb = np.array([0, 2])
+    scores, cache = net.forward_batch(network, xb)
+    assert (cache.layer_inputs[4] > 0).any() and (cache.layer_inputs[4] < 0).any()
+    _, gmat = loss.disc_loss_and_grad(scores, yb)
+    grads = net.backward_params(network, cache, gmat)
+    assert set(grads) == set(network.params)
+    for name in network.params:
+        def obj(a, _n=name):
+            keep = network.params[_n]
+            network.params[_n] = a
+            try:
+                return loss.disc_loss_and_grad(net.forward_batch(network, xb)[0], yb)[0]
+            finally:
+                network.params[_n] = keep
+        assert rel_err(fd_grad(obj, network.params[name].copy()), grads[name]) < 1e-6, name
+
+    gin = net.backward_input(network, cache, node=1, item=0)
+
+    def score(a):
+        xmod = xb.copy()
+        xmod[0] = a
+        return float(net.forward_batch(network, xmod)[0][0, 1])
+
+    assert rel_err(fd_grad(score, xb[0].copy()), gin) < 1e-6
 
 
 def test_gen_loss_cannot_move_final_bias(tiny_net, rng):
@@ -178,6 +235,23 @@ def test_required_input_shape_composes_to_unit_extent(rng):
         assert scores.shape == (1, 1)
 
 
+def test_required_input_shape_strided_padded_conv(rng):
+    network = net.build_network(net.NetworkConfig((3, 9, 9), (
+        net.LayerSpec("conv", channels=2, kernel=3, stride=2, pad=1),
+        net.LayerSpec("conv", channels=2, kernel=3),
+        net.LayerSpec("conv", channels=2, kernel=1, pad=1),
+        net.LayerSpec("flatten"),
+        net.LayerSpec("dense", width=2)), 2))
+    # conv2 needs 3x3; conv1 (k3, s2, p1) maps 5x5 onto 3x3
+    assert net.required_input_shape(network, "conv1") == (3, 1, 1)
+    assert net.required_input_shape(network, "conv2") == (3, 5, 5)
+    sub = net.truncate_at(network, "conv2", 1)
+    scores, _ = net.forward_batch(sub, rng.normal(size=(1, 3, 5, 5)))
+    assert scores.shape == (1, 1)
+    with pytest.raises(ShapeError, match="padding swallows"):
+        net.required_input_shape(network, "conv3")
+
+
 def test_truncated_backward_input_matches_fd(tiny_net, rng):
     sub = net.truncate_at(tiny_net, "pool1", 1)
     shape = net.required_input_shape(tiny_net, "pool1")
@@ -237,6 +311,16 @@ def test_checkpoint_rejects_future_version(tiny_net, tmp_path):
     blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))  # re-sign
     p.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="version"):
+        net.load_checkpoint(p)
+
+
+def test_checkpoint_with_unknown_layer_kind_is_refused(tiny_net, tmp_path):
+    p = tmp_path / "bogus.ckpt"
+    net.save_checkpoint(tiny_net, p)
+    meta, tensors = net.read_tensor_file(p)
+    meta["layers"][1]["kind"] = "bogus"
+    net.write_tensor_file(p, meta, tensors)
+    with pytest.raises(CheckpointError, match="unknown layer kind 'bogus'"):
         net.load_checkpoint(p)
 
 

@@ -9,28 +9,28 @@ from tiltnet.errors import ShapeError
 
 
 def test_conv_all_ones_single_window():
-    x = np.ones((1, 3, 3))
+    x = np.ones((1, 1, 3, 3))
     k = np.ones((1, 1, 3, 3))
-    out = tensor.conv2d_forward(x, k, np.zeros(1))
-    assert out.shape == (1, 1, 1)
-    assert out[0, 0, 0] == 9.0
+    out = tensor.conv2d_forward_batch(x, k, np.zeros(1))
+    assert out.shape == (1, 1, 1, 1)
+    assert out[0, 0, 0, 0] == 9.0
 
 
 def test_conv_all_ones_padded():
-    x = np.ones((1, 3, 3))
+    x = np.ones((1, 1, 3, 3))
     k = np.ones((1, 1, 3, 3))
-    out = tensor.conv2d_forward(x, k, np.zeros(1), stride=1, pad=1)
+    out = tensor.conv2d_forward_batch(x, k, np.zeros(1), stride=1, pad=1)
     expected = np.array([[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]])
-    np.testing.assert_array_equal(out[0], expected)
+    np.testing.assert_array_equal(out[0, 0], expected)
 
 
 def test_conv_is_cross_correlation():
     # an asymmetric kernel applied without flipping
-    x = np.zeros((1, 3, 3))
-    x[0, 0, 0] = 1.0
+    x = np.zeros((1, 1, 3, 3))
+    x[0, 0, 0, 0] = 1.0
     k = np.arange(9, dtype=float).reshape(1, 1, 3, 3)
-    out = tensor.conv2d_forward(x, k, np.zeros(1))
-    assert out[0, 0, 0] == 0.0  # k[0,0] multiplies x[0,0]
+    out = tensor.conv2d_forward_batch(x, k, np.zeros(1))
+    assert out[0, 0, 0, 0] == 0.0  # k[0,0] multiplies x[0,0]
 
 
 def test_conv_bias_broadcast(rng):
@@ -96,15 +96,15 @@ def test_conv_backward_can_skip_input_grad(rng):
 
 
 def test_maxpool_constant_input_picks_first():
-    x = np.zeros((1, 4, 4))
-    pooled, amap = tensor.maxpool_forward(x, 2, 2)
-    assert pooled.shape == (1, 2, 2)
-    np.testing.assert_array_equal(amap.indices[0], [[0, 2], [8, 10]])
+    x = np.zeros((1, 1, 4, 4))
+    pooled, amap = tensor.maxpool_forward_batch(x, 2, 2)
+    assert pooled.shape == (1, 1, 2, 2)
+    np.testing.assert_array_equal(amap.indices[0, 0], [[0, 2], [8, 10]])
 
 
 def test_maxpool_tie_goes_to_scan_order():
-    x = np.array([[[5.0, 5.0], [5.0, 5.0]]])
-    _, amap = tensor.maxpool_forward(x, 2, 2)
+    x = np.array([[[[5.0, 5.0], [5.0, 5.0]]]])
+    _, amap = tensor.maxpool_forward_batch(x, 2, 2)
     assert amap.indices.ravel()[0] == 0
 
 
@@ -131,21 +131,20 @@ def test_maxpool_values_and_routing(rng):
 
 def test_maxpool_overlapping_windows_accumulate():
     # stride 1 windows share the single maximum at (1,1)
-    x = np.array([[[0.0, 0.0, 0.0], [0.0, 9.0, 0.0], [0.0, 0.0, 0.0]]])
-    pooled, amap = tensor.maxpool_forward(x, 2, 1)
+    x = np.array([[[[0.0, 0.0, 0.0], [0.0, 9.0, 0.0], [0.0, 0.0, 0.0]]]])
+    pooled, amap = tensor.maxpool_forward_batch(x, 2, 1)
     assert (pooled == 9.0).all()
-    grad = tensor.maxpool_backward(np.ones_like(pooled), amap, x.shape)
-    assert grad[0, 1, 1] == 4.0
+    grad = tensor.maxpool_backward_batch(np.ones_like(pooled), amap)
+    assert grad.shape == x.shape
+    assert grad[0, 0, 1, 1] == 4.0
     assert grad.sum() == 4.0
 
 
 def test_maxpool_rejects_mismatched_map(rng):
     x = rng.normal(size=(1, 1, 4, 4))
-    pooled, amap = tensor.maxpool_forward_batch(x, 2, 2)
+    _, amap = tensor.maxpool_forward_batch(x, 2, 2)
     with pytest.raises(ShapeError, match="upstream"):
         tensor.maxpool_backward_batch(np.zeros((1, 1, 3, 3)), amap)
-    with pytest.raises(ShapeError, match="shape"):
-        tensor.maxpool_backward(np.zeros_like(pooled), amap, (1, 1, 5, 5))
 
 
 def test_maxpool_rejects_oversized_window():
@@ -158,7 +157,6 @@ def test_dense_matches_manual(rng):
     w = rng.normal(size=(5, 4))
     b = rng.normal(size=5)
     np.testing.assert_allclose(tensor.dense_forward_batch(x, w, b), x @ w.T + b)
-    np.testing.assert_allclose(tensor.dense_forward(x[0], w, b), x[0] @ w.T + b)
 
 
 def test_dense_gradients_match_fd(rng):
