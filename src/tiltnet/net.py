@@ -74,13 +74,14 @@ def lenet_config(num_classes: int = 10, input_shape=(1, 28, 28), seed: int = 0) 
 @dataclass(frozen=True)
 class _Kind:
     """Everything one layer kind means; shapes exclude the batch axis.
-    Parameter-free kinds get weight and bias None and return None for gw, gb.
+    Parameter-free kinds get weight and bias None and return None for gw, gb;
+    so do the others when need_params is False.
     Primitives are looked up as ``tensor.<fn>`` at call time, so a wrapper
     patched onto the tensor module (a profiler, a counter) sees every call."""
     stem: str            # prefix of auto-generated layer names
     out_shape: Callable  # (spec, in_shape) -> out_shape; raises ShapeError
     forward: Callable    # (spec, x, weight, bias) -> (y, ArgmaxMap or None)
-    backward: Callable   # (spec, up, x, weight, amap, need_input) -> (gx, gw, gb)
+    backward: Callable   # (spec, up, x, weight, amap, need_input, need_params) -> (gx, gw, gb)
     init: Callable = None  # (spec, in_shape, rng) -> (weight, bias); None: no parameters
     grow: Callable = None  # (spec, out_extent) -> in_extent; None: no spatial inverse
 
@@ -123,8 +124,9 @@ _KINDS = {
     "conv": _Kind(
         stem="conv", out_shape=_conv_shape,
         forward=lambda s, x, w, b: (tensor.conv2d_forward_batch(x, w, b, s.stride, s.pad), None),
-        backward=lambda s, up, x, w, amap, need_input: tensor.conv2d_backward_batch(
-            up, x, w, s.stride, s.pad, need_input_grad=need_input),
+        backward=lambda s, up, x, w, amap, need_input, need_params: (
+            tensor.conv2d_backward_batch(up, x, w, s.stride, s.pad, need_input_grad=need_input,
+                                         need_param_grad=need_params)),
         init=lambda s, shape, rng: (
             rng.normal(0.0, 0.01, (s.channels, shape[0], s.kernel, s.kernel)),
             np.zeros(s.channels)),
@@ -132,7 +134,7 @@ _KINDS = {
     "maxpool": _Kind(
         stem="pool", out_shape=_pool_shape,
         forward=lambda s, x, w, b: tensor.maxpool_forward_batch(x, s.kernel, s.stride),
-        backward=lambda s, up, x, w, amap, need_input: (
+        backward=lambda s, up, x, w, amap, need_input, need_params: (
             tensor.maxpool_backward_batch(up, amap), None, None),
         grow=lambda s, e: (e - 1) * s.stride + s.kernel),
     "flatten": _Kind(
@@ -140,18 +142,21 @@ _KINDS = {
         out_shape=lambda s, shape: (
             int(np.prod(_spatial(shape, "flatten layer needs spatial input"))),),
         forward=lambda s, x, w, b: (np.ascontiguousarray(x.reshape(len(x), -1)), None),
-        backward=lambda s, up, x, w, amap, need_input: (up.reshape(x.shape), None, None)),
+        backward=lambda s, up, x, w, amap, need_input, need_params: (
+            up.reshape(x.shape), None, None)),
     "dense": _Kind(
         stem="dense", out_shape=_dense_shape,
         forward=lambda s, x, w, b: (tensor.dense_forward_batch(x, w, b), None),
-        backward=lambda s, up, x, w, amap, need_input: tensor.dense_backward_batch(up, x, w),
+        backward=lambda s, up, x, w, amap, need_input, need_params: (
+            tensor.dense_backward_batch(up, x, w, need_param_grad=need_params)),
         init=lambda s, shape, rng: (
             rng.normal(0.0, 1.0 / np.sqrt(shape[0]), (s.width, shape[0])),
             np.zeros(s.width))),
     "relu": _Kind(
         stem="relu", out_shape=lambda s, shape: shape,
         forward=lambda s, x, w, b: (tensor.relu_forward(x), None),
-        backward=lambda s, up, x, w, amap, need_input: (tensor.relu_backward(up, x), None, None),
+        backward=lambda s, up, x, w, amap, need_input, need_params: (
+            tensor.relu_backward(up, x), None, None),
         grow=lambda s, e: e),
 }
 
@@ -302,6 +307,12 @@ def forward_batch(net: Network, images) -> tuple:
 
 def _backward(net: Network, cache: ActivationCache, score_grad,
               want_params: bool, want_input: bool):
+    """Reverse pass from d(objective)/d(scores); returns (grads, grad_input).
+
+    want_params=False skips every parameter-gradient product (grads is
+    empty); want_input=False skips the first layer's input gradient
+    (grad_input may be None). Neither flag changes the other's results.
+    """
     if cache.version != net.version:
         raise CacheError("activation cache is stale: parameters changed after the "
                          "forward pass")
@@ -321,8 +332,8 @@ def _backward(net: Network, cache: ActivationCache, score_grad,
         spec, name = net.layers[i], net.names[i]
         up, gw, gb = _KINDS[spec.kind].backward(
             spec, up, cache.layer_inputs[i], net.params.get(name + ".weight"),
-            cache.argmax.get(i), want_input or i > 0)
-        if want_params and gw is not None:
+            cache.argmax.get(i), want_input or i > 0, want_params)
+        if gw is not None:
             grads[name + ".weight"] = gw
             grads[name + ".bias"] = gb
     return grads, up
@@ -340,7 +351,8 @@ def backward_params(net: Network, cache: ActivationCache, score_grad) -> dict:
 def backward_input(net: Network, cache: ActivationCache, node: int, item: int) -> np.ndarray:
     """Gradient of one output node's score with respect to one input image.
 
-    Pool routing follows the argmax maps recorded for that forward pass.
+    Input gradient only; no parameter-gradient work. Pool routing follows
+    the argmax maps recorded for that forward pass.
     """
     n, c = cache.scores.shape
     if not 0 <= node < c:
@@ -458,7 +470,12 @@ def read_tensor_file(path) -> tuple:
     version = cur.u("<I")
     if version != _FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format version {version}")
-    meta = json.loads(cur.take(cur.u("<I")).decode())
+    try:
+        meta = json.loads(cur.take(cur.u("<I")).decode())
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"checkpoint metadata is not JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError("checkpoint metadata is not a JSON object")
     tensors = {}
     for _ in range(cur.u("<I")):
         name = cur.take(cur.u("<H")).decode()
@@ -484,13 +501,30 @@ def _config_to_meta(config: NetworkConfig) -> dict:
     }
 
 
+def _check_meta_type(what: str, value, want: type) -> None:
+    # bool is a subclass of int, but true is no channel count
+    if not isinstance(value, want) or isinstance(value, bool):
+        raise CheckpointError(f"malformed checkpoint metadata: {what} is {value!r}, "
+                              f"expected {want.__name__}")
+
+
 def _config_from_meta(meta: dict) -> NetworkConfig:
     try:
         layers = tuple(LayerSpec(**d) for d in meta["layers"])
-        return NetworkConfig(tuple(meta["input_shape"]), layers,
-                             int(meta["num_classes"]), meta["init"], int(meta["seed"]))
+        config = NetworkConfig(tuple(meta["input_shape"]), layers,
+                               meta["num_classes"], meta["init"], meta["seed"])
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed checkpoint metadata: {exc}") from exc
+    for i, spec in enumerate(layers):
+        for f in fields(LayerSpec):
+            _check_meta_type(f"layer {i} {f.name}", getattr(spec, f.name),
+                             str if f.type == "str" else int)
+    for extent in config.input_shape:
+        _check_meta_type("input_shape entry", extent, int)
+    _check_meta_type("num_classes", config.num_classes, int)
+    _check_meta_type("seed", config.seed, int)
+    _check_meta_type("init", config.init, str)
+    return config
 
 
 def save_checkpoint(net: Network, path) -> None:

@@ -95,11 +95,14 @@ def conv2d_forward_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
 
 def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
                           kernels: np.ndarray, stride: int = 1, pad: int = 0,
-                          need_input_grad: bool = True):
+                          need_input_grad: bool = True, need_param_grad: bool = True):
     """Adjoint of conv2d_forward_batch.
 
-    Returns (grad_input, grad_kernels, grad_bias); grad_input is None when
-    need_input_grad is False (saves the scatter for the first layer).
+    Returns (grad_input, grad_kernels, grad_bias). grad_input is None when
+    need_input_grad is False (saves the scatter for the first layer);
+    grad_kernels and grad_bias are None when need_param_grad is False (saves
+    the window product when only the input gradient is wanted). Either flag
+    leaves the other results bit-identical.
     """
     upstream = _as_f64(upstream)
     x = _as_f64(x)
@@ -112,10 +115,12 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
         raise ShapeError(
             f"conv2d backward: upstream {upstream.shape} != {(n, c_out, h_out, w_out)}")
 
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    grad_kernels = np.tensordot(upstream, win, axes=([0, 2, 3], [0, 2, 3]))
-    grad_bias = upstream.sum(axis=(0, 2, 3))
+    grad_kernels = grad_bias = None
+    if need_param_grad:
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+        grad_kernels = np.tensordot(upstream, win, axes=([0, 2, 3], [0, 2, 3]))
+        grad_bias = upstream.sum(axis=(0, 2, 3))
 
     grad_input = None
     if need_input_grad:
@@ -207,8 +212,13 @@ def dense_forward_batch(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> 
     return out
 
 
-def dense_backward_batch(upstream: np.ndarray, x: np.ndarray, weight: np.ndarray):
-    """Adjoint of dense_forward_batch; returns (grad_input, grad_weight, grad_bias)."""
+def dense_backward_batch(upstream: np.ndarray, x: np.ndarray, weight: np.ndarray,
+                         need_param_grad: bool = True):
+    """Adjoint of dense_forward_batch; returns (grad_input, grad_weight, grad_bias).
+
+    grad_weight and grad_bias are None when need_param_grad is False (saves
+    the outer product when only the input gradient is wanted).
+    """
     upstream = _as_f64(upstream)
     x = _as_f64(x)
     weight = _as_f64(weight)
@@ -216,8 +226,10 @@ def dense_backward_batch(upstream: np.ndarray, x: np.ndarray, weight: np.ndarray
         raise ShapeError(
             f"dense backward: upstream {upstream.shape} != {(x.shape[0], weight.shape[0])}")
     grad_input = upstream @ weight
-    grad_weight = upstream.T @ x
-    grad_bias = upstream.sum(axis=0)
+    grad_weight = grad_bias = None
+    if need_param_grad:
+        grad_weight = upstream.T @ x
+        grad_bias = upstream.sum(axis=0)
     _count("dense_bwd", x.shape[0] * weight.size)
     return grad_input, grad_weight, grad_bias
 

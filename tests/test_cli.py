@@ -271,6 +271,16 @@ def test_unknown_layer_kind_in_checkpoint_exits_3(tmp_path, capsys):
     assert "unknown layer kind 'bogus'" in capsys.readouterr().err
 
 
+def test_ill_typed_checkpoint_meta_exits_3(tmp_path, capsys):
+    ckpt = tmp_path / "typed.ckpt"
+    net.save_checkpoint(net.build_network(parse_config(write_config(tmp_path)).network), ckpt)
+    meta, tensors = net.read_tensor_file(ckpt)
+    meta["layers"][0]["channels"] = "2"
+    net.write_tensor_file(ckpt, meta, tensors)
+    assert cli.main(["inspect", "--checkpoint", str(ckpt)]) == 3
+    assert "layer 0 channels is '2', expected int" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("layer,channel,fragment", [
     ("nope", "0", "unknown layer 'nope'"),
     ("conv1", "99", "channel 99 out of range"),

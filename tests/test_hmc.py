@@ -213,6 +213,16 @@ def test_final_layer_sample_takes_configured_input_shape(tiny_net):
     assert all(r.image.shape == (1, 6, 6) for r in recs)
 
 
+def test_prefix_without_valid_input_size_names_the_cause():
+    # a kernel-1 conv with pad 1 has no input that shrinks it to 1x1
+    network = net_mod.build_network(net_mod.NetworkConfig((1, 6, 6), (
+        net_mod.LayerSpec("conv", channels=2, kernel=1, pad=1),
+        net_mod.LayerSpec("flatten"),
+        net_mod.LayerSpec("dense", width=2)), 2))
+    with pytest.raises(ShapeError, match="padding swallows the window"):
+        hmc.sample_node(network, "conv1", 0, small_chain_config(iterations=1))
+
+
 def test_records_are_energy_consistent(tiny_net):
     recs = hmc.sample_node(tiny_net, "conv1", 0, small_chain_config())
     sub = net_mod.truncate_at(tiny_net, "conv1", 0)

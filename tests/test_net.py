@@ -1,10 +1,12 @@
 """Network construction, both backward passes, truncation, input-size
 inversion, and checkpoint round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
-from tiltnet import loss, net
+from tiltnet import loss, net, tensor
 from tiltnet.checks import fd_grad, network_suite, rel_err
 from tiltnet.errors import CacheError, CheckpointError, ShapeError
 
@@ -151,6 +153,21 @@ def test_every_kind_stack_gradients_match_fd(rng):
         return float(net.forward_batch(network, xmod)[0][0, 1])
 
     assert rel_err(fd_grad(score, xb[0].copy()), gin) < 1e-6
+
+
+def test_only_backward_params_asks_for_param_grads(tiny_net, rng, monkeypatch):
+    calls = []
+    for fn in ("conv2d_backward_batch", "dense_backward_batch"):
+        def recorder(*args, _orig=getattr(tensor, fn), _fn=fn, **kwargs):
+            calls.append((_fn, kwargs["need_param_grad"]))
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(tensor, fn, recorder)
+    scores, cache = net.forward_batch(tiny_net, rng.normal(0.5, 0.25, (2, 1, 6, 6)))
+    net.backward_input(tiny_net, cache, node=1, item=0)
+    assert calls == [("dense_backward_batch", False), ("conv2d_backward_batch", False)]
+    calls.clear()
+    net.backward_params(tiny_net, cache, np.ones_like(scores))
+    assert calls == [("dense_backward_batch", True), ("conv2d_backward_batch", True)]
 
 
 def test_gen_loss_cannot_move_final_bias(tiny_net, rng):
@@ -321,6 +338,45 @@ def test_checkpoint_with_unknown_layer_kind_is_refused(tiny_net, tmp_path):
     meta["layers"][1]["kind"] = "bogus"
     net.write_tensor_file(p, meta, tensors)
     with pytest.raises(CheckpointError, match="unknown layer kind 'bogus'"):
+        net.load_checkpoint(p)
+
+
+@pytest.mark.parametrize("meta_blob,fragment", [
+    (b"[1]", "not a JSON object"),
+    (b"{", "not JSON"),
+    (b"\xff", "not JSON"),
+])
+def test_checkpoint_meta_must_be_a_json_object(tiny_net, tmp_path, meta_blob, fragment):
+    import struct, zlib
+    p = tmp_path / "m.ckpt"
+    net.save_checkpoint(tiny_net, p)
+    blob = bytearray(p.read_bytes()[:-4])
+    n = struct.unpack("<I", blob[12:16])[0]
+    blob[12:16 + n] = struct.pack("<I", len(meta_blob)) + meta_blob
+    blob += struct.pack("<I", zlib.crc32(bytes(blob)))  # re-sign
+    p.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=fragment):
+        net.load_checkpoint(p)
+
+
+@pytest.mark.parametrize("layer,key,value,fragment", [
+    (0, "channels", "2", "layer 0 channels is '2'"),
+    (1, "stride", True, "layer 1 stride is True"),
+    (2, "kind", 3, "layer 2 kind is 3"),
+    (3, "width", 3.0, "layer 3 width is 3.0"),
+    (None, "input_shape", [1, "6", 6], "input_shape entry is '6'"),
+    (None, "num_classes", False, "num_classes is False"),
+    (None, "seed", "0", "seed is '0'"),
+    (None, "init", None, "init is None"),
+])
+def test_checkpoint_with_ill_typed_meta_is_refused(tiny_net, tmp_path, layer, key,
+                                                   value, fragment):
+    p = tmp_path / "typed.ckpt"
+    net.save_checkpoint(tiny_net, p)
+    meta, tensors = net.read_tensor_file(p)
+    (meta if layer is None else meta["layers"][layer])[key] = value
+    net.write_tensor_file(p, meta, tensors)
+    with pytest.raises(CheckpointError, match=re.escape(fragment)):
         net.load_checkpoint(p)
 
 

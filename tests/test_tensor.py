@@ -95,6 +95,24 @@ def test_conv_backward_can_skip_input_grad(rng):
     assert gx2.shape == x.shape
 
 
+def test_backward_can_skip_param_grads(rng):
+    # the input-only path must not change a bit of the input gradient, or
+    # sampler chains would drift from the full backward's
+    x = rng.normal(size=(2, 3, 7, 7))
+    k = rng.normal(size=(4, 3, 3, 3))
+    up = rng.normal(size=(2, 4, 4, 4))
+    gx, gk, gb = tensor.conv2d_backward_batch(up, x, k, stride=2, pad=1,
+                                              need_param_grad=False)
+    assert gk is None and gb is None
+    np.testing.assert_array_equal(gx, tensor.conv2d_backward_batch(up, x, k, 2, 1)[0])
+    xd = rng.normal(size=(3, 6))
+    w = rng.normal(size=(5, 6))
+    upd = rng.normal(size=(3, 5))
+    gx, gw, gb = tensor.dense_backward_batch(upd, xd, w, need_param_grad=False)
+    assert gw is None and gb is None
+    np.testing.assert_array_equal(gx, tensor.dense_backward_batch(upd, xd, w)[0])
+
+
 def test_maxpool_constant_input_picks_first():
     x = np.zeros((1, 1, 4, 4))
     pooled, amap = tensor.maxpool_forward_batch(x, 2, 2)
