@@ -241,11 +241,17 @@ def read_image(path) -> np.ndarray:
         start = pos
         while pos < len(blob) and not blob[pos:pos + 1].isspace():
             pos += 1
+        if start == pos:
+            raise ShapeError("image header truncated")
         tokens.append(blob[start:pos])
     pos += 1  # single whitespace after maxval
-    magic, w, h, maxval = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if magic not in (b"P5", b"P6") or maxval != 255:
-        raise ShapeError(f"unsupported image header {magic!r} maxval={maxval}")
+    magic = tokens[0]
+    try:
+        w, h, maxval = (int(t) for t in tokens[1:])
+    except ValueError as exc:
+        raise ShapeError(f"bad image header {b' '.join(tokens)!r}") from exc
+    if magic not in (b"P5", b"P6") or maxval != 255 or min(w, h) < 1:
+        raise ShapeError(f"unsupported image header {magic!r} {w}x{h} maxval={maxval}")
     channels = 1 if magic == b"P5" else 3
     payload = np.frombuffer(blob[pos:pos + w * h * channels], dtype=np.uint8)
     if payload.size != w * h * channels:

@@ -16,6 +16,7 @@ one record there and one token in ``config.parse_layers``.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, fields
@@ -420,7 +421,11 @@ _FORMAT_VERSION = 1
 
 def write_tensor_file(path, meta: dict, tensors: dict) -> None:
     """Pack named float64 tensors plus a JSON metadata blob; little-endian
-    throughout, CRC32 over everything that precedes it."""
+    throughout, CRC32 over everything that precedes it.
+
+    The bytes go to ``<path>.tmp`` first and are then renamed over ``path``,
+    so a crash mid-write leaves the previous file (or none), never a torn one.
+    """
     meta_blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     buf = bytearray()
     buf += _MAGIC
@@ -435,8 +440,10 @@ def write_tensor_file(path, meta: dict, tensors: dict) -> None:
         buf += b"".join(struct.pack("<I", d) for d in arr.shape)
         buf += arr.tobytes()
     buf += struct.pack("<I", zlib.crc32(bytes(buf)))
-    with open(path, "wb") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(bytes(buf))
+    os.replace(tmp, path)
 
 
 class _Cursor:

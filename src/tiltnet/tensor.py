@@ -155,28 +155,55 @@ class ArgmaxMap:
 
 
 def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int):
-    """Max-pool a batch [n, C, H, W]; returns (pooled, ArgmaxMap)."""
+    """Max-pool a batch [n, C, H, W]; returns (pooled, ArgmaxMap).
+
+    Works on one strided view of ``x`` per window offset (i, j), taken in
+    row-major scan order, so no window copy is made. ``pooled`` starts as the
+    first view and takes the elementwise maximum with each later one; on a
+    tie ``np.maximum`` keeps its second argument, the earlier value, so
+    ``-0.0`` against ``0.0`` yields whichever comes first in the window. A NaN
+    anywhere in a window makes the cell NaN. The winner is the first offset
+    whose view equals ``pooled`` (or, in a NaN cell, the first NaN): the same
+    element ``argmax`` over the window picks. It is kept as a small in-window
+    offset and turned into the flat row-major map at the end. Only an input
+    holding a NaN pays for the NaN tests and for re-reading ``pooled`` from
+    the winners, so that a NaN cell carries the first NaN's bits.
+    """
     x = _as_f64(x)
     if x.ndim != 4:
         raise ShapeError(f"maxpool: input must be 4-D [n,C,H,W], got {x.shape}")
     n, c, h, w = x.shape
-    kh = kw = int(kernel)
-    h_out = output_extent(h, kh, stride, 0, "maxpool height")
-    w_out = output_extent(w, kw, stride, 0, "maxpool width")
+    k = int(kernel)
+    h_out = output_extent(h, k, stride, 0, "maxpool height")
+    w_out = output_extent(w, k, stride, 0, "maxpool width")
 
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    flat = win.reshape(n, c, h_out, w_out, kh * kw)
-    inner = flat.argmax(axis=-1)  # first max in row-major window order
-    pooled = np.take_along_axis(flat, inner[..., None], axis=-1)[..., 0]
+    h_span, w_span = stride * (h_out - 1) + 1, stride * (w_out - 1) + 1
+    views = [x[:, :, i:i + h_span:stride, j:j + w_span:stride]
+             for i in range(k) for j in range(k)]
+    pooled = views[0].copy()
+    for v in views[1:]:
+        np.maximum(v, pooled, out=pooled)
 
-    rows = inner // kw + (np.arange(h_out) * stride)[None, None, :, None]
-    cols = inner % kw + (np.arange(w_out) * stride)[None, None, None, :]
-    chan = np.arange(c)[None, :, None, None]
-    samp = np.arange(n)[:, None, None, None]
-    idx = (((samp * c + chan) * h + rows) * w + cols).astype(np.int64)
+    has_nan = bool(np.isnan(pooled).any())
+    inner = np.zeros(pooled.shape, np.int8 if k * k <= 127 else np.intp)
+    still_open = np.ones(pooled.shape, bool)
+    for o, v in enumerate(views):
+        hit = v == pooled
+        if has_nan:
+            hit |= np.isnan(v)
+        hit &= still_open
+        still_open ^= hit
+        inner += hit * inner.dtype.type(o)
 
-    pooled = np.ascontiguousarray(pooled)
-    _count("maxpool", pooled.size * kh * kw)
+    offset = (np.arange(k, dtype=np.int64)[:, None] * w + np.arange(k)).ravel()
+    corner = (np.arange(h_out, dtype=np.int64)[:, None] * w + np.arange(w_out)) * stride
+    idx = offset[inner]
+    idx += corner
+    idx += (np.arange(n * c, dtype=np.int64) * (h * w)).reshape(n, c, 1, 1)
+    if has_nan:  # np.maximum keeps the last NaN of a window, argmax the first
+        pooled = x.reshape(-1)[idx]
+
+    _count("maxpool", pooled.size * k * k)
     return pooled, ArgmaxMap(pooled.shape, x.shape, idx)
 
 
@@ -187,8 +214,8 @@ def maxpool_backward_batch(upstream: np.ndarray, amap: ArgmaxMap) -> np.ndarray:
     if upstream.shape != tuple(amap.pooled_shape):
         raise ShapeError(
             f"maxpool backward: upstream {upstream.shape} != map {amap.pooled_shape}")
-    grad = np.zeros(int(np.prod(amap.input_shape)))
-    np.add.at(grad, amap.indices.ravel(), upstream.ravel())
+    grad = np.bincount(amap.indices.ravel(), weights=upstream.ravel(),
+                       minlength=int(np.prod(amap.input_shape)))
     _count("maxpool_bwd", upstream.size)
     return grad.reshape(amap.input_shape)
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import loss as loss_mod
 from . import net as net_mod
 from .data import Dataset, epoch_batches
-from .errors import ConfigError, NumericsError, ShapeError
+from .errors import CheckpointError, ConfigError, NumericsError, ShapeError
 
 MODES = ("DG", "GG", "GG+DG")
 
@@ -249,31 +249,49 @@ def run_training(net: net_mod.Network, train_set: Dataset, config: TrainConfig,
 
 
 def _checkpoint_epoch(net, state, config: TrainConfig, epoch: int, out_dir) -> None:
+    # the sidecar goes first: a .ckpt on disk marks a complete epoch
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    net_mod.save_checkpoint(net, out / f"{epoch:03d}.ckpt")
     net_mod.write_tensor_file(out / f"{epoch:03d}.opt",
                               {"kind": "optimizer", "epoch": epoch,
                                "mode": config.mode},
                               state.velocity)
+    net_mod.save_checkpoint(net, out / f"{epoch:03d}.ckpt")
+
+
+def _read_epoch(ckpt: Path):
+    """Network and optimizer state saved after one epoch; CheckpointError
+    when either file is missing or does not verify."""
+    net = net_mod.load_checkpoint(ckpt)
+    opt = ckpt.with_suffix(".opt")
+    try:
+        meta, velocity = net_mod.read_tensor_file(opt)
+    except FileNotFoundError as exc:
+        raise CheckpointError(f"optimizer sidecar {opt.name} is missing") from exc
+    state = OptimizerState(net)
+    if (meta.get("kind") != "optimizer" or set(velocity) != set(state.velocity)
+            or any(velocity[k].shape != v.shape for k, v in state.velocity.items())):
+        raise CheckpointError(f"{opt.name} is not this network's optimizer sidecar")
+    state.velocity.update(velocity)
+    return net, state
 
 
 def resume_training(train_set: Dataset, config: TrainConfig, out_dir,
                     eval_set: Dataset = None, log: MetricsLog = None):
-    """Continue an interrupted run from the newest epoch checkpoint in
-    out_dir; bit-identical to the uninterrupted run."""
-    out = Path(out_dir)
-    done = sorted(out.glob("[0-9][0-9][0-9].ckpt"))
+    """Continue an interrupted run from the newest epoch in out_dir whose
+    checkpoint and optimizer sidecar both verify; bit-identical to the
+    uninterrupted run. An epoch with a torn or missing file is passed over."""
+    done = sorted(Path(out_dir).glob("[0-9][0-9][0-9].ckpt"), reverse=True)
     if not done:
         raise ConfigError(f"no epoch checkpoints under {out_dir} to resume from")
-    last = done[-1]
-    epoch = int(last.stem)
-    net = net_mod.load_checkpoint(last)
-    meta, velocity = net_mod.read_tensor_file(last.with_suffix(".opt"))
-    if meta.get("kind") != "optimizer":
-        raise ConfigError(f"{last.with_suffix('.opt')} is not an optimizer sidecar")
-    state = OptimizerState(net)
-    for k in state.velocity:
-        state.velocity[k] = velocity[k]
-    return run_training(net, train_set, config, eval_set=eval_set, out_dir=out_dir,
-                        log=log, start_epoch=epoch + 1, state=state)
+    problems = []
+    for ckpt in done:
+        try:
+            net, state = _read_epoch(ckpt)
+        except CheckpointError as exc:
+            problems.append(f"{ckpt.name}: {exc}")
+            continue
+        return run_training(net, train_set, config, eval_set=eval_set, out_dir=out_dir,
+                            log=log, start_epoch=int(ckpt.stem) + 1, state=state)
+    raise CheckpointError(f"no epoch under {out_dir} has a readable checkpoint "
+                          f"and sidecar: {'; '.join(problems)}")

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tiltnet.net import LayerSpec, NetworkConfig, build_network
 
@@ -33,6 +34,11 @@ def find_mnist():
             return found
     return None
 
+
+# Every property test draws the same examples on every run, so a failure
+# reproduces from the test alone, without a saved example database.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 MNIST = find_mnist()
 needs_mnist = pytest.mark.skipif(

@@ -312,3 +312,12 @@ def test_read_image_rejects_bad_files(tmp_path):
     short.write_bytes(b"P5\n2 2\n255\n" + bytes(3))
     with pytest.raises(ShapeError):
         hmc.read_image(short)
+    for name, blob in [("cut.pgm", b"P5\n3 "), ("empty.pgm", b""),
+                       ("comment.pgm", b"P5\n3 3 # no maxval")]:
+        (tmp_path / name).write_bytes(blob)
+        with pytest.raises(ShapeError, match="header truncated"):
+            hmc.read_image(tmp_path / name)
+    for name, blob in [("word.pgm", b"P5\nthree 3\n255\n"), ("neg.pgm", b"P5\n-1 1\n255\n")]:
+        (tmp_path / name).write_bytes(blob + bytes(9))
+        with pytest.raises(ShapeError, match="image header"):
+            hmc.read_image(tmp_path / name)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tiltnet import tensor
 from tiltnet.checks import fd_grad, rel_err, tensor_suite
@@ -156,6 +159,50 @@ def test_maxpool_overlapping_windows_accumulate():
     assert grad.shape == x.shape
     assert grad[0, 0, 1, 1] == 4.0
     assert grad.sum() == 4.0
+
+
+def _maxpool_reference(x, k, stride):
+    """Window-copy max-pool: argmax over every [k*k] window, first max wins."""
+    n, c, h, w = x.shape
+    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    flat = win.reshape(*win.shape[:4], k * k)
+    inner = flat.argmax(axis=-1)
+    pooled = np.take_along_axis(flat, inner[..., None], axis=-1)[..., 0]
+    rows = inner // k + (np.arange(win.shape[2]) * stride)[:, None]
+    cols = inner % k + np.arange(win.shape[3]) * stride
+    plane = np.arange(n * c).reshape(n, c, 1, 1)
+    return pooled, ((plane * h + rows) * w + cols).astype(np.int64)
+
+
+@st.composite
+def _pool_cases(draw):
+    k = draw(st.integers(1, 4))
+    stride = draw(st.integers(1, 3))
+    h_out = draw(st.integers(1, (9 - k) // stride + 1))
+    w_out = draw(st.integers(1, (9 - k) // stride + 1))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+             k + stride * (h_out - 1), k + stride * (w_out - 1))
+    values = st.one_of(
+        st.sampled_from([-1.0, -0.0, 0.0, 1.0, np.nan, -np.nan, np.inf, -np.inf]),
+        st.floats(-3.0, 3.0))
+    return draw(hnp.arrays(np.float64, shape, elements=values)), k, stride
+
+
+@settings(max_examples=300)
+@given(_pool_cases())
+def test_maxpool_matches_window_argmax(case):
+    # ties, signed zeros, NaN, infinities and overlapping windows
+    x, k, stride = case
+    pooled, amap = tensor.maxpool_forward_batch(x, k, stride)
+    want, want_idx = _maxpool_reference(x, k, stride)
+    assert pooled.shape == want.shape and pooled.tobytes() == want.tobytes()
+    assert amap.indices.dtype == np.int64
+    np.testing.assert_array_equal(amap.indices, want_idx)
+    # backward: the same additions, in the same order, as np.add.at from +0.0
+    up = np.where(np.isfinite(pooled), pooled, 0.5)
+    grad = np.zeros(x.size)
+    np.add.at(grad, want_idx.ravel(), up.ravel())
+    assert tensor.maxpool_backward_batch(up, amap).tobytes() == grad.reshape(x.shape).tobytes()
 
 
 def test_maxpool_rejects_mismatched_map(rng):

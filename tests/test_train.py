@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tiltnet import data, loss, net, tensor, train
-from tiltnet.errors import ConfigError, NumericsError
+from tiltnet.errors import CheckpointError, ConfigError, NumericsError
 from tiltnet.net import LayerSpec, NetworkConfig, build_network
 
 
@@ -205,6 +205,42 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     train.resume_training(train_set, cfg3, part_dir)
 
     assert (full_dir / "002.ckpt").read_bytes() == (part_dir / "002.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("victim", ["002.ckpt", "002.opt"])
+@pytest.mark.parametrize("damage", ["truncate", "remove"])
+def test_resume_passes_over_a_torn_last_epoch(tmp_path, victim, damage):
+    # a kill during the last epoch's checkpoint: resume from the epoch before
+    # and end with the uninterrupted run's files, byte for byte
+    train_set, _ = small_sets(n=32)
+    cfg = train.TrainConfig(mode="GG+DG", batch_size=8, epochs=3,
+                            pretrain_epochs=1, lr=0.02, refine_lr=0.005, seed=5)
+    full_dir, part_dir = tmp_path / "full", tmp_path / "part"
+    train.run_training(build_network(small_config(seed=4)), train_set, cfg,
+                       out_dir=full_dir)
+    train.run_training(build_network(small_config(seed=4)), train_set, cfg,
+                       out_dir=part_dir)
+    torn = part_dir / victim
+    if damage == "truncate":
+        torn.write_bytes(torn.read_bytes()[:-9])
+    else:
+        torn.unlink()
+    (part_dir / "002.ckpt.tmp").write_bytes(b"half a write")
+    train.resume_training(train_set, cfg, part_dir)
+    for f in sorted(full_dir.glob("00?.*")):
+        assert (part_dir / f.name).read_bytes() == f.read_bytes(), f.name
+
+
+def test_resume_refuses_when_no_epoch_reads(tmp_path):
+    train_set, _ = small_sets(n=16)
+    cfg = train.TrainConfig(mode="DG", batch_size=8, epochs=2, seed=1)
+    train.run_training(build_network(small_config()), train_set, cfg, out_dir=tmp_path)
+    (tmp_path / "000.opt").unlink()
+    net.write_tensor_file(tmp_path / "001.opt", {"kind": "optimizer"},
+                          {"conv1.weight": np.zeros(3)})
+    with pytest.raises(CheckpointError, match="001.ckpt: 001.opt is not this network's "
+                                              ".*000.ckpt: optimizer sidecar 000.opt is missing"):
+        train.resume_training(train_set, cfg, tmp_path)
 
 
 def test_resume_needs_checkpoints(tmp_path):
