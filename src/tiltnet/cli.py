@@ -141,6 +141,13 @@ def cmd_inspect(checkpoint) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tiltnet",
@@ -154,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run configuration file")
         if need_ckpt or name in ("eval", "sample", "inspect"):
             p.add_argument("--checkpoint", required=True, help="network checkpoint")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override [run] seed")
         return p
 
@@ -169,7 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse: --help exits 0, a usage error 2
+        return exc.code
     try:
         if args.command == "inspect":
             return cmd_inspect(args.checkpoint)

@@ -179,6 +179,8 @@ def parse_config(path) -> RunSpec:
 
     run = sections.get("run", _Section("run", {}))
     seed = run.int_("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"[run] seed: must be >= 0, got {seed}")
     out_dir = run.str_("out_dir", "")
 
     network = None

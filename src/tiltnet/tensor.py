@@ -63,10 +63,26 @@ def output_extent(extent: int, kernel: int, stride: int = 1, pad: int = 0,
 # ---------------------------------------------------------------------------
 # convolution (cross-correlation: kernels are applied unflipped)
 
+def _columns(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """Column matrix [C_in·kH·kW, n·H'·W'] of a batch: row (c, i, j) holds
+    input channel c at kernel offset (i, j) for every output position, batch
+    before rows before columns."""
+    n, c_in = x.shape[:2]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    h_out, w_out = win.shape[2:4]
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c_in * kh * kw, n * h_out * w_out)
+
+
 def conv2d_forward_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
                          stride: int = 1, pad: int = 0) -> np.ndarray:
     """Cross-correlate a batch [n, C_in, H, W] with kernels
-    [C_out, C_in, kH, kW] plus per-channel bias; returns [n, C_out, H', W']."""
+    [C_out, C_in, kH, kW] plus per-channel bias; returns [n, C_out, H', W'].
+
+    One GEMM: kernels as [C_out, C_in·kH·kW] times the column matrix
+    [C_in·kH·kW, n·H'·W'] (see ``_columns``), then one transpose of
+    [C_out, n, H', W'] to NCHW.
+    """
     x = _as_f64(x)
     kernels = _as_f64(kernels)
     bias = _as_f64(bias)
@@ -83,12 +99,10 @@ def conv2d_forward_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     h_out = output_extent(h, kh, stride, pad, "conv2d height")
     w_out = output_extent(w, kw, stride, pad, "conv2d width")
 
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    # windows: [n, C_in, H', W', kH, kW]
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    out = np.tensordot(win, kernels, axes=([1, 4, 5], [1, 2, 3]))  # [n,H',W',C_out]
-    out += bias
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    # the column matrix is passed inline so it is freed before the transpose
+    out = kernels.reshape(c_out, -1) @ _columns(x, kh, kw, stride, pad)
+    out += bias[:, None]
+    out = np.ascontiguousarray(out.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3))
     _count("conv2d", out.size * c_in * kh * kw)
     return out
 
@@ -101,8 +115,16 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
     Returns (grad_input, grad_kernels, grad_bias). grad_input is None when
     need_input_grad is False (saves the scatter for the first layer);
     grad_kernels and grad_bias are None when need_param_grad is False (saves
-    the window product when only the input gradient is wanted). Either flag
+    the column product when only the input gradient is wanted). Either flag
     leaves the other results bit-identical.
+
+    Kernel gradient: one GEMM, ``upstream`` as [C_out, n·H'·W'] times the
+    transposed column matrix of the forward. Input gradient: one GEMM,
+    kernels as [kH·kW·C_in, C_out] times ``upstream`` as [C_out, H'·W'·n],
+    batch innermost, so each kernel offset (i, j) owns a contiguous
+    [C_in, H', W', n] block. The kH·kW blocks are added at their strided
+    positions into a [C_in, H+2p, W+2p, n] buffer, which is cropped and
+    transposed to NCHW once.
     """
     upstream = _as_f64(upstream)
     x = _as_f64(x)
@@ -117,22 +139,24 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
 
     grad_kernels = grad_bias = None
     if need_param_grad:
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-        grad_kernels = np.tensordot(upstream, win, axes=([0, 2, 3], [0, 2, 3]))
-        grad_bias = upstream.sum(axis=(0, 2, 3))
+        up = upstream.transpose(1, 0, 2, 3).reshape(c_out, -1)
+        grad_kernels = (up @ _columns(x, kh, kw, stride, pad).T).reshape(kernels.shape)
+        grad_bias = up.sum(axis=1)
+        del up
 
     grad_input = None
     if need_input_grad:
-        # scatter each kernel offset back onto the (padded) input grid
-        contrib = np.tensordot(upstream, kernels, axes=([1], [0]))  # [n,H',W',C_in,kH,kW]
-        gxp = np.zeros((n, c_in, h + 2 * pad, w + 2 * pad))
+        up = upstream.transpose(1, 2, 3, 0).reshape(c_out, -1)
+        contrib = kernels.transpose(2, 3, 1, 0).reshape(-1, c_out) @ up
+        del up
+        contrib = contrib.reshape(kh, kw, c_in, h_out, w_out, n)
+        gxp = np.zeros((c_in, h + 2 * pad, w + 2 * pad, n))
         for i in range(kh):
             for j in range(kw):
-                gxp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += \
-                    contrib[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        grad_input = gxp[:, :, pad:pad + h, pad:pad + w] if pad else gxp
-        grad_input = np.ascontiguousarray(grad_input)
+                gxp[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += contrib[i, j]
+        del contrib
+        grad_input = np.ascontiguousarray(
+            gxp[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2))
     _count("conv2d_bwd", upstream.size * c_in * kh * kw)
     return grad_input, grad_kernels, grad_bias
 

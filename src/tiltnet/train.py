@@ -13,6 +13,7 @@ resetting velocities exactly once at the switch.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -117,6 +118,27 @@ class MetricsLog:
         line = " ".join(f"{k}={self._fmt(v)}" for k, v in fields_.items())
         self.records.append(dict(fields_))
         self._emit(line)
+
+    def rewind(self, epoch: int) -> None:
+        """Cut the file back to its lines from before ``epoch``: headers and
+        the records of earlier epochs, up to the first line that is neither
+        (a record of ``epoch`` or later, or a line torn by a crash). A resumed
+        run that repeats those epochs then logs each of them once."""
+        if self.path is None:
+            return
+        path = Path(self.path)
+        kept = []
+        for line in path.read_text().splitlines(keepends=True):
+            if not line.endswith("\n"):
+                break
+            if not line.startswith("#"):
+                tags = [t[len("epoch="):] for t in line.split() if t.startswith("epoch=")]
+                if len(tags) != 1 or not tags[0].isdigit() or int(tags[0]) >= epoch:
+                    break
+            kept.append(line)
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text("".join(kept))
+        os.replace(tmp, path)
 
     def _emit(self, line: str) -> None:
         if self.echo:
@@ -280,7 +302,9 @@ def resume_training(train_set: Dataset, config: TrainConfig, out_dir,
                     eval_set: Dataset = None, log: MetricsLog = None):
     """Continue an interrupted run from the newest epoch in out_dir whose
     checkpoint and optimizer sidecar both verify; bit-identical to the
-    uninterrupted run. An epoch with a torn or missing file is passed over."""
+    uninterrupted run. An epoch with a torn or missing file is passed over.
+    A given log is first rewound to that epoch (``MetricsLog.rewind``), so
+    an epoch logged before its checkpoint tore is not logged twice."""
     done = sorted(Path(out_dir).glob("[0-9][0-9][0-9].ckpt"), reverse=True)
     if not done:
         raise ConfigError(f"no epoch checkpoints under {out_dir} to resume from")
@@ -291,7 +315,10 @@ def resume_training(train_set: Dataset, config: TrainConfig, out_dir,
         except CheckpointError as exc:
             problems.append(f"{ckpt.name}: {exc}")
             continue
+        start = int(ckpt.stem) + 1
+        if log is not None:
+            log.rewind(start)
         return run_training(net, train_set, config, eval_set=eval_set, out_dir=out_dir,
-                            log=log, start_epoch=int(ckpt.stem) + 1, state=state)
+                            log=log, start_epoch=start, state=state)
     raise CheckpointError(f"no epoch under {out_dir} has a readable checkpoint "
                           f"and sidecar: {'; '.join(problems)}")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiltnet import cli, net
 from tiltnet.config import parse_config, parse_layers
@@ -304,7 +305,118 @@ def test_untileable_layer_stack_exits_2_without_output(tmp_path, capsys):
 
 
 def test_missing_required_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["train"])
-    assert exc.value.code == 2
+    assert cli.main(["train"]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract over arbitrary argv and config text
+
+# Value fragments per section and key, the valid one first; "{out}",
+# "{missing}" and "{junk}" become a writable directory, an absent path and a
+# file of garbage. Sizes stay tiny (epochs <= 1, n <= 32, iterations <= 2) so
+# an example runs in milliseconds.
+_INI = {
+    "network": {
+        "layers": ["conv:2@3, pool:2/2, flatten, dense:2", "conv:1@3/2p1, relu, flatten, dense:3",
+                   "pool:3, flatten, dense:2", "conv:2@9, flatten, dense:2", "conv:1@1p2, dense:2",
+                   "dense:0", "softmax", ""],
+        "input_shape": ["1x8x8", "3x8x8", "1x6x6", "1x28x28", "8x8", "0x8x8", "1x-8x8"],
+        "classes": ["2", "3", "1", "0", "-1", "two"],
+        "arch": ["lenet", "resnet"],
+    },
+    "train": {
+        "mode": ["DG", "GG", "GG+DG", "EM"], "batch_size": ["8", "1", "0"],
+        "lr": ["0.05", "0", "nan", "inf"], "weight_decay": ["0", "-1"],
+        "momentum": ["0.9", "1", "nan"], "epochs": ["1", "0", "-1"],
+        "pretrain_epochs": ["0", "1", "-1"], "refine_lr": ["0.01", "-0.5"],
+        "lr_policy": ["constant", "step", "cosine"], "lr_step_every": ["1", "0"],
+        "lr_step_factor": ["0.5", "x"],
+    },
+    "data": {
+        "source": ["synthetic", "idx", "tape"],
+        **{k: ["{missing}", "{junk}", ""] for k in ("train_images", "train_labels",
+                                                   "test_images", "test_labels")},
+        "n": ["32", "0", "2", "8", "-4"], "classes": ["2", "1", "3"],
+        "image_size": ["8", "0", "4", "28"], "noise_std": ["0.1", "-1", "nan"],
+        "eval_n": ["8", "0", "x"],
+    },
+    "hmc": {
+        "sigma": ["2", "0", "nan", "inf"], "mass": ["1", "-1"],
+        "step_size": ["0.01", "1e9", "nan"], "leapfrog_steps": ["2", "1", "0"],
+        "iterations": ["2", "0", "1", "-1"], "init": ["gaussian", "zero", "ones"],
+        "init_std": ["1", "0"], "metropolis": ["true", "off", "maybe"],
+        "snapshots": ["1", "0,2", "-1", "x"],
+    },
+    "run": {"out_dir": ["{out}", "", "{junk}"], "seed": ["3", "0", "-1", "x"]},
+}
+# keys written whenever their section is; [train] and [hmc] are always there,
+# the others are left out only from wild texts
+_ALWAYS_KEYS = {"network": ("layers",), "train": ("epochs",), "data": ("n", "eval_n"),
+              "hmc": ("iterations", "leapfrog_steps")}
+_JUNK_LINES = ["[bogus]", "extra = 1", "no equals sign", "[network", "= 3", "[run]"]
+
+
+@st.composite
+def _ini_texts(draw):
+    # "clean" texts take every key's valid value, "one" spoils a single key,
+    # "wild" draws every value
+    style = draw(st.sampled_from(["clean", "one", "wild"]))
+    spoiled = draw(st.sampled_from([(s, k) for s, keys in _INI.items() for k in keys]))
+    lines = []
+    for section, keys in _INI.items():
+        if style == "wild" and section not in ("train", "hmc") and not draw(st.booleans()):
+            continue
+        lines.append(f"[{section}]")
+        chosen = set(_ALWAYS_KEYS.get(section, ()))
+        chosen |= set(draw(st.lists(st.sampled_from(sorted(keys)), max_size=4)))
+        if style == "one" and spoiled[0] == section:
+            chosen.add(spoiled[1])
+        for key in sorted(chosen):
+            wild = style == "wild" or (style == "one" and (section, key) == spoiled)
+            value = draw(st.sampled_from(keys[key])) if wild else keys[key][0]
+            lines.append(f"{key} = {value}")
+        if style == "wild":
+            lines += draw(st.lists(st.sampled_from(_JUNK_LINES), max_size=1))
+    return "\n".join(lines) + "\n"
+
+
+# each command's required flags with valid values, then drawn extra flags
+_COMMANDS = {
+    "train": ["--config", "{config}"],
+    "eval": ["--config", "{config}", "--checkpoint", "{ckpt}"],
+    "sample": ["--config", "{config}", "--checkpoint", "{ckpt}", "--layer", "conv1",
+               "--channel", "1"],
+    "gradcheck": [],
+    "inspect": ["--checkpoint", "{ckpt}"],
+    "serve": [],
+}
+_FLAGS = st.sampled_from([
+    ["--config", "{config}"], ["--config", "{missing}"], ["--config", "{out}"],
+    ["--checkpoint", "{ckpt}"], ["--checkpoint", "{junk}"], ["--checkpoint", "{missing}"],
+    ["--seed", "0"], ["--seed", "7"], ["--seed", "-1"], ["--seed", "x"], ["--seed"],
+    ["--layer", "pool1"], ["--layer", "dense1"], ["--layer", "nope"],
+    ["--channel", "0"], ["--channel", "-1"], ["--channel", "x"],
+    ["--help"], ["--verbose"],
+])
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("exit_codes")
+    ckpt = root / "net.ckpt"
+    net.save_checkpoint(net.build_network(parse_config(write_config(root)).network), ckpt)
+    (root / "junk").write_bytes(b"\x00garbage\n[network\n")
+    return {"config": str(root / "run.ini"), "ckpt": str(ckpt), "out": str(root / "out"),
+            "missing": str(root / "missing"), "junk": str(root / "junk")}
+
+
+@settings(max_examples=100)
+@given(command=st.sampled_from(sorted(_COMMANDS)), flags=st.lists(_FLAGS, max_size=3),
+       ini=_ini_texts())
+def test_cli_maps_every_input_to_an_exit_code(cli_files, command, flags, ini):
+    with open(cli_files["config"], "w") as fh:
+        fh.write(ini.format(**cli_files))
+    argv = [command] + [part.format(**cli_files) for part in
+                        _COMMANDS[command] + [part for flag in flags for part in flag]]
+    assert cli.main(argv) in (0, 2, 3, 4, 5)

@@ -1,5 +1,7 @@
 """Primitives against finite differences and hand-computed cases."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +116,86 @@ def test_backward_can_skip_param_grads(rng):
     gx, gw, gb = tensor.dense_backward_batch(upd, xd, w, need_param_grad=False)
     assert gw is None and gb is None
     np.testing.assert_array_equal(gx, tensor.dense_backward_batch(upd, xd, w)[0])
+
+
+def _conv_reference(x, k, b, up, stride, pad):
+    """Output-position loop: forward, grad_input, grad_kernels, grad_bias."""
+    n, c_in, h, w = x.shape
+    kh, kw = k.shape[2:]
+    h_out, w_out = up.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out = np.zeros(up.shape)
+    gxp = np.zeros(xp.shape)
+    gk = np.zeros(k.shape)
+    for r in range(h_out):
+        for c in range(w_out):
+            rows = slice(r * stride, r * stride + kh)
+            cols = slice(c * stride, c * stride + kw)
+            out[:, :, r, c] = np.tensordot(xp[:, :, rows, cols], k, axes=([1, 2, 3], [1, 2, 3])) + b
+            gxp[:, :, rows, cols] += np.tensordot(up[:, :, r, c], k, axes=(1, 0))
+            gk += np.tensordot(up[:, :, r, c], xp[:, :, rows, cols], axes=(0, 0))
+    return out, gxp[:, :, pad:pad + h, pad:pad + w], gk, up.sum(axis=(0, 2, 3))
+
+
+@st.composite
+def _conv_cases(draw):
+    k, stride, pad = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    # output extents whose input extent k + stride*(out-1) - 2*pad lies in 1..9
+    low = 1 + max(0, -(-(1 + 2 * pad - k) // stride))
+    high = (9 + 2 * pad - k) // stride + 1
+    h_out, w_out = draw(st.integers(low, high)), draw(st.integers(low, high))
+    n, c_in, c_out = (draw(st.integers(1, 3)) for _ in range(3))
+    h, w = (k + stride * (e - 1) - 2 * pad for e in (h_out, w_out))
+
+    def arr(*shape):
+        return draw(hnp.arrays(np.float64, shape, elements=st.integers(-3, 3)))
+
+    return (arr(n, c_in, h, w), arr(c_out, c_in, k, k), arr(c_out),
+            arr(n, c_out, h_out, w_out), stride, pad)
+
+
+@settings(max_examples=200)
+@given(_conv_cases())
+def test_conv_matches_loop_reference_exactly(case):
+    # small integers make every summation order exact, so any reordering of
+    # the sums shows up only as a real error
+    x, k, b, up, stride, pad = case
+    want = _conv_reference(x, k, b, up, stride, pad)
+    out = tensor.conv2d_forward_batch(x, k, b, stride, pad)
+    gx, gk, gb = tensor.conv2d_backward_batch(up, x, k, stride, pad)
+    for got, ref in zip((out, gx, gk, gb), want):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    gx_only = tensor.conv2d_backward_batch(up, x, k, stride, pad, need_param_grad=False)
+    assert gx_only[0].tobytes() == gx.tobytes() and gx_only[1:] == (None, None)
+    params_only = tensor.conv2d_backward_batch(up, x, k, stride, pad, need_input_grad=False)
+    assert params_only[0] is None
+    assert params_only[1].tobytes() == gk.tobytes() and params_only[2].tobytes() == gb.tobytes()
+
+
+@pytest.mark.parametrize("c_in,extent,c_out", [(1, 28, 20), (20, 12, 50)], ids=["conv1", "conv2"])
+def test_conv_peak_memory_is_columns_plus_output(rng, c_in, extent, c_out):
+    # LeNet's convs at batch 64: no call may hold more than the column
+    # matrix [C_in*k*k, n*H'*W'] and one output-sized array at once
+    n, k = 64, 5
+    x = rng.normal(size=(n, c_in, extent, extent))
+    kernels = rng.normal(size=(c_out, c_in, k, k))
+    bias = rng.normal(size=c_out)
+    up = rng.normal(size=(n, c_out, extent - k + 1, extent - k + 1))
+    col_bytes = 8 * c_in * k * k * n * up.shape[2] * up.shape[3]
+    calls = {
+        "forward": lambda: tensor.conv2d_forward_batch(x, kernels, bias),
+        "backward": lambda: tensor.conv2d_backward_batch(up, x, kernels),
+        "input only": lambda: tensor.conv2d_backward_batch(up, x, kernels,
+                                                            need_param_grad=False),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (col_bytes + up.nbytes), name
 
 
 def test_maxpool_constant_input_picks_first():

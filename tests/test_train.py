@@ -216,19 +216,51 @@ def test_resume_passes_over_a_torn_last_epoch(tmp_path, victim, damage):
     cfg = train.TrainConfig(mode="GG+DG", batch_size=8, epochs=3,
                             pretrain_epochs=1, lr=0.02, refine_lr=0.005, seed=5)
     full_dir, part_dir = tmp_path / "full", tmp_path / "part"
-    train.run_training(build_network(small_config(seed=4)), train_set, cfg,
-                       out_dir=full_dir)
-    train.run_training(build_network(small_config(seed=4)), train_set, cfg,
-                       out_dir=part_dir)
+    for d in (full_dir, part_dir):
+        d.mkdir()
+        train.run_training(build_network(small_config(seed=4)), train_set, cfg,
+                           out_dir=d, log=train.MetricsLog(d / "train.log"))
     torn = part_dir / victim
     if damage == "truncate":
         torn.write_bytes(torn.read_bytes()[:-9])
     else:
         torn.unlink()
     (part_dir / "002.ckpt.tmp").write_bytes(b"half a write")
-    train.resume_training(train_set, cfg, part_dir)
+    train.resume_training(train_set, cfg, part_dir,
+                          log=train.MetricsLog(part_dir / "train.log"))
     for f in sorted(full_dir.glob("00?.*")):
         assert (part_dir / f.name).read_bytes() == f.read_bytes(), f.name
+    # epoch 2 was logged before its checkpoint tore; it is logged once
+    assert _records_without_wall(part_dir) == _records_without_wall(full_dir)
+
+
+def _records_without_wall(out_dir):
+    lines = (out_dir / "train.log").read_text().splitlines()
+    return [[t for t in line.split() if not t.startswith("wall=")]
+            for line in lines if not line.startswith("#")]
+
+
+def test_resume_rewinds_the_log_to_the_resumed_epoch(tmp_path):
+    # a crash mid-write leaves a torn last line; resuming at the refine
+    # switch logs the switch and each later epoch once
+    train_set, _ = small_sets(n=32)
+    cfg = train.TrainConfig(mode="GG+DG", batch_size=8, epochs=3,
+                            pretrain_epochs=1, lr=0.02, refine_lr=0.005, seed=5)
+    full_dir, part_dir = tmp_path / "full", tmp_path / "part"
+    for d in (full_dir, part_dir):
+        d.mkdir()
+        train.run_training(build_network(small_config(seed=4)), train_set, cfg,
+                           out_dir=d, log=train.MetricsLog(d / "train.log"))
+    for f in ("001.ckpt", "002.ckpt"):
+        (part_dir / f).unlink()
+    with open(part_dir / "train.log", "a") as fh:
+        fh.write("epoch=3 mode=D")
+    train.resume_training(train_set, cfg, part_dir,
+                          log=train.MetricsLog(part_dir / "train.log"))
+    records = _records_without_wall(part_dir)
+    assert records == _records_without_wall(full_dir)
+    assert sum("event=refine_switch" in r for r in records) == 1
+    assert not (part_dir / "train.log.tmp").exists()
 
 
 def test_resume_refuses_when_no_epoch_reads(tmp_path):
