@@ -1,16 +1,21 @@
 """Run configuration: INI-style [section] key=value files, strictly checked.
 
-Unknown sections or keys are rejected outright; values carry their section
-and key in every complaint. One master seed under [run] feeds network
-initialization, shuffling, and the sampler chain; the CLI --seed flag
-replaces it after parsing.
+The keys of [train], [data] and [hmc] are the fields of TrainConfig,
+DataSpec and HmcConfig (all but seed): each value is converted by its
+field's type, an absent key takes the field's default, and the dataclass's
+own validate() checks the result. Unknown sections or keys are rejected
+outright; values carry their section and key in every complaint. One master
+seed under [run] feeds network initialization, shuffling, and the sampler
+chain; the CLI --seed flag replaces it after parsing.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 from .errors import ConfigError
 from .hmc import HmcConfig
@@ -23,31 +28,36 @@ _LAYER_RES = {
     "dense": re.compile(r"dense:(\d+)"),
 }
 
-_SECTIONS = {
-    "network": {"arch", "layers", "input_shape", "classes"},
-    "train": {"mode", "batch_size", "lr", "weight_decay", "momentum", "epochs",
-              "pretrain_epochs", "refine_lr", "lr_policy", "lr_step_every",
-              "lr_step_factor"},
-    "data": {"source", "train_images", "train_labels", "test_images",
-             "test_labels", "n", "classes", "image_size", "noise_std", "eval_n"},
-    "hmc": {"sigma", "mass", "step_size", "leapfrog_steps", "iterations",
-            "init", "init_std", "metropolis", "snapshots"},
-    "run": {"out_dir", "seed"},
-}
-
 
 @dataclass(frozen=True)
 class DataSpec:
-    source: str = "synthetic"
-    train_images: str = ""
+    source: str = "synthetic"    # or "idx"
+    train_images: str = ""       # idx only: the four IDX paths
     train_labels: str = ""
     test_images: str = ""
     test_labels: str = ""
-    n: int = 512
+    n: int = 512                 # synthetic only: the generator's arguments
     classes: int = 2
     image_size: int = 28
     noise_std: float = 0.1
     eval_n: int = 256
+
+    def validate(self) -> None:
+        if self.source not in ("synthetic", "idx"):
+            raise ConfigError(f"source: expected synthetic or idx, got {self.source!r}")
+        if self.source == "idx" and not (self.train_images and self.train_labels):
+            raise ConfigError("source=idx needs train_images and train_labels")
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+
+
+# sections whose keys are a config dataclass's fields; seed comes from [run]
+_TABLES = {"train": TrainConfig, "data": DataSpec, "hmc": HmcConfig}
+_KEYS = {
+    "network": {"arch", "layers", "input_shape", "classes"},
+    "run": {"out_dir", "seed"},
+    **{name: {f.name for f in fields(cls)} - {"seed"} for name, cls in _TABLES.items()},
+}
 
 
 @dataclass(frozen=True)
@@ -65,31 +75,14 @@ class RunSpec:
                        replace(self.hmc, seed=seed), self.out_dir, seed)
 
 
-class _Section:
-    def __init__(self, name: str, items: dict):
-        self.name = name
-        self.items = items
-
-    def _get(self, key: str, conv, default):
-        if key not in self.items:
-            return default
-        raw = self.items[key]
-        try:
-            return conv(raw)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"[{self.name}] {key}: bad value {raw!r}: {exc}") from exc
-
-    def str_(self, key, default=""):
-        return self._get(key, str, default)
-
-    def int_(self, key, default=0):
-        return self._get(key, int, default)
-
-    def float_(self, key, default=0.0):
-        return self._get(key, float, default)
-
-    def bool_(self, key, default=False):
-        return self._get(key, _parse_bool, default)
+def _get(section: str, items: dict, key: str, conv, default):
+    if key not in items:
+        return default
+    raw = items[key]
+    try:
+        return conv(raw)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"[{section}] {key}: bad value {raw!r}: {exc}") from exc
 
 
 def _parse_bool(raw: str) -> bool:
@@ -110,6 +103,26 @@ def _parse_shape(raw: str) -> tuple:
 
 def _parse_ints(raw: str) -> tuple:
     return tuple(int(p) for p in raw.split(",") if p.strip())
+
+
+_CONVERTERS = {int: int, float: float, str: str, bool: _parse_bool, tuple: _parse_ints}
+
+
+def _from_table(section: str, items: dict, seed: int):
+    """The section's dataclass from its items, validated; the fields named
+    in items are converted by their declared types, the rest keep defaults."""
+    cls = _TABLES[section]
+    types = get_type_hints(cls)
+    values = {key: _get(section, items, key, _CONVERTERS[types[key]], None)
+              for key in items}
+    if "seed" in types:
+        values["seed"] = seed
+    spec = cls(**values)
+    try:
+        spec.validate()
+    except ValueError as exc:
+        raise ConfigError(f"[{section}]: {exc}") from exc
+    return spec
 
 
 def parse_layers(text: str) -> tuple:
@@ -141,19 +154,19 @@ def parse_layers(text: str) -> tuple:
     return tuple(specs)
 
 
-def _network_from(section: _Section, seed: int):
-    arch = section.str_("arch")
-    classes = section.int_("classes", 10)
-    input_shape = section._get("input_shape", _parse_shape, (1, 28, 28))
+def _network_from(items: dict, seed: int):
+    arch = items.get("arch", "")
+    classes = _get("network", items, "classes", int, 10)
+    input_shape = _get("network", items, "input_shape", _parse_shape, (1, 28, 28))
     if arch:
         if arch != "lenet":
             raise ConfigError(f"[network] arch: unknown preset {arch!r}")
-        if "layers" in section.items:
+        if "layers" in items:
             raise ConfigError("[network]: give either arch or layers, not both")
         return lenet_config(classes, input_shape, seed)
-    if "layers" not in section.items:
+    if "layers" not in items:
         raise ConfigError("[network]: needs arch or layers")
-    return NetworkConfig(input_shape, parse_layers(section.items["layers"]),
+    return NetworkConfig(input_shape, parse_layers(items["layers"]),
                          classes, "gaussian", seed)
 
 
@@ -169,78 +182,24 @@ def parse_config(path) -> RunSpec:
 
     sections = {}
     for name in parser.sections():
-        if name not in _SECTIONS:
+        if name not in _KEYS:
             raise ConfigError(f"unknown section [{name}]")
         items = dict(parser.items(name))
-        unknown = set(items) - _SECTIONS[name]
+        unknown = set(items) - _KEYS[name]
         if unknown:
             raise ConfigError(f"[{name}]: unknown keys: {', '.join(sorted(unknown))}")
-        sections[name] = _Section(name, items)
+        sections[name] = items
 
-    run = sections.get("run", _Section("run", {}))
-    seed = run.int_("seed", 0)
+    run = sections.get("run", {})
+    seed = _get("run", run, "seed", int, 0)
     if seed < 0:
         raise ConfigError(f"[run] seed: must be >= 0, got {seed}")
-    out_dir = run.str_("out_dir", "")
+    out_dir = run.get("out_dir", "")
 
     network = None
     if "network" in sections:
         network = _network_from(sections["network"], seed)
-
-    t = sections.get("train", _Section("train", {}))
-    train = TrainConfig(
-        mode=t.str_("mode", "DG"),
-        batch_size=t.int_("batch_size", 64),
-        lr=t.float_("lr", 0.01),
-        weight_decay=t.float_("weight_decay", 0.0005),
-        momentum=t.float_("momentum", 0.9),
-        epochs=t.int_("epochs", 25),
-        pretrain_epochs=t.int_("pretrain_epochs", 16),
-        refine_lr=t.float_("refine_lr", 0.003),
-        lr_policy=t.str_("lr_policy", "constant"),
-        lr_step_every=t.int_("lr_step_every", 0),
-        lr_step_factor=t.float_("lr_step_factor", 1.0),
-        seed=seed,
-    )
-    train.validate()
-
-    data = None
-    if "data" in sections:
-        d = sections["data"]
-        source = d.str_("source", "synthetic")
-        if source not in ("synthetic", "idx"):
-            raise ConfigError(f"[data] source: expected synthetic or idx, got {source!r}")
-        data = DataSpec(
-            source=source,
-            train_images=d.str_("train_images"),
-            train_labels=d.str_("train_labels"),
-            test_images=d.str_("test_images"),
-            test_labels=d.str_("test_labels"),
-            n=d.int_("n", 512),
-            classes=d.int_("classes", 2),
-            image_size=d.int_("image_size", 28),
-            noise_std=d.float_("noise_std", 0.1),
-            eval_n=d.int_("eval_n", 256),
-        )
-        if source == "idx" and not (data.train_images and data.train_labels):
-            raise ConfigError("[data] source=idx needs train_images and train_labels")
-
-    h = sections.get("hmc", _Section("hmc", {}))
-    hmc = HmcConfig(
-        sigma=h.float_("sigma", 10.0),
-        mass=h.float_("mass", 1e-4),
-        step_size=h.float_("step_size", 1e-4),
-        leapfrog_steps=h.int_("leapfrog_steps", 100),
-        iterations=h.int_("iterations", 300),
-        init=h.str_("init", "gaussian"),
-        init_std=h.float_("init_std", 10.0),
-        metropolis=h.bool_("metropolis", True),
-        seed=seed,
-        snapshots=h._get("snapshots", _parse_ints, ()),
-    )
-    try:
-        hmc.validate()
-    except ValueError as exc:
-        raise ConfigError(f"[hmc]: {exc}") from exc
-
+    train = _from_table("train", sections.get("train", {}), seed)
+    data = _from_table("data", sections["data"], seed) if "data" in sections else None
+    hmc = _from_table("hmc", sections.get("hmc", {}), seed)
     return RunSpec(network, train, data, hmc, out_dir, seed)

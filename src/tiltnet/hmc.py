@@ -17,6 +17,7 @@ unpooling pattern tracks the sample as it moves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,16 +40,17 @@ class HmcConfig:
     snapshots: tuple = ()      # iteration indices to record; () = default set
 
     def validate(self) -> None:
-        if self.sigma <= 0 or self.mass <= 0 or self.step_size <= 0:
-            raise ValueError("sigma, mass, and step_size must be positive")
+        if not all(0 < v < math.inf for v in (self.sigma, self.mass, self.step_size)):
+            raise ValueError("sigma, mass, and step_size must be positive and finite")
         if self.leapfrog_steps < 1:
             raise ValueError("leapfrog_steps must be >= 1")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if self.init not in ("gaussian", "zero"):
             raise ValueError(f"unknown init {self.init!r}")
-        if self.init == "gaussian" and self.init_std <= 0:
-            raise ValueError("init_std must be positive")
+        # a zero start ignores init_std, so 0 is accepted there
+        if not (0 < self.init_std < math.inf or (self.init == "zero" and self.init_std == 0)):
+            raise ValueError("init_std must be positive and finite")
 
 
 @dataclass
@@ -223,41 +225,3 @@ def render_image(x, path) -> None:
     with open(path, "wb") as fh:
         fh.write(magic + b"\n%d %d\n255\n" % (w, h))
         fh.write(body)
-
-
-def read_image(path) -> np.ndarray:
-    """Parse binary PGM/PPM back to a float64 [C, H, W] array of 0..255."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        if blob[pos:pos + 1] == b"#":
-            while pos < len(blob) and blob[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ShapeError("image header truncated")
-        tokens.append(blob[start:pos])
-    pos += 1  # single whitespace after maxval
-    magic = tokens[0]
-    try:
-        w, h, maxval = (int(t) for t in tokens[1:])
-    except ValueError as exc:
-        raise ShapeError(f"bad image header {b' '.join(tokens)!r}") from exc
-    if magic not in (b"P5", b"P6") or maxval != 255 or min(w, h) < 1:
-        raise ShapeError(f"unsupported image header {magic!r} {w}x{h} maxval={maxval}")
-    channels = 1 if magic == b"P5" else 3
-    payload = np.frombuffer(blob[pos:pos + w * h * channels], dtype=np.uint8)
-    if payload.size != w * h * channels:
-        raise ShapeError("image payload truncated")
-    if channels == 1:
-        out = payload.reshape(1, h, w)
-    else:
-        out = payload.reshape(h, w, 3).transpose(2, 0, 1)
-    return out.astype(np.float64)

@@ -20,13 +20,8 @@ from .errors import ShapeError
 _OP_COUNTS: Counter = Counter()
 
 
-def reset_op_counts() -> None:
-    """Zero the per-primitive work counters."""
-    _OP_COUNTS.clear()
-
-
 def op_counts() -> dict:
-    """Work done per primitive since the last reset.
+    """Work done per primitive since import; diff two snapshots to count one call.
 
     Keys are ``<op>.calls`` and ``<op>.elems``; ``elems`` counts
     multiply-accumulate-sized units so that different calls are comparable.

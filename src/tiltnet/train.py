@@ -13,6 +13,7 @@ resetting velocities exactly once at the switch.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -48,12 +49,12 @@ class TrainConfig:
             raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if self.lr <= 0 or self.refine_lr <= 0:
-            raise ConfigError("learning rates must be positive")
+        if not (0 < self.lr < math.inf and 0 < self.refine_lr < math.inf):
+            raise ConfigError("learning rates must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError("weight_decay must be finite and >= 0")
         if self.mode == "GG+DG" and not 0 <= self.pretrain_epochs < max(self.epochs, 1):
             raise ConfigError(f"pretrain_epochs must lie in [0, epochs), got "
                               f"{self.pretrain_epochs} with epochs={self.epochs}")
@@ -61,6 +62,8 @@ class TrainConfig:
             raise ConfigError(f"unknown lr_policy {self.lr_policy!r}")
         if self.lr_policy == "step" and self.lr_step_every < 1:
             raise ConfigError("lr_policy=step needs lr_step_every >= 1")
+        if not 0 < self.lr_step_factor < math.inf:
+            raise ConfigError("lr_step_factor must be positive and finite")
 
 
 class OptimizerState:
@@ -160,21 +163,6 @@ def evaluate(net: net_mod.Network, dataset: Dataset, batch_size: int = 256) -> f
         scores, _ = net_mod.forward_batch(net, xb)
         wrong += int((scores.argmax(axis=1) != yb).sum())
     return wrong / len(dataset)
-
-
-def dataset_log_likelihoods(net: net_mod.Network, dataset: Dataset,
-                            batch_size: int, seed: int = 0, epoch: int = 0) -> tuple:
-    """(disc_ll, gen_ll) summed over the epoch's batch partition, without
-    touching the parameters. Uses the same partition the trainer would."""
-    total_d = total_g = 0.0
-    for xb, yb in epoch_batches(dataset, batch_size, seed, epoch):
-        scores, _ = net_mod.forward_batch(net, xb)
-        ld, _ = loss_mod.disc_loss_and_grad(scores, yb)
-        total_d += ld
-        if len(yb) >= 2:
-            lg, _ = loss_mod.gen_loss_and_grad(scores, yb)
-            total_g += lg
-    return total_d, total_g
 
 
 def _mode_for_epoch(config: TrainConfig, epoch: int) -> str:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from tiltnet.net import LayerSpec, NetworkConfig, build_network
+from tiltnet import loss, tensor
+from tiltnet.data import epoch_batches
+from tiltnet.net import LayerSpec, NetworkConfig, build_network, forward_batch
 
 _MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -80,3 +82,31 @@ def tiny_net():
         p += gen.normal(0.0, 0.1, p.shape)
     net.bump_version()
     return net
+
+
+def op_counts_since(before):
+    """tensor.op_counts() minus an earlier snapshot of it."""
+    return {k: v - before.get(k, 0) for k, v in tensor.op_counts().items()}
+
+
+def dataset_log_likelihoods(net, dataset, batch_size, seed=0, epoch=0):
+    """(disc_ll, gen_ll) summed over the epoch's batch partition, without
+    touching the parameters; the partition is the one the trainer uses."""
+    total_d = total_g = 0.0
+    for xb, yb in epoch_batches(dataset, batch_size, seed, epoch):
+        scores, _ = forward_batch(net, xb)
+        total_d += loss.disc_loss_and_grad(scores, yb)[0]
+        if len(yb) >= 2:
+            total_g += loss.gen_loss_and_grad(scores, yb)[0]
+    return total_d, total_g
+
+
+def read_image(path):
+    """A binary PGM/PPM as render_image writes it, as a float64 [C, H, W]
+    array of 0..255."""
+    magic, size, maxval, body = Path(path).read_bytes().split(b"\n", 3)
+    assert magic in (b"P5", b"P6") and maxval == b"255", (magic, maxval)
+    w, h = (int(t) for t in size.split())
+    channels = 1 if magic == b"P5" else 3
+    pixels = np.frombuffer(body, dtype=np.uint8).reshape(h, w, channels)
+    return pixels.transpose(2, 0, 1).astype(np.float64)

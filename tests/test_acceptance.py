@@ -16,7 +16,7 @@ from tiltnet import net as net_mod
 from tiltnet import train as train_mod
 from tiltnet.net import LayerSpec, NetworkConfig
 
-from conftest import MNIST, needs_long, needs_mnist
+from conftest import MNIST, dataset_log_likelihoods, needs_long, needs_mnist
 
 
 @pytest.fixture
@@ -140,9 +140,9 @@ def test_criterion_5_synthetic_two_class_training(announce):
     gcfg = train_mod.TrainConfig(mode="GG", batch_size=64, lr=0.01,
                                  weight_decay=5e-4, momentum=0.9, epochs=1,
                                  pretrain_epochs=0, seed=0)
-    before = train_mod.dataset_log_likelihoods(gen_net, ds, 64, seed=0)[1]
+    before = dataset_log_likelihoods(gen_net, ds, 64, seed=0)[1]
     train_mod.run_training(gen_net, ds, gcfg)
-    after = train_mod.dataset_log_likelihoods(gen_net, ds, 64, seed=0)[1]
+    after = dataset_log_likelihoods(gen_net, ds, 64, seed=0)[1]
 
     announce(5, "synthetic-two-class", err <= 0.02 and after > before,
              f"DG 3 epochs train_err={err:.4f} <= 0.02; "

@@ -1,12 +1,23 @@
 """Config parsing and the command-line surface, driven in process."""
 
+import configparser
+import re
+import shutil
+from dataclasses import fields
+from pathlib import Path
+from typing import get_type_hints
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiltnet import cli, net
-from tiltnet.config import parse_config, parse_layers
+from tiltnet.config import DataSpec, parse_config, parse_layers
 from tiltnet.errors import ConfigError
+from tiltnet.hmc import HmcConfig
+from tiltnet.train import TrainConfig
+
+from conftest import read_image
 
 BASE_CONFIG = """\
 [network]
@@ -47,6 +58,23 @@ def write_config(tmp_path, text=None, name="run.ini", out="out"):
     path = tmp_path / name
     path.write_text((text or BASE_CONFIG).format(out=tmp_path / out))
     return path
+
+
+# the config dataclass behind each section whose keys are its fields
+TABLES = {"train": TrainConfig, "data": DataSpec, "hmc": HmcConfig}
+FLOAT_KEYS = [(section, f.name) for section, cls in TABLES.items()
+              for f in fields(cls) if get_type_hints(cls)[f.name] is float]
+
+
+def table_keys(section):
+    return {f.name for f in fields(TABLES[section])} - {"seed"}
+
+
+def with_key(text, section, key, value):
+    """text with `key = value` as the first line of [section], replacing
+    any line that already sets key."""
+    text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
+    return text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +142,55 @@ def test_parse_config_lenet_preset(tmp_path):
     ("[hmc]\nstep_size = 0\n", r"\[hmc\]"),
     ("[hmc]\nmetropolis = maybe\n", "boolean"),
     ("[train]\nbatch_size = soon\n", "bad value"),
+    ("[train]\nseed = 1\n", "unknown keys"),
+    ("[hmc]\nseed = 1\n", "unknown keys"),
+    ("[train]\nlr_policy = step\nlr_step_every = 1\nlr_step_factor = -1\n",
+     r"\[train\]: lr_step_factor"),
+    ("[hmc]\ninit_std = 0\n", r"\[hmc\]: init_std"),
 ])
 def test_parse_config_rejections(tmp_path, text, fragment):
     path = tmp_path / "bad.ini"
     path.write_text(text)
     with pytest.raises(ConfigError, match=fragment):
         parse_config(path)
+
+
+def test_zero_init_accepts_zero_init_std(tmp_path):
+    path = tmp_path / "zero.ini"
+    path.write_text("[hmc]\ninit = zero\ninit_std = 0\n")
+    assert parse_config(path).hmc.init_std == 0.0   # a zero start ignores it
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", FLOAT_KEYS)
+def test_non_finite_float_keys_exit_2_before_any_output(tmp_path, capsys, section, key, value):
+    config = write_config(tmp_path, text=with_key(BASE_CONFIG, section, key, value))
+    with pytest.raises(ConfigError, match=rf"^\[{section}\]"):
+        parse_config(config)
+    assert cli.main(["train", "--config", str(config)]) == 2
+    assert f"error: [{section}]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_noise_std_exits_2_before_any_output(tmp_path, capsys):
+    config = write_config(tmp_path, text=with_key(BASE_CONFIG, "data", "noise_std", "-1"))
+    assert cli.main(["train", "--config", str(config)]) == 2
+    assert "[data]: noise_std must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_parses_and_lists_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"A complete config.*?```ini\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    spec = parse_config(path)
+    assert spec.data.source == "idx" and spec.network.num_classes == 10
+    listed = configparser.ConfigParser(interpolation=None)
+    listed.optionxform = str
+    listed.read_string(block)
+    for section in TABLES:
+        assert set(listed[section]) == table_keys(section), section
 
 
 def test_with_seed_replaces_every_component(tmp_path):
@@ -191,7 +262,6 @@ def test_sample_final_layer_matches_input_shape(tmp_path, capsys):
                      "--checkpoint", str(out / "final.ckpt"),
                      "--layer", "conv1", "--channel", "0"]) == 0
     capsys.readouterr()
-    from tiltnet.hmc import read_image
     img = read_image(out / "sample_conv1_c0_iter000004.pgm")
     assert img.shape == (1, 3, 3)  # conv 3x3 prefix needs only its receptive field
 
@@ -350,6 +420,8 @@ _INI = {
     },
     "run": {"out_dir": ["{out}", "", "{junk}"], "seed": ["3", "0", "-1", "x"]},
 }
+for _section, _key in FLOAT_KEYS:   # every float key also meets these
+    _INI[_section][_key] += [v for v in ("nan", "inf", "-0.0") if v not in _INI[_section][_key]]
 # keys written whenever their section is; [train] and [hmc] are always there,
 # the others are left out only from wild texts
 _ALWAYS_KEYS = {"network": ("layers",), "train": ("epochs",), "data": ("n", "eval_n"),
@@ -359,10 +431,13 @@ _JUNK_LINES = ["[bogus]", "extra = 1", "no equals sign", "[network", "= 3", "[ru
 
 @st.composite
 def _ini_texts(draw):
-    # "clean" texts take every key's valid value, "one" spoils a single key,
-    # "wild" draws every value
+    """(text, whether a single float key was spoiled). "clean" texts take
+    every key's valid value, "one" spoils a single key, "wild" draws every
+    value."""
     style = draw(st.sampled_from(["clean", "one", "wild"]))
-    spoiled = draw(st.sampled_from([(s, k) for s, keys in _INI.items() for k in keys]))
+    # half the spoiled keys are float keys, whose bad values must exit 2
+    spoiled = draw(st.sampled_from(FLOAT_KEYS)
+                   | st.sampled_from([(s, k) for s, keys in _INI.items() for k in keys]))
     lines = []
     for section, keys in _INI.items():
         if style == "wild" and section not in ("train", "hmc") and not draw(st.booleans()):
@@ -378,7 +453,7 @@ def _ini_texts(draw):
             lines.append(f"{key} = {value}")
         if style == "wild":
             lines += draw(st.lists(st.sampled_from(_JUNK_LINES), max_size=1))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", style == "one" and spoiled in FLOAT_KEYS
 
 
 # each command's required flags with valid values, then drawn extra flags
@@ -415,8 +490,13 @@ def cli_files(tmp_path_factory):
 @given(command=st.sampled_from(sorted(_COMMANDS)), flags=st.lists(_FLAGS, max_size=3),
        ini=_ini_texts())
 def test_cli_maps_every_input_to_an_exit_code(cli_files, command, flags, ini):
+    text, float_spoiled = ini
     with open(cli_files["config"], "w") as fh:
-        fh.write(ini.format(**cli_files))
+        fh.write(text.format(**cli_files))
+    shutil.rmtree(cli_files["out"], ignore_errors=True)
     argv = [command] + [part.format(**cli_files) for part in
                         _COMMANDS[command] + [part for flag in flags for part in flag]]
-    assert cli.main(argv) in (0, 2, 3, 4, 5)
+    code = cli.main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    if float_spoiled and code == 2:
+        assert not Path(cli_files["out"]).exists()   # refused before any output

@@ -12,6 +12,8 @@ from tiltnet import tensor
 from tiltnet.checks import fd_grad, rel_err, tensor_suite
 from tiltnet.errors import ShapeError
 
+from conftest import op_counts_since
+
 
 def test_conv_all_ones_single_window():
     x = np.ones((1, 1, 3, 3))
@@ -352,9 +354,9 @@ def test_determinism(rng):
 
 
 def test_op_counters_track_calls():
-    tensor.reset_op_counts()
+    before = tensor.op_counts()
     tensor.conv2d_forward_batch(np.zeros((1, 1, 5, 5)), np.zeros((1, 1, 3, 3)), np.zeros(1))
-    counts = tensor.op_counts()
+    counts = op_counts_since(before)
     assert counts["conv2d.calls"] == 1 and counts["conv2d.elems"] == 9 * 9
 
 

@@ -8,6 +8,8 @@ from tiltnet import data, loss, net, tensor, train
 from tiltnet.errors import CheckpointError, ConfigError, NumericsError
 from tiltnet.net import LayerSpec, NetworkConfig, build_network
 
+from conftest import dataset_log_likelihoods, op_counts_since
+
 
 def small_config(seed=0, classes=2):
     return NetworkConfig(
@@ -90,13 +92,13 @@ def test_training_modes_cost_the_same_network_work():
     for mode in ("DG", "GG"):
         network = build_network(small_config())
         state = train.OptimizerState(network)
-        tensor.reset_op_counts()
+        before = tensor.op_counts()
         scores, cache = net.forward_batch(network, xb)
         loss_fn = loss.disc_loss_and_grad if mode == "DG" else loss.gen_loss_and_grad
         _, gmat = loss_fn(scores, yb)
         grads = net.backward_params(network, cache, gmat / len(yb))
         train.sgd_step(network, grads, state, 0.01, 0.0005, 0.9)
-        counts[mode] = tensor.op_counts()
+        counts[mode] = op_counts_since(before)
     assert counts["DG"] == counts["GG"]
 
 
@@ -105,10 +107,10 @@ def test_run_training_records_and_learns(tmp_path):
     config = train.TrainConfig(mode="DG", batch_size=16, lr=0.05, epochs=3,
                                weight_decay=0.0005, momentum=0.9, seed=0)
     network = build_network(small_config())
-    ll_before, _ = train.dataset_log_likelihoods(network, train_set, 16)
+    ll_before, _ = dataset_log_likelihoods(network, train_set, 16)
     _, log = train.run_training(network, train_set, config, eval_set=eval_set,
                                 out_dir=tmp_path)
-    ll_after, _ = train.dataset_log_likelihoods(network, train_set, 16)
+    ll_after, _ = dataset_log_likelihoods(network, train_set, 16)
     assert ll_after > ll_before
     epochs = [r for r in log.records if "epoch" in r]
     assert [r["epoch"] for r in epochs] == [0, 1, 2]
