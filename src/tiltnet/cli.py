@@ -53,6 +53,17 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _check_set(dataset, what: str, input_shape) -> None:
+    """Refuse a set the network cannot run on, before any output is written:
+    DataError (exit 3) when it is empty, ConfigError (exit 2) when its images
+    are not [network] input_shape."""
+    if len(dataset) < 1:
+        raise DataError(f"the {what} set is empty")
+    shape, want = dataset.images.shape[1:], tuple(input_shape)
+    _require(shape == want, f"{what} images are {'x'.join(map(str, shape))}, "
+                            f"[network] input_shape is {'x'.join(map(str, want))}")
+
+
 def cmd_train(spec: RunSpec) -> int:
     _require(spec.network is not None, "train needs a [network] section")
     _require(spec.data is not None, "train needs a [data] section")
@@ -62,6 +73,9 @@ def cmd_train(spec: RunSpec) -> int:
     _require(train_set.num_classes <= spec.network.num_classes,
              f"dataset has {train_set.num_classes} classes, network outputs "
              f"{spec.network.num_classes}")
+    _check_set(train_set, "training", spec.network.input_shape)
+    if eval_set is not None:
+        _check_set(eval_set, "evaluation", spec.network.input_shape)
     network = net_mod.build_network(spec.network)
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -74,8 +74,9 @@ class SampleRecord:
 
 
 def potential(net: net_mod.Network, node: int, x: np.ndarray, sigma: float) -> float:
-    """U(x) = -score + |x|^2 / (2 sigma^2) for one image."""
-    scores, _ = net_mod.forward_batch(net, np.asarray(x)[None])
+    """U(x) = -score + |x|^2 / (2 sigma^2) for one image; a score-only
+    forward pass that keeps no activation cache."""
+    scores, _ = net_mod.forward_batch(net, np.asarray(x)[None], keep=False)
     if not 0 <= node < scores.shape[1]:
         raise ShapeError(f"node {node} out of range for {scores.shape[1]} outputs")
     return float(-scores[0, node] + np.square(x).sum() / (2.0 * sigma * sigma))

@@ -206,7 +206,9 @@ def propagate_shapes(config: NetworkConfig) -> list:
 
 @dataclass
 class ActivationCache:
-    """Per-layer forward inputs plus pooling argmax maps for one batch.
+    """Per-layer forward inputs plus pooling argmax maps for one batch: what
+    the backward passes read. Only ``forward_batch(keep=True)`` builds one;
+    a score-only pass keeps none of it.
 
     version pins the parameters the pass was computed with; the backward
     passes refuse a cache that predates an optimizer step.
@@ -264,12 +266,16 @@ def build_network(config: NetworkConfig) -> Network:
     return Network(config, config.layers, names, shapes, params)
 
 
-def forward_batch(net: Network, images) -> tuple:
+def forward_batch(net: Network, images, keep: bool = True) -> tuple:
     """Run a batch [n, C, H, W] through the stack.
 
     Returns (scores [n, num_outputs], ActivationCache). Full networks insist
     on the configured input shape; truncated ones only pin the channel count
     so the sampler can feed the size required by the prefix.
+
+    keep=False is the score-only pass (evaluation, the sampler's potential):
+    no layer input or argmax map outlives the layer that reads it, the cache
+    is None, and the scores are the same bytes as with keep=True.
     """
     x = np.ascontiguousarray(images, dtype=np.float64)
     if x.ndim != 4:
@@ -284,10 +290,11 @@ def forward_batch(net: Network, images) -> tuple:
     layer_inputs = []
     argmax: dict = {}
     for i, (spec, name) in enumerate(zip(net.layers, net.names)):
-        layer_inputs.append(x)
+        if keep:
+            layer_inputs.append(x)
         x, amap = _KINDS[spec.kind].forward(spec, x, net.params.get(name + ".weight"),
                                             net.params.get(name + ".bias"))
-        if amap is not None:
+        if keep and amap is not None:
             argmax[i] = amap
     output = x
     if net.head is None:
@@ -302,8 +309,9 @@ def forward_batch(net: Network, images) -> tuple:
             scores = np.ascontiguousarray(output[:, ch, 0, 0])[:, None]
         else:
             scores = np.ascontiguousarray(output[:, ch])[:, None]
-    cache = ActivationCache(layer_inputs, argmax, output, scores, net.version)
-    return scores, cache
+    if not keep:
+        return scores, None
+    return scores, ActivationCache(layer_inputs, argmax, output, scores, net.version)
 
 
 def _backward(net: Network, cache: ActivationCache, score_grad,

@@ -69,14 +69,28 @@ def _columns(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarr
     return win.transpose(1, 4, 5, 0, 2, 3).reshape(c_in * kh * kw, n * h_out * w_out)
 
 
+# Column-matrix bytes per forward block: one core's L2 (4 MiB on the 2-vCPU
+# Xeon the benchmark baseline ran on), so a block's GEMM reads its columns
+# from cache. Whole-batch columns at batch 256 (65.5 MB for LeNet's conv2)
+# made that layer's forward about 1.6x slower there.
+_BLOCK_BYTES = 4 << 20
+
+
 def conv2d_forward_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
                          stride: int = 1, pad: int = 0) -> np.ndarray:
     """Cross-correlate a batch [n, C_in, H, W] with kernels
     [C_out, C_in, kH, kW] plus per-channel bias; returns [n, C_out, H', W'].
 
-    One GEMM: kernels as [C_out, C_in·kH·kW] times the column matrix
-    [C_in·kH·kW, n·H'·W'] (see ``_columns``), then one transpose of
-    [C_out, n, H', W'] to NCHW.
+    The batch runs in blocks of b images, b the most whose column matrix
+    [C_in·kH·kW, b·H'·W'] (see ``_columns``) fits in ``_BLOCK_BYTES``, and
+    at least one. Each block is one GEMM, kernels as [C_out, C_in·kH·kW]
+    times its columns; the [C_out, b, H', W'] product takes the bias and is
+    copied transposed into its rows of the NCHW output. So a call holds the
+    output plus one block's columns and product, whatever n is, and a batch
+    within the budget (n=1 in the sampler) is a single block. The batch lies
+    along the GEMM's column axis: on LeNet's geometries an image's output
+    has the same bytes whatever block it lands in, while OpenBLAS can give
+    other geometries last-bit differences from one whole-batch product.
     """
     x = _as_f64(x)
     kernels = _as_f64(kernels)
@@ -94,10 +108,17 @@ def conv2d_forward_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     h_out = output_extent(h, kh, stride, pad, "conv2d height")
     w_out = output_extent(w, kw, stride, pad, "conv2d width")
 
-    # the column matrix is passed inline so it is freed before the transpose
-    out = kernels.reshape(c_out, -1) @ _columns(x, kh, kw, stride, pad)
-    out += bias[:, None]
-    out = np.ascontiguousarray(out.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3))
+    weights = kernels.reshape(c_out, -1)
+    block = max(1, _BLOCK_BYTES // (8 * weights.shape[1] * h_out * w_out))
+    out = np.empty((n, c_out, h_out, w_out))
+    for start in range(0, n, block):
+        xb = x[start:start + block]
+        # the columns are passed inline so they are freed before the copy,
+        # and the product is freed before the next block's GEMM
+        prod = weights @ _columns(xb, kh, kw, stride, pad)
+        prod += bias[:, None]
+        out[start:start + len(xb)] = prod.reshape(c_out, -1, h_out, w_out).transpose(1, 0, 2, 3)
+        del prod
     _count("conv2d", out.size * c_in * kh * kw)
     return out
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import loss as loss_mod
 from . import net as net_mod
 from .data import Dataset, epoch_batches
-from .errors import CheckpointError, ConfigError, NumericsError, ShapeError
+from .errors import CheckpointError, ConfigError, DataError, NumericsError, ShapeError
 
 MODES = ("DG", "GG", "GG+DG")
 
@@ -153,14 +153,18 @@ class MetricsLog:
 
 def evaluate(net: net_mod.Network, dataset: Dataset, batch_size: int = 256) -> float:
     """Classification error rate under argmax of the scores (ties resolve to
-    the lowest class index, which is what argmax does)."""
+    the lowest class index, which is what argmax does). Score-only forward
+    passes: no activation cache is kept. DataError for an empty dataset or a
+    batch size below 1."""
     if len(dataset) < 1:
-        raise ValueError("cannot evaluate on an empty dataset")
+        raise DataError("cannot evaluate on an empty dataset")
+    if batch_size < 1:
+        raise DataError(f"evaluation batch size must be >= 1, got {batch_size}")
     wrong = 0
     for start in range(0, len(dataset), batch_size):
         xb = dataset.images[start:start + batch_size]
         yb = dataset.labels[start:start + batch_size]
-        scores, _ = net_mod.forward_batch(net, xb)
+        scores, _ = net_mod.forward_batch(net, xb, keep=False)
         wrong += int((scores.argmax(axis=1) != yb).sum())
     return wrong / len(dataset)
 

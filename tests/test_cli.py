@@ -3,6 +3,7 @@
 import configparser
 import re
 import shutil
+import struct
 from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
@@ -314,6 +315,48 @@ def test_missing_data_files_exit_3_without_partial_output(tmp_path, capsys):
     assert cli.main(["train", "--config", str(config)]) == 3
     capsys.readouterr()
     assert not (tmp_path / "out").exists()   # data is read before any mkdir
+
+
+def test_image_size_other_than_input_shape_exits_2_without_output(tmp_path, capsys):
+    config = write_config(tmp_path, text=BASE_CONFIG.replace("image_size = 8", "image_size = 12"))
+    assert cli.main(["train", "--config", str(config)]) == 2
+    assert "training images are 1x12x12, [network] input_shape is 1x8x8" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def write_idx(path, count):
+    """An IDX image/label pair of `count` 8x8 images, labels alternating 0/1."""
+    images, labels = Path(f"{path}-images"), Path(f"{path}-labels")
+    images.write_bytes(struct.pack(">IIII", 0x803, count, 8, 8) + bytes(64 * count))
+    labels.write_bytes(struct.pack(">II", 0x801, count) + bytes(i % 2 for i in range(count)))
+    return images, labels
+
+
+@pytest.mark.parametrize("train_count,test_count,fragment", [
+    (0, 4, "the training set is empty"), (4, 0, "the evaluation set is empty")])
+def test_empty_idx_set_exits_3_without_output(tmp_path, capsys, train_count, test_count,
+                                               fragment):
+    train_files = write_idx(tmp_path / "train", train_count)
+    test_files = write_idx(tmp_path / "test", test_count)
+    text = BASE_CONFIG.replace("source = synthetic", (
+        "source = idx\ntrain_images = {}\ntrain_labels = {}\n"
+        "test_images = {}\ntest_labels = {}").format(*train_files, *test_files))
+    config = write_config(tmp_path, text=text)
+    assert cli.main(["train", "--config", str(config)]) == 3
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_on_empty_idx_set_exits_3(tmp_path, capsys):
+    test_files = write_idx(tmp_path / "test", 0)
+    text = BASE_CONFIG.replace("source = synthetic", (
+        "source = idx\ntrain_images = {0}\ntrain_labels = {1}\n"
+        "test_images = {0}\ntest_labels = {1}").format(*test_files))
+    config = write_config(tmp_path, text=text)
+    ckpt = tmp_path / "net.ckpt"
+    net.save_checkpoint(net.build_network(parse_config(config).network), ckpt)
+    assert cli.main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 3
+    assert "cannot evaluate on an empty dataset" in capsys.readouterr().err
 
 
 def test_missing_checkpoint_exits_3(tmp_path, capsys):

@@ -2,6 +2,7 @@
 inversion, and checkpoint round-trips."""
 
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -194,6 +195,41 @@ def test_stale_cache_is_refused(tiny_net, rng):
         net.backward_params(tiny_net, cache, np.zeros((2, 3)))
     with pytest.raises(CacheError):
         net.backward_input(tiny_net, cache, 0, 0)
+
+
+@pytest.mark.parametrize("n", [1, 63, 256, 257])
+def test_score_only_forward_keeps_no_cache(rng, n):
+    # 63, 256 and 257 split LeNet's convs into blocks of different lengths
+    network = net.build_network(net.lenet_config(seed=5))
+    sub = net.truncate_at(network, "conv2", 3)
+    sub_shape = net.required_input_shape(network, "conv2")
+    for model, shape in ((network, (1, 28, 28)), (sub, sub_shape)):
+        x = rng.random((n,) + shape)
+        scores, cache = net.forward_batch(model, x)
+        lean, none = net.forward_batch(model, x, keep=False)
+        assert cache is not None and none is None
+        assert lean.tobytes() == scores.tobytes()
+
+
+def test_score_only_forward_frees_each_layer_input(monkeypatch, rng):
+    # when a primitive starts, no input of a layer before the previous one
+    # may still be alive, except the caller's own image batch
+    network = net.build_network(net.lenet_config(seed=5))
+    inputs = []
+    alive = []
+
+    def watch(fn):
+        def wrapper(x, *args, **kwargs):
+            alive.append(sum(ref() is not None for ref in inputs[1:-1]))
+            inputs.append(weakref.ref(x))
+            return fn(x, *args, **kwargs)
+        return wrapper
+
+    for name in ("conv2d_forward_batch", "maxpool_forward_batch", "dense_forward_batch",
+                 "relu_forward"):
+        monkeypatch.setattr(tensor, name, watch(getattr(tensor, name)))
+    net.forward_batch(network, rng.random((4, 1, 28, 28)), keep=False)
+    assert len(inputs) == 7 and alive == [0] * 7
 
 
 def test_truncation_at_final_layer_selects_score(tiny_net, rng):

@@ -174,7 +174,20 @@ def test_conv_matches_loop_reference_exactly(case):
     assert params_only[1].tobytes() == gk.tobytes() and params_only[2].tobytes() == gb.tobytes()
 
 
-@pytest.mark.parametrize("c_in,extent,c_out", [(1, 28, 20), (20, 12, 50)], ids=["conv1", "conv2"])
+LENET_CONVS = pytest.mark.parametrize("c_in,extent,c_out", [(1, 28, 20), (20, 12, 50)],
+                                      ids=["conv1", "conv2"])
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@LENET_CONVS
 def test_conv_peak_memory_is_columns_plus_output(rng, c_in, extent, c_out):
     # LeNet's convs at batch 64: no call may hold more than the column
     # matrix [C_in*k*k, n*H'*W'] and one output-sized array at once
@@ -191,13 +204,44 @@ def test_conv_peak_memory_is_columns_plus_output(rng, c_in, extent, c_out):
                                                             need_param_grad=False),
     }
     for name, call in calls.items():
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * (col_bytes + up.nbytes), name
+        assert _peak_bytes(call) <= 1.1 * (col_bytes + up.nbytes), name
+
+    # the forward at batch 256 holds one block's columns and product next
+    # to the output, far below the whole batch's columns
+    n, hw = 256, (extent - k + 1) ** 2
+    x = rng.normal(size=(n, c_in, extent, extent))
+    block = tensor._BLOCK_BYTES // (8 * c_in * k * k * hw)
+    bound = 8 * block * hw * (c_in * k * k + c_out) + 8 * n * c_out * hw
+    assert bound < 8 * n * hw * (c_in * k * k + c_out)
+    assert _peak_bytes(lambda: tensor.conv2d_forward_batch(x, kernels, bias)) <= 1.1 * bound
+
+
+@LENET_CONVS
+def test_conv_forward_blocks_match_per_image_calls(rng, c_in, extent, c_out):
+    # two full blocks and a short one; each image's output must not depend
+    # on the block it shares (the batch lies along the GEMM's column axis)
+    k = 5
+    block = tensor._BLOCK_BYTES // (8 * c_in * k * k * (extent - k + 1) ** 2)
+    n = 2 * block + block // 2 + 1
+    x = rng.normal(size=(n, c_in, extent, extent))
+    kernels = rng.normal(size=(c_out, c_in, k, k))
+    bias = rng.normal(size=c_out)
+    whole = tensor.conv2d_forward_batch(x, kernels, bias)
+    single = np.concatenate([tensor.conv2d_forward_batch(x[i:i + 1], kernels, bias)
+                             for i in range(n)])
+    assert whole.tobytes() == single.tobytes()
+
+
+def test_conv_forward_blocks_keep_padding_and_stride(rng, monkeypatch):
+    # integers make every sum exact, so only the block bookkeeping can differ:
+    # a budget of two images' columns splits 5 images into 2 + 2 + 1
+    x = rng.integers(-3, 4, (5, 2, 7, 7)).astype(float)
+    kernels = rng.integers(-3, 4, (3, 2, 3, 3)).astype(float)
+    bias = rng.integers(-3, 4, 3).astype(float)
+    want = tensor.conv2d_forward_batch(x, kernels, bias, stride=2, pad=1)
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", 2 * 8 * 2 * 3 * 3 * 4 * 4 + 8)
+    got = tensor.conv2d_forward_batch(x, kernels, bias, stride=2, pad=1)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_maxpool_constant_input_picks_first():

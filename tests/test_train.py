@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tiltnet import data, loss, net, tensor, train
-from tiltnet.errors import CheckpointError, ConfigError, NumericsError
+from tiltnet.errors import CheckpointError, ConfigError, DataError, NumericsError
 from tiltnet.net import LayerSpec, NetworkConfig, build_network
 
 from conftest import dataset_log_likelihoods, op_counts_since
@@ -301,6 +301,25 @@ def test_evaluate_rejects_empty():
     empty = data.Dataset(ds.images[:0], ds.labels[:0], 2)
     with pytest.raises(ValueError, match="empty"):
         train.evaluate(network, empty)
+
+
+@pytest.mark.parametrize("size,batch_size,fragment", [
+    (0, 256, "empty"), (4, 0, "batch size"), (4, -1, "batch size")])
+def test_evaluate_refuses_with_data_error(size, batch_size, fragment):
+    network = build_network(small_config())
+    ds = data.synthetic_dataset(4, 2, 8, seed=0)
+    with pytest.raises(DataError, match=fragment):
+        train.evaluate(network, data.Dataset(ds.images[:size], ds.labels[:size], 2),
+                       batch_size)
+
+
+def test_evaluate_error_matches_cached_forward():
+    network = build_network(net.lenet_config(seed=2))
+    ds = data.synthetic_dataset(257, 10, 28, seed=2)
+    scores, _ = net.forward_batch(network, ds.images)
+    want = float((scores.argmax(axis=1) != ds.labels).mean())
+    for batch_size in (1, 63, 256):
+        assert train.evaluate(network, ds, batch_size) == want
 
 
 def test_step_lr_policy():
