@@ -13,8 +13,7 @@ from .errors import (CacheError, CheckpointError, ConfigError, DataError,
                      NumericsError, ShapeError)
 from .hmc import (ChainState, HmcConfig, SampleRecord, hmc_iterate, leapfrog,
                   potential, potential_grad, render_image, sample_node)
-from .loss import (ImportanceWeights, disc_loss_and_grad, effective_sample_size,
-                   gen_loss_and_grad, importance_weights)
+from .loss import disc_loss_and_grad, gen_loss_and_grad
 from .net import (LayerSpec, Network, NetworkConfig, backward_input,
                   backward_params, build_network, forward_batch, lenet_config,
                   load_checkpoint, required_input_shape, save_checkpoint,
@@ -30,8 +29,7 @@ __all__ = [
     "NumericsError", "ShapeError",
     "ChainState", "HmcConfig", "SampleRecord", "hmc_iterate", "leapfrog",
     "potential", "potential_grad", "render_image", "sample_node",
-    "ImportanceWeights", "disc_loss_and_grad", "effective_sample_size",
-    "gen_loss_and_grad", "importance_weights",
+    "disc_loss_and_grad", "gen_loss_and_grad",
     "LayerSpec", "Network", "NetworkConfig", "backward_input",
     "backward_params", "build_network", "forward_batch", "lenet_config",
     "load_checkpoint", "required_input_shape", "save_checkpoint", "truncate_at",

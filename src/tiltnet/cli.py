@@ -169,11 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "and synthesize images from their nodes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, need_config, need_ckpt=False, **extra):
+    def add(name, need_config, **extra):
         p = sub.add_parser(name, **extra)
         p.add_argument("--config", required=need_config is True,
                        help="run configuration file")
-        if need_ckpt or name in ("eval", "sample", "inspect"):
+        if name in ("eval", "sample", "inspect"):
             p.add_argument("--checkpoint", required=True, help="network checkpoint")
         p.add_argument("--seed", type=_seed, default=None,
                        help="override [run] seed")
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--layer", required=True, help="layer name, e.g. conv2")
     p_sample.add_argument("--channel", required=True, type=int)
     add("gradcheck", "optional", help="run the built-in correctness suites")
-    add("inspect", False, need_ckpt=True, help="describe a checkpoint")
+    add("inspect", False, help="describe a checkpoint")
     return parser
 
 

@@ -51,6 +51,9 @@ class HmcConfig:
         # a zero start ignores init_std, so 0 is accepted there
         if not (0 < self.init_std < math.inf or (self.init == "zero" and self.init_std == 0)):
             raise ValueError("init_std must be positive and finite")
+        outside = [i for i in self.snapshots if not 0 <= i <= self.iterations]
+        if outside:
+            raise ValueError(f"snapshots outside [0, iterations = {self.iterations}]: {outside}")
 
 
 @dataclass
@@ -73,13 +76,18 @@ class SampleRecord:
     accepted: object = None  # None for the initialization record
 
 
+def _energy(scores, node: int, x: np.ndarray, sigma: float) -> float:
+    """U for the first image of a forward pass, refusing a node outside it."""
+    if not 0 <= node < scores.shape[1]:
+        raise ShapeError(f"node {node} out of range for {scores.shape[1]} outputs")
+    return float(-scores[0, node] + np.square(x).sum() / (2.0 * sigma * sigma))
+
+
 def potential(net: net_mod.Network, node: int, x: np.ndarray, sigma: float) -> float:
     """U(x) = -score + |x|^2 / (2 sigma^2) for one image; a score-only
     forward pass that keeps no activation cache."""
     scores, _ = net_mod.forward_batch(net, np.asarray(x)[None], keep=False)
-    if not 0 <= node < scores.shape[1]:
-        raise ShapeError(f"node {node} out of range for {scores.shape[1]} outputs")
-    return float(-scores[0, node] + np.square(x).sum() / (2.0 * sigma * sigma))
+    return _energy(scores, node, x, sigma)
 
 
 def potential_grad(net: net_mod.Network, node: int, x: np.ndarray, sigma: float) -> np.ndarray:
@@ -91,12 +99,11 @@ def _potential_and_grad(net, node, x, sigma):
     # one forward serves both the score and the input-gradient seed
     x = np.ascontiguousarray(x, dtype=np.float64)
     scores, cache = net_mod.forward_batch(net, x[None])
-    if not 0 <= node < scores.shape[1]:
-        raise ShapeError(f"node {node} out of range for {scores.shape[1]} outputs")
-    score_grad = net_mod.backward_input(net, cache, node, 0)
-    u = float(-scores[0, node] + np.square(x).sum() / (2.0 * sigma * sigma))
-    grad = -score_grad + x / (sigma * sigma)
-    return u, grad
+    u = _energy(scores, node, x, sigma)
+    seed = np.zeros(scores.shape)
+    seed[0, node] = 1.0
+    gin = net_mod.backward_input(net, cache, seed)[0]
+    return u, -gin + x / (sigma * sigma)
 
 
 def leapfrog(state: ChainState, net: net_mod.Network, node: int,

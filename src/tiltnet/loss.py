@@ -10,8 +10,6 @@ distribution through self-normalized importance weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericsError, ShapeError
@@ -80,44 +78,15 @@ def gen_loss_and_grad(scores, labels):
     return ll, grad
 
 
-@dataclass(frozen=True)
-class ImportanceWeights:
-    """Normalized in-batch importance weights for one class column plus the
-    effective sample size they support."""
-    class_index: int
-    weights: np.ndarray
-    ess: float
-
-
-def importance_weights(scores, class_index: int) -> ImportanceWeights:
-    """Softmax of one score column over the batch; weights sum to one."""
-    f = np.asarray(scores, dtype=np.float64)
-    if f.ndim != 2:
-        raise ShapeError(f"scores must be 2-D, got shape {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise NumericsError("non-finite scores")
-    if not 0 <= class_index < f.shape[1]:
-        raise ValueError(f"class index {class_index} out of range for {f.shape[1]} columns")
-    col = f[:, class_index]
-    w = np.exp(col - col.max())
-    w /= w.sum()
-    return ImportanceWeights(class_index, w, effective_sample_size(w))
-
-
-def effective_sample_size(weights) -> float:
-    """1 / sum(w^2) for normalized weights; n when uniform, 1 when degenerate."""
-    w = weights.weights if isinstance(weights, ImportanceWeights) else np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size < 1:
-        raise ShapeError("weights must be a non-empty vector")
-    if np.any(w < 0.0):
-        raise ValueError("weights must be non-negative")
-    if abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must sum to one")
-    return float(1.0 / np.square(w).sum())
-
-
 def per_class_ess(scores, labels) -> dict:
-    """Effective sample size of the in-batch weights for every class present
-    in the labels."""
+    """Effective sample size 1 / sum(w^2) of the in-batch weights w (the
+    softmax of one score column over the batch) for every class present in
+    the labels: n for a uniform column, 1 when one image dominates. The
+    present columns are handled together as rows of the transposed scores."""
     f, y = _validate(scores, labels)
-    return {int(k): importance_weights(f, int(k)).ess for k in np.unique(y)}
+    present = np.unique(y)
+    cols = f.T[present]
+    w = np.exp(cols - cols.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    ess = 1.0 / np.square(w).sum(axis=1)
+    return {int(k): float(v) for k, v in zip(present, ess)}

@@ -206,16 +206,15 @@ def propagate_shapes(config: NetworkConfig) -> list:
 
 @dataclass
 class ActivationCache:
-    """Per-layer forward inputs plus pooling argmax maps for one batch: what
-    the backward passes read. Only ``forward_batch(keep=True)`` builds one;
-    a score-only pass keeps none of it.
+    """Per-layer forward inputs, pooling argmax maps and scores for one batch:
+    what the backward passes read. Only ``forward_batch(keep=True)`` builds
+    one; a score-only pass keeps none of it.
 
     version pins the parameters the pass was computed with; the backward
     passes refuse a cache that predates an optimizer step.
     """
     layer_inputs: list
     argmax: dict
-    output: np.ndarray
     scores: np.ndarray
     version: int
 
@@ -296,31 +295,24 @@ def forward_batch(net: Network, images, keep: bool = True) -> tuple:
                                             net.params.get(name + ".bias"))
         if keep and amap is not None:
             argmax[i] = amap
-    output = x
-    if net.head is None:
-        scores = output
-    else:
-        ch = net.head
-        if output.ndim == 4:
-            if output.shape[2:] != (1, 1):
-                raise ShapeError(
-                    f"truncated network output is {output.shape[1:]}, needs spatial "
-                    f"1x1; size the input with required_input_shape")
-            scores = np.ascontiguousarray(output[:, ch, 0, 0])[:, None]
-        else:
-            scores = np.ascontiguousarray(output[:, ch])[:, None]
+    scores = x
+    if net.head is not None:
+        if x.shape[2:] not in ((), (1, 1)):
+            raise ShapeError(f"truncated network output is {x.shape[1:]}, needs spatial "
+                             f"1x1; size the input with required_input_shape")
+        scores = np.ascontiguousarray(x.reshape(len(x), -1)[:, net.head:net.head + 1])
     if not keep:
         return scores, None
-    return scores, ActivationCache(layer_inputs, argmax, output, scores, net.version)
+    return scores, ActivationCache(layer_inputs, argmax, scores, net.version)
 
 
-def _backward(net: Network, cache: ActivationCache, score_grad,
-              want_params: bool, want_input: bool):
-    """Reverse pass from d(objective)/d(scores); returns (grads, grad_input).
+def _backward(net: Network, cache: ActivationCache, score_grad, params: bool):
+    """Reverse pass from score_grad = d(objective)/d(scores), [n, num_outputs].
 
-    want_params=False skips every parameter-gradient product (grads is
-    empty); want_input=False skips the first layer's input gradient
-    (grad_input may be None). Neither flag changes the other's results.
+    params=True returns the parameter gradients and skips the first layer's
+    input gradient; params=False returns the input gradient [n, C, H, W] and
+    skips every parameter-gradient product. No layer couples batch items, so
+    row k of the input gradient depends on row k of score_grad only.
     """
     if cache.version != net.version:
         raise CacheError("activation cache is stale: parameters changed after the "
@@ -330,22 +322,21 @@ def _backward(net: Network, cache: ActivationCache, score_grad,
     if up.shape != (n, net.num_outputs):
         raise ShapeError(f"score gradient shape {up.shape} != {(n, net.num_outputs)}")
     if net.head is not None:
-        seeded = np.zeros_like(cache.output)
-        if seeded.ndim == 4:
-            seeded[:, net.head, 0, 0] = up[:, 0]
-        else:
-            seeded[:, net.head] = up[:, 0]
-        up = seeded
+        # the head layer's output is [n, C], or [n, C, 1, 1] when it is spatial
+        shape = net.shapes[-1]
+        seeded = np.zeros((n, shape[0]))
+        seeded[:, net.head] = up[:, 0]
+        up = seeded.reshape((n, shape[0]) + (1,) * (len(shape) - 1))
     grads: dict = {}
     for i in reversed(range(len(net.layers))):
         spec, name = net.layers[i], net.names[i]
         up, gw, gb = _KINDS[spec.kind].backward(
             spec, up, cache.layer_inputs[i], net.params.get(name + ".weight"),
-            cache.argmax.get(i), want_input or i > 0, want_params)
+            cache.argmax.get(i), not params or i > 0, params)
         if gw is not None:
             grads[name + ".weight"] = gw
             grads[name + ".bias"] = gb
-    return grads, up
+    return grads if params else up
 
 
 def backward_params(net: Network, cache: ActivationCache, score_grad) -> dict:
@@ -353,25 +344,18 @@ def backward_params(net: Network, cache: ActivationCache, score_grad) -> dict:
 
     Returns a dict keyed like net.params; unscaled (the caller owns 1/batch).
     """
-    grads, _ = _backward(net, cache, score_grad, want_params=True, want_input=False)
-    return grads
+    return _backward(net, cache, score_grad, params=True)
 
 
-def backward_input(net: Network, cache: ActivationCache, node: int, item: int) -> np.ndarray:
-    """Gradient of one output node's score with respect to one input image.
+def backward_input(net: Network, cache: ActivationCache, score_grad) -> np.ndarray:
+    """Input gradient [n, C, H, W] of sum(score_grad * scores), score_grad
+    being [n, num_outputs]: a one-hot seed picks one node of one image, an
+    all-ones column gives every image the gradient of its own score.
 
-    Input gradient only; no parameter-gradient work. Pool routing follows
-    the argmax maps recorded for that forward pass.
+    No parameter-gradient work; pool routing follows the argmax maps
+    recorded for that forward pass.
     """
-    n, c = cache.scores.shape
-    if not 0 <= node < c:
-        raise ShapeError(f"node {node} out of range for {c} outputs")
-    if not 0 <= item < n:
-        raise ShapeError(f"item {item} out of range for batch of {n}")
-    seed = np.zeros((n, c))
-    seed[item, node] = 1.0
-    _, gin = _backward(net, cache, seed, want_params=False, want_input=True)
-    return np.ascontiguousarray(gin[item])
+    return _backward(net, cache, score_grad, params=False)
 
 
 def truncate_at(net: Network, layer_name: str, channel: int) -> Network:

@@ -184,12 +184,11 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
 class ArgmaxMap:
     """Routing table from pooled cells back to winning input positions.
 
-    ``indices`` has the pooled shape and holds flat row-major positions into
-    the original input; ties go to the first maximal element in window scan
-    order. With overlapping windows one input position may win several cells,
-    and the backward pass accumulates.
+    ``indices`` has the pooled shape, which the backward pass checks its
+    upstream against, and holds flat row-major positions into an input of
+    ``input_shape``; ties go to the first maximal element in window scan
+    order. Overlapping windows may route several cells to one position.
     """
-    pooled_shape: tuple
     input_shape: tuple
     indices: np.ndarray
 
@@ -244,16 +243,16 @@ def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int):
         pooled = x.reshape(-1)[idx]
 
     _count("maxpool", pooled.size * k * k)
-    return pooled, ArgmaxMap(pooled.shape, x.shape, idx)
+    return pooled, ArgmaxMap(x.shape, idx)
 
 
 def maxpool_backward_batch(upstream: np.ndarray, amap: ArgmaxMap) -> np.ndarray:
     """Route pooled-cell gradients to the recorded winners, accumulating on
     collisions."""
     upstream = _as_f64(upstream)
-    if upstream.shape != tuple(amap.pooled_shape):
+    if upstream.shape != amap.indices.shape:
         raise ShapeError(
-            f"maxpool backward: upstream {upstream.shape} != map {amap.pooled_shape}")
+            f"maxpool backward: upstream {upstream.shape} != map {amap.indices.shape}")
     grad = np.bincount(amap.indices.ravel(), weights=upstream.ravel(),
                        minlength=int(np.prod(amap.input_shape)))
     _count("maxpool_bwd", upstream.size)

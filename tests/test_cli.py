@@ -409,6 +409,20 @@ def test_bad_sample_node_exits_2(tmp_path, capsys, layer, channel, fragment):
     assert fragment in capsys.readouterr().err
 
 
+def test_out_of_range_snapshots_exit_2_without_output(tmp_path, capsys):
+    ckpt = tmp_path / "net.ckpt"
+    net.save_checkpoint(net.build_network(parse_config(write_config(tmp_path)).network), ckpt)
+    text = with_key(with_key(BASE_CONFIG, "hmc", "iterations", "3"), "hmc", "snapshots",
+                    "2, -4, 99")
+    config = write_config(tmp_path, text=text)
+    assert cli.main(["sample", "--config", str(config), "--checkpoint", str(ckpt),
+                     "--layer", "conv1", "--channel", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "[hmc]: snapshots outside [0, iterations = 3]: [-4, 99]" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_untileable_layer_stack_exits_2_without_output(tmp_path, capsys):
     text = BASE_CONFIG.replace("conv:2@3, pool:2/2, flatten", "conv:2@9, flatten")
     config = write_config(tmp_path, text=text)

@@ -247,6 +247,10 @@ def test_config_validation():
         hmc.HmcConfig(iterations=-1).validate()
     with pytest.raises(ValueError):
         hmc.HmcConfig(init="uniform").validate()
+    for outside in ((4,), (-1,), (2, -4, 99)):
+        with pytest.raises(ValueError, match="snapshots outside"):
+            hmc.HmcConfig(iterations=3, snapshots=outside).validate()
+    hmc.HmcConfig(iterations=3, snapshots=(0, 3)).validate()
     hmc.HmcConfig().validate()
 
 

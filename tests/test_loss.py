@@ -34,11 +34,9 @@ def test_worked_example_two_by_two():
     np.testing.assert_allclose(lg, np.log(1.5), atol=1e-15)
     np.testing.assert_allclose(gg, [[0.25, -0.5], [-0.25, 0.5]], atol=1e-15)
 
-    w0 = loss.importance_weights(f, 0)
-    np.testing.assert_allclose(w0.weights, [0.75, 0.25], atol=1e-15)
-    w1 = loss.importance_weights(f, 1)
-    np.testing.assert_allclose(w1.weights, [0.5, 0.5], atol=1e-15)
-    assert w1.ess == pytest.approx(2.0)
+    # in-batch weights [0.75, 0.25] for class 0 and [0.5, 0.5] for class 1
+    ess = loss.per_class_ess(f, y)
+    assert ess == {0: pytest.approx(1.6), 1: pytest.approx(2.0)}
 
 
 @settings(deadline=None, max_examples=150)
@@ -132,22 +130,23 @@ def test_gen_count_scaling():
     np.testing.assert_allclose(gg[:, 0], np.array([1, 1, 0]) - 2.0 * w, atol=1e-12)
 
 
-def test_importance_weights_normalized(rng):
-    f = rng.normal(0.0, 5.0, (7, 3))
-    for c in range(3):
-        w = loss.importance_weights(f, c)
-        assert w.weights.sum() == pytest.approx(1.0)
-        assert (w.weights > 0).all()
-        assert 1.0 <= w.ess <= 7.0
+def ess_by_column(f, y):
+    """Reference for per_class_ess: one softmax column at a time."""
+    ess = {}
+    for k in np.unique(y):
+        col = f[:, k]
+        w = np.exp(col - col.max())
+        w /= w.sum()
+        ess[int(k)] = float(1.0 / np.square(w).sum())
+    return ess
 
 
-def test_ess_bounds():
-    assert loss.effective_sample_size(np.full(8, 1 / 8)) == pytest.approx(8.0)
-    assert loss.effective_sample_size(np.array([1.0, 0.0, 0.0])) == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="sum to one"):
-        loss.effective_sample_size(np.array([0.5, 0.2]))
-    with pytest.raises(ValueError, match="non-negative"):
-        loss.effective_sample_size(np.array([1.5, -0.5]))
+def test_per_class_ess_bounds():
+    # a uniform column gives n, one dominant score gives 1
+    f = np.array([[0.0, 1000.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    assert loss.per_class_ess(f, np.array([0, 1, 0, 1])) == {0: 4.0, 1: 1.0}
+    with pytest.raises(NumericsError, match="non-finite"):
+        loss.per_class_ess(np.array([[0.0, np.inf], [0.0, 0.0]]), np.array([0, 1]))
 
 
 def test_per_class_ess_covers_present_classes(rng):
@@ -156,6 +155,19 @@ def test_per_class_ess_covers_present_classes(rng):
     ess = loss.per_class_ess(f, y)
     assert set(ess) == {0, 2}
     assert all(1.0 <= v <= 6.0 for v in ess.values())
+
+
+def test_per_class_ess_matches_column_loop(rng):
+    for trial in range(300):
+        n, c = int(rng.integers(2, 301)), int(rng.integers(2, 13))
+        f = rng.normal(0.0, [0.1, 5.0, 50.0][trial % 3], (n, c))
+        y = rng.integers(0, c, n)
+        ess = loss.per_class_ess(f, y)
+        want = ess_by_column(f, y)
+        assert list(ess) == list(want)
+        assert all(type(v) is float for v in ess.values())
+        assert all(np.float64(ess[k]).tobytes() == np.float64(want[k]).tobytes() for k in want)
+        assert all(1.0 <= v <= n for v in ess.values())
 
 
 def test_validation_errors():

@@ -101,18 +101,39 @@ def test_backward_params_matches_fd(tiny_net, rng):
 
 
 def test_backward_input_matches_fd(tiny_net, rng):
+    # the input gradient of sum(score_grad * scores) over the whole batch
     xb = rng.normal(0.5, 0.25, (2, 1, 6, 6))
     scores, cache = net.forward_batch(tiny_net, xb)
-    gin = net.backward_input(tiny_net, cache, node=2, item=1)
-    assert gin.shape == (1, 6, 6)
+    score_grad = rng.normal(size=scores.shape)
+    gin = net.backward_input(tiny_net, cache, score_grad)
+    assert gin.shape == (2, 1, 6, 6)
 
     def obj(a):
-        xmod = xb.copy()
-        xmod[1] = a
-        s, _ = net.forward_batch(tiny_net, xmod)
-        return float(s[1, 2])
+        return float((net.forward_batch(tiny_net, a)[0] * score_grad).sum())
 
-    assert rel_err(fd_grad(obj, xb[1].copy()), gin) < 1e-6
+    assert rel_err(fd_grad(obj, xb.copy()), gin) < 1e-6
+    with pytest.raises(ShapeError, match="score gradient shape"):
+        net.backward_input(tiny_net, cache, score_grad[:, :2])
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("layer", ["dense2", "conv2", "pool1"])
+def test_input_gradient_rows_are_independent(rng, layer, k):
+    # an all-ones seed gives every image the gradient of its own score, byte
+    # for byte what a one-hot seed on that image gives; dense2 is a flat
+    # head, conv2 and pool1 are spatial ones
+    network = net.build_network(net.lenet_config(seed=5))
+    sub = net.truncate_at(network, layer, 3)
+    shape = (1, 28, 28) if layer == "dense2" else net.required_input_shape(network, layer)
+    _, cache = net.forward_batch(sub, rng.random((k,) + shape))
+    together = net.backward_input(sub, cache, np.ones((k, 1)))
+    assert together.shape == (k,) + shape
+    for item in range(k):
+        one_hot = np.zeros((k, 1))
+        one_hot[item] = 1.0
+        alone = net.backward_input(sub, cache, one_hot)
+        assert together[item].tobytes() == alone[item].tobytes()
+        assert not np.delete(alone, item, axis=0).any()
 
 
 def test_every_kind_stack_gradients_match_fd(rng):
@@ -146,14 +167,13 @@ def test_every_kind_stack_gradients_match_fd(rng):
                 network.params[_n] = keep
         assert rel_err(fd_grad(obj, network.params[name].copy()), grads[name]) < 1e-6, name
 
-    gin = net.backward_input(network, cache, node=1, item=0)
+    score_grad = rng.normal(size=scores.shape)
+    gin = net.backward_input(network, cache, score_grad)
 
     def score(a):
-        xmod = xb.copy()
-        xmod[0] = a
-        return float(net.forward_batch(network, xmod)[0][0, 1])
+        return float((net.forward_batch(network, a)[0] * score_grad).sum())
 
-    assert rel_err(fd_grad(score, xb[0].copy()), gin) < 1e-6
+    assert rel_err(fd_grad(score, xb.copy()), gin) < 1e-6
 
 
 def test_only_backward_params_asks_for_param_grads(tiny_net, rng, monkeypatch):
@@ -164,7 +184,7 @@ def test_only_backward_params_asks_for_param_grads(tiny_net, rng, monkeypatch):
             return _orig(*args, **kwargs)
         monkeypatch.setattr(tensor, fn, recorder)
     scores, cache = net.forward_batch(tiny_net, rng.normal(0.5, 0.25, (2, 1, 6, 6)))
-    net.backward_input(tiny_net, cache, node=1, item=0)
+    net.backward_input(tiny_net, cache, np.ones_like(scores))
     assert calls == [("dense_backward_batch", False), ("conv2d_backward_batch", False)]
     calls.clear()
     net.backward_params(tiny_net, cache, np.ones_like(scores))
@@ -194,7 +214,7 @@ def test_stale_cache_is_refused(tiny_net, rng):
     with pytest.raises(CacheError, match="stale"):
         net.backward_params(tiny_net, cache, np.zeros((2, 3)))
     with pytest.raises(CacheError):
-        net.backward_input(tiny_net, cache, 0, 0)
+        net.backward_input(tiny_net, cache, np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("n", [1, 63, 256, 257])
@@ -310,13 +330,13 @@ def test_truncated_backward_input_matches_fd(tiny_net, rng):
     shape = net.required_input_shape(tiny_net, "pool1")
     x = rng.normal(size=(1,) + shape)
     scores, cache = net.forward_batch(sub, x)
-    gin = net.backward_input(sub, cache, 0, 0)
+    gin = net.backward_input(sub, cache, np.ones((1, 1)))
+    assert gin.shape == (1,) + shape
 
     def obj(a):
-        s, _ = net.forward_batch(sub, a[None])
-        return float(s[0, 0])
+        return float(net.forward_batch(sub, a)[0][0, 0])
 
-    assert rel_err(fd_grad(obj, x[0].copy()), gin) < 1e-6
+    assert rel_err(fd_grad(obj, x.copy()), gin) < 1e-6
 
 
 def test_checkpoint_roundtrip_is_byte_identical(tiny_net, tmp_path):
