@@ -16,8 +16,7 @@ from .hmc import (ChainState, HmcConfig, SampleRecord, hmc_iterate, leapfrog,
 from .loss import disc_loss_and_grad, gen_loss_and_grad
 from .net import (LayerSpec, Network, NetworkConfig, backward_input,
                   backward_params, build_network, forward_batch, lenet_config,
-                  load_checkpoint, required_input_shape, save_checkpoint,
-                  truncate_at)
+                  load_checkpoint, save_checkpoint, truncate_at)
 from .train import (MetricsLog, OptimizerState, TrainConfig, evaluate,
                     resume_training, run_training, sgd_step)
 
@@ -32,7 +31,7 @@ __all__ = [
     "disc_loss_and_grad", "gen_loss_and_grad",
     "LayerSpec", "Network", "NetworkConfig", "backward_input",
     "backward_params", "build_network", "forward_batch", "lenet_config",
-    "load_checkpoint", "required_input_shape", "save_checkpoint", "truncate_at",
+    "load_checkpoint", "save_checkpoint", "truncate_at",
     "MetricsLog", "OptimizerState", "TrainConfig", "evaluate",
     "resume_training", "run_training", "sgd_step",
     "__version__",

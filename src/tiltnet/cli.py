@@ -7,6 +7,7 @@
     tiltnet gradcheck [--config run.ini] [--seed N]
     tiltnet inspect   --checkpoint net.ckpt
 
+``python -m tiltnet.cli <command> ...`` is the same without the script.
 Exit codes: 0 success, 2 config error, 3 IO/data error, 4 numeric failure,
 5 failed correctness check. Output lines are field=value pairs so scripts
 can scrape them.
@@ -74,6 +75,7 @@ def cmd_train(spec: RunSpec) -> int:
              f"dataset has {train_set.num_classes} classes, network outputs "
              f"{spec.network.num_classes}")
     _check_set(train_set, "training", spec.network.input_shape)
+    spec.train.check_batches(len(train_set))
     if eval_set is not None:
         _check_set(eval_set, "evaluation", spec.network.input_shape)
     network = net_mod.build_network(spec.network)
@@ -107,6 +109,9 @@ def cmd_eval(spec: RunSpec, checkpoint) -> int:
 def cmd_sample(spec: RunSpec, checkpoint, layer: str, channel: int) -> int:
     _require(bool(spec.out_dir), "sample needs [run] out_dir")
     network = net_mod.load_checkpoint(checkpoint)
+    channels = network.config.input_shape[0]
+    _require(channels in (1, 3), f"sample renders 1- or 3-channel images; the "
+                                 f"checkpoint's input has {channels} channels")
     records = hmc_mod.sample_node(network, layer, channel, spec.hmc)
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -169,11 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "and synthesize images from their nodes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, need_config, **extra):
+    def add(name, need_config: bool, **extra):
         p = sub.add_parser(name, **extra)
-        p.add_argument("--config", required=need_config is True,
-                       help="run configuration file")
-        if name in ("eval", "sample", "inspect"):
+        p.add_argument("--config", required=need_config, help="run configuration file")
+        if name in ("eval", "sample"):
             p.add_argument("--checkpoint", required=True, help="network checkpoint")
         p.add_argument("--seed", type=_seed, default=None,
                        help="override [run] seed")
@@ -184,8 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = add("sample", True, help="synthesize images from one node")
     p_sample.add_argument("--layer", required=True, help="layer name, e.g. conv2")
     p_sample.add_argument("--channel", required=True, type=int)
-    add("gradcheck", "optional", help="run the built-in correctness suites")
-    add("inspect", False, help="describe a checkpoint")
+    add("gradcheck", False, help="run the built-in correctness suites")
+    p_inspect = sub.add_parser("inspect", help="describe a checkpoint")
+    p_inspect.add_argument("--checkpoint", required=True, help="network checkpoint")
     return parser
 
 
@@ -212,7 +217,6 @@ def main(argv=None) -> int:
             return cmd_eval(spec, args.checkpoint)
         if args.command == "sample":
             return cmd_sample(spec, args.checkpoint, args.layer, args.channel)
-        raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -226,3 +230,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -180,17 +180,13 @@ def sample_node(net: net_mod.Network, layer: str, channel: int,
     """Synthesize an image from one node; returns SampleRecords at the
     snapshot iterations (always including 0 and the final iteration).
 
-    The sampled image takes the network's configured input shape when the
-    node's layer is flat (the final-layer case: sampling a class score),
-    otherwise the prefix's required input size; a spatial prefix with no
-    valid input size raises that ShapeError.
+    The sampled image takes the truncation's input shape
+    (``truncate_at(net, layer, channel).config.input_shape``): the network's
+    own when the layer is flat, the node's receptive field when it is spatial.
     """
     config.validate()
     sub = net_mod.truncate_at(net, layer, channel)
-    if len(sub.shapes[-1]) == 1:
-        shape = tuple(net.config.input_shape)
-    else:
-        shape = net_mod.required_input_shape(net, layer)
+    shape = sub.config.input_shape
     rng = np.random.default_rng(config.seed)
     x0 = init_image(shape, config, rng)
     u0 = potential(sub, 0, x0, config.sigma)

@@ -4,8 +4,8 @@ A network maps an image batch to an n-by-C score matrix through a declared
 stack of conv / maxpool / flatten / dense / relu layers. Besides the forward
 pass it supports two exact backward passes (to parameters for training, to
 the input image for sampling), truncation at any layer to expose a single
-internal node as the score, spatial input-size inversion for truncated
-prefixes, and versioned binary checkpoints.
+internal node as the score (an ordinary network whose config holds the
+prefix and the one input shape it accepts), and versioned binary checkpoints.
 
 What a layer kind means (its auto-name stem, output shape, parameter init,
 forward, backward and receptive-field inverse) lives in one record of
@@ -19,7 +19,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -185,25 +185,6 @@ def _resolve_names(layers) -> list:
     return names
 
 
-def propagate_shapes(config: NetworkConfig) -> list:
-    """Per-layer output shapes (without the batch axis); raises ShapeError
-    when the kinds do not chain."""
-    if len(config.input_shape) != 3 or any(d < 1 for d in config.input_shape):
-        raise ShapeError(f"input shape must be (C, H, W) with positive extents, "
-                         f"got {config.input_shape}")
-    shape = tuple(int(d) for d in config.input_shape)
-    shapes = []
-    for spec in config.layers:
-        shape = _kind(spec).out_shape(spec, shape)
-        shapes.append(shape)
-    if not shapes:
-        raise ShapeError("network needs at least one layer")
-    if shapes[-1] != (config.num_classes,):
-        raise ShapeError(f"final layer produces {shapes[-1]}, "
-                         f"expected flat width {config.num_classes}")
-    return shapes
-
-
 @dataclass
 class ActivationCache:
     """Per-layer forward inputs, pooling argmax maps and scores for one batch:
@@ -220,15 +201,24 @@ class ActivationCache:
 
 
 class Network:
-    """A built network: resolved layer stack, parameter store, and optionally
-    a truncation head that exposes one channel of a prefix as the score."""
+    """The config's layer stack with its resolved names and output shapes (no
+    batch axis; ShapeError when the kinds do not chain), a parameter store, and
+    optionally a truncation head exposing one channel of the last layer."""
 
-    def __init__(self, config: NetworkConfig, layers, names, shapes, params,
-                 head=None, version_cell=None):
+    def __init__(self, config: NetworkConfig, params, head=None, version_cell=None):
+        if len(config.input_shape) != 3 or any(d < 1 for d in config.input_shape):
+            raise ShapeError(f"input shape must be (C, H, W) with positive extents, "
+                             f"got {config.input_shape}")
         self.config = config
-        self.layers = list(layers)
-        self.names = list(names)
-        self.shapes = list(shapes)
+        self.layers = list(config.layers)
+        self.names = _resolve_names(config.layers)
+        self.shapes = []
+        shape = tuple(int(d) for d in config.input_shape)
+        for spec in config.layers:
+            shape = _kind(spec).out_shape(spec, shape)
+            self.shapes.append(shape)
+        if not self.shapes:
+            raise ShapeError("network needs at least one layer")
         self.params = params
         self.head = head  # None for full nets, else selected channel (int)
         self._version = version_cell if version_cell is not None else [0]
@@ -243,6 +233,8 @@ class Network:
 
     @property
     def num_outputs(self) -> int:
+        """Score columns: 1 for a truncation, whose config keeps the parent's
+        num_classes, else num_classes."""
         return 1 if self.head is not None else self.config.num_classes
 
     def param_count(self) -> int:
@@ -251,41 +243,33 @@ class Network:
 
 def build_network(config: NetworkConfig) -> Network:
     """Validate the config, allocate parameters, and seed the initializer."""
-    names = _resolve_names(config.layers)
-    shapes = propagate_shapes(config)
+    net = Network(config, {})
+    if net.shapes[-1] != (config.num_classes,):
+        raise ShapeError(f"final layer produces {net.shapes[-1]}, "
+                         f"expected flat width {config.num_classes}")
     if config.init != "gaussian":
         raise ShapeError(f"unknown init scheme {config.init!r}")
     rng = np.random.default_rng(config.seed)
-    params: dict = {}
-    in_shapes = [tuple(config.input_shape)] + shapes[:-1]
-    for spec, name, in_shape in zip(config.layers, names, in_shapes):
+    in_shapes = [tuple(config.input_shape)] + net.shapes[:-1]
+    for spec, name, in_shape in zip(config.layers, net.names, in_shapes):
         init = _KINDS[spec.kind].init
         if init is not None:
-            params[name + ".weight"], params[name + ".bias"] = init(spec, in_shape, rng)
-    return Network(config, config.layers, names, shapes, params)
+            net.params[name + ".weight"], net.params[name + ".bias"] = init(spec, in_shape, rng)
+    return net
 
 
 def forward_batch(net: Network, images, keep: bool = True) -> tuple:
-    """Run a batch [n, C, H, W] through the stack.
-
-    Returns (scores [n, num_outputs], ActivationCache). Full networks insist
-    on the configured input shape; truncated ones only pin the channel count
-    so the sampler can feed the size required by the prefix.
+    """Run a batch [n, C, H, W] of the configured input shape through the
+    stack; returns (scores [n, num_outputs], ActivationCache).
 
     keep=False is the score-only pass (evaluation, the sampler's potential):
     no layer input or argmax map outlives the layer that reads it, the cache
     is None, and the scores are the same bytes as with keep=True.
     """
     x = np.ascontiguousarray(images, dtype=np.float64)
-    if x.ndim != 4:
-        raise ShapeError(f"image batch must be 4-D [n,C,H,W], got {x.shape}")
-    if net.head is None:
-        if x.shape[1:] != tuple(net.config.input_shape):
-            raise ShapeError(f"batch shape {x.shape[1:]} != configured input "
-                             f"{tuple(net.config.input_shape)}")
-    elif x.shape[1] != net.config.input_shape[0]:
-        raise ShapeError(f"batch has {x.shape[1]} channels, network expects "
-                         f"{net.config.input_shape[0]}")
+    if x.shape[1:] != tuple(net.config.input_shape):
+        raise ShapeError(f"image batch must be [n, C, H, W] with (C, H, W) the "
+                         f"configured input {tuple(net.config.input_shape)}, got {x.shape}")
     layer_inputs = []
     argmax: dict = {}
     for i, (spec, name) in enumerate(zip(net.layers, net.names)):
@@ -297,9 +281,6 @@ def forward_batch(net: Network, images, keep: bool = True) -> tuple:
             argmax[i] = amap
     scores = x
     if net.head is not None:
-        if x.shape[2:] not in ((), (1, 1)):
-            raise ShapeError(f"truncated network output is {x.shape[1:]}, needs spatial "
-                             f"1x1; size the input with required_input_shape")
         scores = np.ascontiguousarray(x.reshape(len(x), -1)[:, net.head:net.head + 1])
     if not keep:
         return scores, None
@@ -361,47 +342,37 @@ def backward_input(net: Network, cache: ActivationCache, score_grad) -> np.ndarr
 def truncate_at(net: Network, layer_name: str, channel: int) -> Network:
     """Expose one channel of one layer as a scalar score.
 
-    The truncated network shares the parent's parameter store (training the
-    parent moves the truncation too). Truncating at the final layer with
-    channel y reproduces score selection f_y exactly.
+    The result is a network whose config holds the layers up to layer_name
+    and the one input shape it accepts: the parent's when the layer is flat,
+    else the smallest input the prefix maps onto a 1x1 output (ShapeError
+    when padding swallows the window). Windows are square, so height and
+    width grow alike. The truncation shares the parent's parameter store
+    (training the parent moves the truncation too). Truncating at the final
+    layer with channel y reproduces score selection f_y exactly.
     """
     if net.head is not None:
         raise ShapeError("network is already truncated")
     if layer_name not in net.names:
         raise ShapeError(f"unknown layer {layer_name!r}; have {', '.join(net.names)}")
     idx = net.names.index(layer_name)
-    out_shape = net.shapes[idx]
-    n_channels = out_shape[0]
+    n_channels = net.shapes[idx][0]
     if not 0 <= channel < n_channels:
         raise ShapeError(f"channel {channel} out of range: layer {layer_name!r} "
                          f"has {n_channels}")
-    return Network(net.config, net.layers[:idx + 1], net.names[:idx + 1],
-                   net.shapes[:idx + 1], net.params, head=channel,
-                   version_cell=net._version)
-
-
-def required_input_shape(net: Network, layer_name: str) -> tuple:
-    """Smallest input (C, H, W) for which the prefix ending at layer_name has
-    spatial extent exactly 1x1.
-
-    Only defined for prefixes whose kinds all have a receptive-field inverse
-    (conv / maxpool / relu); flatten and dense discard spatial semantics.
-    Windows are square, so height and width grow alike.
-    """
-    if layer_name not in net.names:
-        raise ShapeError(f"unknown layer {layer_name!r}; have {', '.join(net.names)}")
-    prefix = net.layers[:net.names.index(layer_name) + 1]
-    for spec in prefix:
-        if _KINDS[spec.kind].grow is None:
-            raise ShapeError(f"layer {layer_name!r} has no spatial semantics: the "
-                             f"prefix contains a {spec.kind} layer")
-    extent = 1
-    for spec in reversed(prefix):
-        extent = _KINDS[spec.kind].grow(spec, extent)
-        if extent < 1:
-            raise ShapeError(f"no valid input size for layer {layer_name!r}: "
-                             f"padding swallows the window")
-    return (int(net.config.input_shape[0]), int(extent), int(extent))
+    prefix = tuple(net.layers[:idx + 1])
+    input_shape = tuple(net.config.input_shape)
+    if len(net.shapes[idx]) == 3:
+        # only conv / maxpool / relu chain into a spatial output, and each
+        # has a receptive-field inverse
+        extent = 1
+        for spec in reversed(prefix):
+            extent = _KINDS[spec.kind].grow(spec, extent)
+            if extent < 1:
+                raise ShapeError(f"no valid input size for layer {layer_name!r}: "
+                                 f"padding swallows the window")
+        input_shape = (input_shape[0], extent, extent)
+    return Network(replace(net.config, input_shape=input_shape, layers=prefix),
+                   net.params, head=channel, version_cell=net._version)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,15 @@ class TrainConfig:
         if not 0 < self.lr_step_factor < math.inf:
             raise ConfigError("lr_step_factor must be positive and finite")
 
+    def check_batches(self, n: int) -> None:
+        """Refuse a run with a GG epoch over n images whose last batch holds
+        one image: the generative loss weighs images against each other."""
+        last = (n - 1) % self.batch_size + 1 if n else 0   # images in the last batch
+        if self.epochs and _mode_for_epoch(self, 0) == "GG" and last == 1:
+            raise ConfigError(f"a GG epoch over n = {n} images in batches of batch_size = "
+                              f"{self.batch_size} ends on a batch of one image; the "
+                              f"generative loss needs >= 2")
+
 
 class OptimizerState:
     """Velocity per parameter tensor, mirroring the network's store."""
@@ -197,6 +206,7 @@ def run_training(net: net_mod.Network, train_set: Dataset, config: TrainConfig,
     that resume path.
     """
     config.validate()
+    config.check_batches(len(train_set))
     if log is None:
         log = MetricsLog()
     if state is None:
@@ -231,12 +241,7 @@ def run_training(net: net_mod.Network, train_set: Dataset, config: TrainConfig,
                 ess_values.extend(loss_mod.per_class_ess(scores, yb).values())
             else:
                 gg = None
-            if mode == "GG":
-                if gg is None:
-                    raise NumericsError("generative step needs a batch of >= 2")
-                score_grad = gg
-            else:
-                score_grad = gd
+            score_grad = gg if mode == "GG" else gd
             grads = net_mod.backward_params(net, cache, score_grad / len(yb))
             sgd_step(net, grads, state, lr, config.weight_decay, config.momentum)
             wrong += int((scores.argmax(axis=1) != yb).sum())

@@ -1,9 +1,12 @@
 """Config parsing and the command-line surface, driven in process."""
 
 import configparser
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
@@ -12,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiltnet import cli, net
+from tiltnet import cli, hmc, net
 from tiltnet.config import DataSpec, parse_config, parse_layers
 from tiltnet.errors import ConfigError
 from tiltnet.hmc import HmcConfig
@@ -429,6 +432,54 @@ def test_untileable_layer_stack_exits_2_without_output(tmp_path, capsys):
     assert cli.main(["train", "--config", str(config)]) == 2
     assert "exceeds" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()   # the network is built before any mkdir
+
+
+@pytest.mark.parametrize("mode", ["GG", "GG+DG"])
+def test_gg_batch_of_one_exits_2_without_output(tmp_path, capsys, mode):
+    # GG+DG spends its first epoch in GG
+    text = with_key(with_key(BASE_CONFIG, "data", "n", "17"), "train", "batch_size", "8")
+    text = with_key(with_key(text, "train", "mode", mode), "train", "pretrain_epochs", "1")
+    assert cli.main(["train", "--config", str(write_config(tmp_path, text=text))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n = 17 images in batches of batch_size = 8" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unrenderable_channel_count_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
+    text = BASE_CONFIG.replace("input_shape = 1x8x8", "input_shape = 2x8x8")
+    config = write_config(tmp_path, text=text)
+    ckpt = tmp_path / "net.ckpt"
+    net.save_checkpoint(net.build_network(parse_config(config).network), ckpt)
+    calls = []
+    monkeypatch.setattr(hmc, "sample_node", lambda *a, **k: calls.append(a))
+    assert cli.main(["sample", "--config", str(config), "--checkpoint", str(ckpt),
+                     "--layer", "dense1", "--channel", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input has 2 channels" in captured.err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", [["--config", "run.ini"], ["--seed", "3"]])
+def test_inspect_takes_only_a_checkpoint(tmp_path, capsys, flag):
+    ckpt = tmp_path / "net.ckpt"
+    net.save_checkpoint(net.build_network(parse_config(write_config(tmp_path)).network), ckpt)
+    assert cli.main(["inspect", "--checkpoint", str(ckpt)] + flag) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_module_runs_as_a_command():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")])}
+    ok = subprocess.run([sys.executable, "-m", "tiltnet.cli", "gradcheck"], env=env,
+                        capture_output=True, text=True, timeout=300)
+    assert ok.returncode == 0
+    assert ok.stdout.splitlines()[-1] == "checks=19 failures=0"
+    bad = subprocess.run([sys.executable, "-m", "tiltnet.cli", "serve"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert bad.returncode == 2 and "invalid choice" in bad.stderr
 
 
 def test_missing_required_flag_exits_2(capsys):

@@ -1,5 +1,5 @@
-"""Network construction, both backward passes, truncation, input-size
-inversion, and checkpoint round-trips."""
+"""Network construction, both backward passes, truncation with its input
+shape, and checkpoint round-trips."""
 
 import re
 import weakref
@@ -124,7 +124,7 @@ def test_input_gradient_rows_are_independent(rng, layer, k):
     # head, conv2 and pool1 are spatial ones
     network = net.build_network(net.lenet_config(seed=5))
     sub = net.truncate_at(network, layer, 3)
-    shape = (1, 28, 28) if layer == "dense2" else net.required_input_shape(network, layer)
+    shape = sub.config.input_shape
     _, cache = net.forward_batch(sub, rng.random((k,) + shape))
     together = net.backward_input(sub, cache, np.ones((k, 1)))
     assert together.shape == (k,) + shape
@@ -222,8 +222,7 @@ def test_score_only_forward_keeps_no_cache(rng, n):
     # 63, 256 and 257 split LeNet's convs into blocks of different lengths
     network = net.build_network(net.lenet_config(seed=5))
     sub = net.truncate_at(network, "conv2", 3)
-    sub_shape = net.required_input_shape(network, "conv2")
-    for model, shape in ((network, (1, 28, 28)), (sub, sub_shape)):
+    for model, shape in ((network, (1, 28, 28)), (sub, sub.config.input_shape)):
         x = rng.random((n,) + shape)
         scores, cache = net.forward_batch(model, x)
         lean, none = net.forward_batch(model, x, keep=False)
@@ -273,10 +272,16 @@ def test_truncation_shares_parameters(tiny_net, rng):
     assert after[0, 0] == pytest.approx(before[0, 0] + 1.0)
 
 
-def test_truncated_needs_unit_spatial_extent(tiny_net, rng):
+def test_truncated_needs_unit_spatial_extent(tiny_net, rng, monkeypatch):
+    # a conv1 truncation accepts only 3x3 images; a 6x6 one is refused
+    # before any primitive runs
     sub = net.truncate_at(tiny_net, "conv1", 0)
-    with pytest.raises(ShapeError, match="required_input_shape"):
+    assert sub.config.input_shape == (1, 3, 3)
+    calls = []
+    monkeypatch.setattr(tensor, "conv2d_forward_batch", lambda *a, **k: calls.append(a))
+    with pytest.raises(ShapeError, match="configured input"):
         net.forward_batch(sub, rng.normal(size=(1, 1, 6, 6)))
+    assert calls == []
 
 
 def test_truncation_validates_arguments(tiny_net):
@@ -289,21 +294,34 @@ def test_truncation_validates_arguments(tiny_net):
         net.truncate_at(sub, "conv1", 0)
 
 
+def input_shape(network, layer):
+    return net.truncate_at(network, layer, 0).config.input_shape
+
+
 def test_required_input_shape_reference_stack():
     network = net.build_network(net.lenet_config())
-    assert net.required_input_shape(network, "conv1") == (1, 5, 5)
-    assert net.required_input_shape(network, "pool1") == (1, 6, 6)
-    assert net.required_input_shape(network, "conv2") == (1, 14, 14)
-    assert net.required_input_shape(network, "pool2") == (1, 16, 16)
-    with pytest.raises(ShapeError, match="spatial"):
-        net.required_input_shape(network, "dense1")
+    assert input_shape(network, "conv1") == (1, 5, 5)
+    assert input_shape(network, "pool1") == (1, 6, 6)
+    assert input_shape(network, "conv2") == (1, 14, 14)
+    assert input_shape(network, "pool2") == (1, 16, 16)
+    # a flat layer takes the parent's input
+    assert input_shape(network, "dense1") == (1, 28, 28)
+
+
+def test_spatial_truncation_shapes_describe_its_own_input():
+    network = net.build_network(net.lenet_config())
+    sub = net.truncate_at(network, "conv2", 7)
+    assert sub.names == ["conv1", "pool1", "conv2"]
+    assert sub.shapes == [(20, 10, 10), (20, 5, 5), (50, 1, 1)]
+    assert sub.config.num_classes == 10 and sub.num_outputs == 1
+    assert isinstance(sub.config.layers, tuple)
 
 
 def test_required_input_shape_composes_to_unit_extent(rng):
     network = net.build_network(net.lenet_config())
     for layer in ("conv1", "pool1", "conv2", "pool2"):
-        shape = net.required_input_shape(network, layer)
         sub = net.truncate_at(network, layer, 0)
+        shape = sub.config.input_shape
         scores, _ = net.forward_batch(sub, rng.normal(size=(1,) + shape))
         assert scores.shape == (1, 1)
 
@@ -316,18 +334,19 @@ def test_required_input_shape_strided_padded_conv(rng):
         net.LayerSpec("flatten"),
         net.LayerSpec("dense", width=2)), 2))
     # conv2 needs 3x3; conv1 (k3, s2, p1) maps 5x5 onto 3x3
-    assert net.required_input_shape(network, "conv1") == (3, 1, 1)
-    assert net.required_input_shape(network, "conv2") == (3, 5, 5)
+    assert input_shape(network, "conv1") == (3, 1, 1)
+    assert input_shape(network, "conv2") == (3, 5, 5)
     sub = net.truncate_at(network, "conv2", 1)
     scores, _ = net.forward_batch(sub, rng.normal(size=(1, 3, 5, 5)))
     assert scores.shape == (1, 1)
-    with pytest.raises(ShapeError, match="padding swallows"):
-        net.required_input_shape(network, "conv3")
+    # truncate_at itself refuses a layer that no input shrinks to 1x1
+    with pytest.raises(ShapeError, match="padding swallows the window"):
+        net.truncate_at(network, "conv3", 0)
 
 
 def test_truncated_backward_input_matches_fd(tiny_net, rng):
     sub = net.truncate_at(tiny_net, "pool1", 1)
-    shape = net.required_input_shape(tiny_net, "pool1")
+    shape = sub.config.input_shape
     x = rng.normal(size=(1,) + shape)
     scores, cache = net.forward_batch(sub, x)
     gin = net.backward_input(sub, cache, np.ones((1, 1)))

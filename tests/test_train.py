@@ -149,6 +149,27 @@ def test_gg_pretrain_then_dg_switch(tmp_path):
     assert by_epoch[1]["lr"] == 0.02 and by_epoch[2]["lr"] == 0.006
 
 
+@pytest.mark.parametrize("mode,pretrain", [("GG", 0), ("GG+DG", 1)])
+@pytest.mark.parametrize("n,batch_size", [(17, 8), (9, 4), (4, 1)])
+def test_gg_epoch_ending_on_a_batch_of_one_is_refused_before_the_log(mode, pretrain, n,
+                                                                     batch_size):
+    train_set, _ = small_sets(n=n)
+    config = train.TrainConfig(mode=mode, pretrain_epochs=pretrain, batch_size=batch_size,
+                               epochs=2, seed=0)
+    log = train.MetricsLog()
+    with pytest.raises(ConfigError, match=f"n = {n} .*batch_size = {batch_size}"):
+        train.run_training(build_network(small_config()), train_set, config, log=log)
+    assert log.records == []
+
+
+@pytest.mark.parametrize("mode", ["DG", "GG+DG"])
+def test_discriminative_epochs_take_a_batch_of_one(mode):
+    train_set, _ = small_sets(n=17)
+    config = train.TrainConfig(mode=mode, pretrain_epochs=0, batch_size=8, epochs=1)
+    _, log = train.run_training(build_network(small_config()), train_set, config)
+    assert [r["mode"] for r in log.records if "mode" in r] == ["DG"]
+
+
 def test_ggdg_with_zero_pretrain_equals_dg_at_refine_rate(tmp_path):
     train_set, _ = small_sets(n=32)
     a = build_network(small_config(seed=5))
