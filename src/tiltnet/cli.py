@@ -54,15 +54,18 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _check_set(dataset, what: str, input_shape) -> None:
-    """Refuse a set the network cannot run on, before any output is written:
-    DataError (exit 3) when it is empty, ConfigError (exit 2) when its images
-    are not [network] input_shape."""
+def _check_set(dataset, what: str, network, source: str = "[network]") -> None:
+    """Refuse a set the network (a NetworkConfig) cannot score, before any
+    output is written: DataError (exit 3) when it is empty, ConfigError (exit
+    2) when it has more classes than the network outputs or its images are
+    not the network's input_shape."""
     if len(dataset) < 1:
         raise DataError(f"the {what} set is empty")
-    shape, want = dataset.images.shape[1:], tuple(input_shape)
+    _require(dataset.num_classes <= network.num_classes, f"the {what} set has "
+             f"{dataset.num_classes} classes, {source} outputs {network.num_classes}")
+    shape, want = dataset.images.shape[1:], tuple(network.input_shape)
     _require(shape == want, f"{what} images are {'x'.join(map(str, shape))}, "
-                            f"[network] input_shape is {'x'.join(map(str, want))}")
+                            f"{source} input_shape is {'x'.join(map(str, want))}")
 
 
 def cmd_train(spec: RunSpec) -> int:
@@ -71,13 +74,10 @@ def cmd_train(spec: RunSpec) -> int:
     _require(bool(spec.out_dir), "train needs [run] out_dir")
     train_set = _load_train_set(spec.data, spec.seed)
     eval_set = _load_eval_set(spec.data, spec.seed)
-    _require(train_set.num_classes <= spec.network.num_classes,
-             f"dataset has {train_set.num_classes} classes, network outputs "
-             f"{spec.network.num_classes}")
-    _check_set(train_set, "training", spec.network.input_shape)
+    _check_set(train_set, "training", spec.network)
     spec.train.check_batches(len(train_set))
     if eval_set is not None:
-        _check_set(eval_set, "evaluation", spec.network.input_shape)
+        _check_set(eval_set, "evaluation", spec.network)
     network = net_mod.build_network(spec.network)
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -101,6 +101,8 @@ def cmd_eval(spec: RunSpec, checkpoint) -> int:
     if eval_set is None:
         raise ConfigError("eval needs test_images/test_labels (idx) or eval_n "
                           "(synthetic)")
+    if len(eval_set):  # an empty set is left to evaluate's own DataError
+        _check_set(eval_set, "evaluation", network.config, "the checkpoint")
     err = train_mod.evaluate(network, eval_set)
     print(f"error_rate={err:.6f} n={len(eval_set)}")
     return 0

@@ -81,7 +81,7 @@ class _Kind:
     patched onto the tensor module (a profiler, a counter) sees every call."""
     stem: str            # prefix of auto-generated layer names
     out_shape: Callable  # (spec, in_shape) -> out_shape; raises ShapeError
-    forward: Callable    # (spec, x, weight, bias) -> (y, ArgmaxMap or None)
+    forward: Callable    # (spec, x, weight, bias, keep) -> (y, pool's ArgmaxMap if keep else None)
     backward: Callable   # (spec, up, x, weight, amap, need_input, need_params) -> (gx, gw, gb)
     init: Callable = None  # (spec, in_shape, rng) -> (weight, bias); None: no parameters
     grow: Callable = None  # (spec, out_extent) -> in_extent; None: no spatial inverse
@@ -124,7 +124,8 @@ def _dense_shape(spec, shape) -> tuple:
 _KINDS = {
     "conv": _Kind(
         stem="conv", out_shape=_conv_shape,
-        forward=lambda s, x, w, b: (tensor.conv2d_forward_batch(x, w, b, s.stride, s.pad), None),
+        forward=lambda s, x, w, b, keep: (
+            tensor.conv2d_forward_batch(x, w, b, s.stride, s.pad), None),
         backward=lambda s, up, x, w, amap, need_input, need_params: (
             tensor.conv2d_backward_batch(up, x, w, s.stride, s.pad, need_input_grad=need_input,
                                          need_param_grad=need_params)),
@@ -134,7 +135,7 @@ _KINDS = {
         grow=lambda s, e: (e - 1) * s.stride + s.kernel - 2 * s.pad),
     "maxpool": _Kind(
         stem="pool", out_shape=_pool_shape,
-        forward=lambda s, x, w, b: tensor.maxpool_forward_batch(x, s.kernel, s.stride),
+        forward=lambda s, x, w, b, keep: tensor.maxpool_forward_batch(x, s.kernel, s.stride, keep),
         backward=lambda s, up, x, w, amap, need_input, need_params: (
             tensor.maxpool_backward_batch(up, amap), None, None),
         grow=lambda s, e: (e - 1) * s.stride + s.kernel),
@@ -142,12 +143,12 @@ _KINDS = {
         stem="flatten",
         out_shape=lambda s, shape: (
             int(np.prod(_spatial(shape, "flatten layer needs spatial input"))),),
-        forward=lambda s, x, w, b: (np.ascontiguousarray(x.reshape(len(x), -1)), None),
+        forward=lambda s, x, w, b, keep: (np.ascontiguousarray(x.reshape(len(x), -1)), None),
         backward=lambda s, up, x, w, amap, need_input, need_params: (
             up.reshape(x.shape), None, None)),
     "dense": _Kind(
         stem="dense", out_shape=_dense_shape,
-        forward=lambda s, x, w, b: (tensor.dense_forward_batch(x, w, b), None),
+        forward=lambda s, x, w, b, keep: (tensor.dense_forward_batch(x, w, b), None),
         backward=lambda s, up, x, w, amap, need_input, need_params: (
             tensor.dense_backward_batch(up, x, w, need_param_grad=need_params)),
         init=lambda s, shape, rng: (
@@ -155,7 +156,7 @@ _KINDS = {
             np.zeros(s.width))),
     "relu": _Kind(
         stem="relu", out_shape=lambda s, shape: shape,
-        forward=lambda s, x, w, b: (tensor.relu_forward(x), None),
+        forward=lambda s, x, w, b, keep: (tensor.relu_forward(x), None),
         backward=lambda s, up, x, w, amap, need_input, need_params: (
             tensor.relu_backward(up, x), None, None),
         grow=lambda s, e: e),
@@ -238,7 +239,9 @@ class Network:
         return 1 if self.head is not None else self.config.num_classes
 
     def param_count(self) -> int:
-        return int(sum(p.size for p in self.params.values()))
+        """Parameters of this network's own layers, not its parent's whole store."""
+        own = {f"{name}.{part}" for name in self.names for part in ("weight", "bias")}
+        return int(sum(p.size for key, p in self.params.items() if key in own))
 
 
 def build_network(config: NetworkConfig) -> Network:
@@ -263,8 +266,9 @@ def forward_batch(net: Network, images, keep: bool = True) -> tuple:
     stack; returns (scores [n, num_outputs], ActivationCache).
 
     keep=False is the score-only pass (evaluation, the sampler's potential):
-    no layer input or argmax map outlives the layer that reads it, the cache
-    is None, and the scores are the same bytes as with keep=True.
+    no layer input outlives the layer that reads it, no pool layer builds an
+    argmax map, the cache is None, and the scores are the same bytes as with
+    keep=True.
     """
     x = np.ascontiguousarray(images, dtype=np.float64)
     if x.shape[1:] != tuple(net.config.input_shape):
@@ -276,8 +280,8 @@ def forward_batch(net: Network, images, keep: bool = True) -> tuple:
         if keep:
             layer_inputs.append(x)
         x, amap = _KINDS[spec.kind].forward(spec, x, net.params.get(name + ".weight"),
-                                            net.params.get(name + ".bias"))
-        if keep and amap is not None:
+                                            net.params.get(name + ".bias"), keep)
+        if amap is not None:
             argmax[i] = amap
     scores = x
     if net.head is not None:

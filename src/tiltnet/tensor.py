@@ -193,8 +193,9 @@ class ArgmaxMap:
     indices: np.ndarray
 
 
-def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int):
-    """Max-pool a batch [n, C, H, W]; returns (pooled, ArgmaxMap).
+def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int, need_map: bool = True):
+    """Max-pool a batch [n, C, H, W]; returns (pooled, ArgmaxMap), the map
+    None when need_map is False (no backward will read it).
 
     Works on one strided view of ``x`` per window offset (i, j), taken in
     row-major scan order, so no window copy is made. ``pooled`` starts as the
@@ -203,10 +204,12 @@ def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int):
     ``-0.0`` against ``0.0`` yields whichever comes first in the window. A NaN
     anywhere in a window makes the cell NaN. The winner is the first offset
     whose view equals ``pooled`` (or, in a NaN cell, the first NaN): the same
-    element ``argmax`` over the window picks. It is kept as a small in-window
-    offset and turned into the flat row-major map at the end. Only an input
-    holding a NaN pays for the NaN tests and for re-reading ``pooled`` from
-    the winners, so that a NaN cell carries the first NaN's bits.
+    element ``argmax`` over the window picks. Walking the offsets back from
+    the last, ``r = (v != pooled) * (r + 1)`` ends at it, in three in-place
+    passes per offset; the flat row-major map is built from it at the end.
+    Only an input holding a NaN pays for the NaN tests and for re-reading
+    ``pooled`` from the winners (even without need_map), so that a NaN cell
+    carries the first NaN's bits.
     """
     x = _as_f64(x)
     if x.ndim != 4:
@@ -222,17 +225,20 @@ def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int):
     pooled = views[0].copy()
     for v in views[1:]:
         np.maximum(v, pooled, out=pooled)
+    _count("maxpool", pooled.size * k * k)
 
     has_nan = bool(np.isnan(pooled).any())
+    if not (need_map or has_nan):
+        return pooled, None
+    # the last offset is never tested: a cell no earlier offset wins goes to it
     inner = np.zeros(pooled.shape, np.int8 if k * k <= 127 else np.intp)
-    still_open = np.ones(pooled.shape, bool)
-    for o, v in enumerate(views):
-        hit = v == pooled
+    miss = np.empty(pooled.shape, bool)
+    for v in reversed(views[:-1]):
+        np.not_equal(v, pooled, out=miss)
         if has_nan:
-            hit |= np.isnan(v)
-        hit &= still_open
-        still_open ^= hit
-        inner += hit * inner.dtype.type(o)
+            miss &= ~np.isnan(v)
+        inner += 1
+        inner *= miss
 
     offset = (np.arange(k, dtype=np.int64)[:, None] * w + np.arange(k)).ravel()
     corner = (np.arange(h_out, dtype=np.int64)[:, None] * w + np.arange(w_out)) * stride
@@ -241,9 +247,7 @@ def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int):
     idx += (np.arange(n * c, dtype=np.int64) * (h * w)).reshape(n, c, 1, 1)
     if has_nan:  # np.maximum keeps the last NaN of a window, argmax the first
         pooled = x.reshape(-1)[idx]
-
-    _count("maxpool", pooled.size * k * k)
-    return pooled, ArgmaxMap(x.shape, idx)
+    return pooled, ArgmaxMap(x.shape, idx) if need_map else None
 
 
 def maxpool_backward_batch(upstream: np.ndarray, amap: ArgmaxMap) -> np.ndarray:

@@ -327,6 +327,20 @@ def test_image_size_other_than_input_shape_exits_2_without_output(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("old,new,fragment", [
+    ("n = 64\nclasses = 2", "n = 64\nclasses = 3",
+     "the evaluation set has 3 classes, the checkpoint outputs 2"),
+    ("image_size = 8", "image_size = 12",
+     "evaluation images are 1x12x12, the checkpoint input_shape is 1x8x8")])
+def test_eval_refuses_a_set_the_checkpoint_cannot_score(tmp_path, capsys, old, new, fragment):
+    ckpt = tmp_path / "net.ckpt"
+    net.save_checkpoint(net.build_network(parse_config(write_config(tmp_path)).network), ckpt)
+    config = write_config(tmp_path, text=BASE_CONFIG.replace(old, new), name="eval.ini")
+    assert cli.main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 2
+    out, err = capsys.readouterr()
+    assert fragment in err and "error_rate" not in out
+
+
 def write_idx(path, count):
     """An IDX image/label pair of `count` 8x8 images, labels alternating 0/1."""
     images, labels = Path(f"{path}-images"), Path(f"{path}-labels")

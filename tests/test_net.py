@@ -24,6 +24,12 @@ def test_reference_stack_parameter_count():
     assert network.params["dense2.weight"].shape == (10, 500)
 
 
+def test_truncation_counts_only_its_own_parameters():
+    network = net.build_network(net.lenet_config())
+    assert net.truncate_at(network, "conv1", 0).param_count() == 520
+    assert net.truncate_at(network, "dense2", 0).param_count() == 431080
+
+
 def test_shape_propagation_reference_stack():
     network = net.build_network(net.lenet_config())
     assert network.names == ["conv1", "pool1", "conv2", "pool2", "flatten1",
@@ -249,6 +255,26 @@ def test_score_only_forward_frees_each_layer_input(monkeypatch, rng):
         monkeypatch.setattr(tensor, name, watch(getattr(tensor, name)))
     net.forward_batch(network, rng.random((4, 1, 28, 28)), keep=False)
     assert len(inputs) == 7 and alive == [0] * 7
+
+
+def test_only_a_kept_forward_builds_pool_maps(monkeypatch, rng):
+    network = net.build_network(net.lenet_config(seed=5))
+    maps = []
+    pool = tensor.maxpool_forward_batch
+
+    def spy(*args, **kwargs):
+        pooled, amap = pool(*args, **kwargs)
+        maps.append(amap)
+        return pooled, amap
+
+    monkeypatch.setattr(tensor, "maxpool_forward_batch", spy)
+    x = rng.random((3, 1, 28, 28))
+    net.forward_batch(network, x, keep=False)
+    assert maps == [None, None]
+    maps.clear()
+    _, cache = net.forward_batch(network, x)
+    assert all(isinstance(amap, tensor.ArgmaxMap) for amap in maps)
+    assert [cache.argmax[i] for i in sorted(cache.argmax)] == maps and len(maps) == 2
 
 
 def test_truncation_at_final_layer_selects_score(tiny_net, rng):

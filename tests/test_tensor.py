@@ -333,6 +333,16 @@ def test_maxpool_matches_window_argmax(case):
     assert tensor.maxpool_backward_batch(up, amap).tobytes() == grad.reshape(x.shape).tobytes()
 
 
+@settings(max_examples=300)
+@given(_pool_cases())
+def test_maxpool_without_map_pools_the_same_bytes(case):
+    # the map-free path stops before the winner search unless a NaN needs it
+    x, k, stride = case
+    pooled, _ = tensor.maxpool_forward_batch(x, k, stride)
+    lean, amap = tensor.maxpool_forward_batch(x, k, stride, need_map=False)
+    assert amap is None and lean.tobytes() == pooled.tobytes()
+
+
 def test_maxpool_rejects_mismatched_map(rng):
     x = rng.normal(size=(1, 1, 4, 4))
     _, amap = tensor.maxpool_forward_batch(x, 2, 2)
