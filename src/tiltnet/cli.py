@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import checks as checks_mod
@@ -204,15 +203,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "inspect":
             return cmd_inspect(args.checkpoint)
+        if args.command == "gradcheck" and not args.config:
+            return cmd_gradcheck(args.seed or 0)
+        spec = parse_config(args.config, args.seed)
         if args.command == "gradcheck":
-            seed = args.seed if args.seed is not None else 0
-            if args.config:
-                spec = parse_config(args.config)
-                seed = args.seed if args.seed is not None else spec.seed
-            return cmd_gradcheck(seed)
-        spec = parse_config(args.config)
-        if args.seed is not None:
-            spec = spec.with_seed(args.seed)
+            return cmd_gradcheck(spec.seed)
         if args.command == "train":
             return cmd_train(spec)
         if args.command == "eval":

@@ -6,7 +6,7 @@ field's type, an absent key takes the field's default, and the dataclass's
 own validate() checks the result. Unknown sections or keys are rejected
 outright; values carry their section and key in every complaint. One master
 seed under [run] feeds network initialization, shuffling, and the sampler
-chain; the CLI --seed flag replaces it after parsing.
+chain; parse_config's seed argument (the CLI --seed flag) overrides it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 from .errors import ConfigError
@@ -68,11 +68,6 @@ class RunSpec:
     hmc: HmcConfig
     out_dir: str
     seed: int
-
-    def with_seed(self, seed: int) -> "RunSpec":
-        network = replace(self.network, seed=seed) if self.network else None
-        return RunSpec(network, replace(self.train, seed=seed), self.data,
-                       replace(self.hmc, seed=seed), self.out_dir, seed)
 
 
 def _get(section: str, items: dict, key: str, conv, default):
@@ -166,12 +161,12 @@ def _network_from(items: dict, seed: int):
         return lenet_config(classes, input_shape, seed)
     if "layers" not in items:
         raise ConfigError("[network]: needs arch or layers")
-    return NetworkConfig(input_shape, parse_layers(items["layers"]),
-                         classes, "gaussian", seed)
+    return NetworkConfig(input_shape, parse_layers(items["layers"]), classes, seed)
 
 
-def parse_config(path) -> RunSpec:
-    """Read and validate a config file into a RunSpec."""
+def parse_config(path, seed=None) -> RunSpec:
+    """Read and validate a config file into a RunSpec; a seed other than
+    None replaces the file's [run] seed, which is still checked."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     with open(path) as fh:   # missing file surfaces as OSError (exit 3)
@@ -191,9 +186,9 @@ def parse_config(path) -> RunSpec:
         sections[name] = items
 
     run = sections.get("run", {})
-    seed = _get("run", run, "seed", int, 0)
-    if seed < 0:
-        raise ConfigError(f"[run] seed: must be >= 0, got {seed}")
+    if (file_seed := _get("run", run, "seed", int, 0)) < 0:
+        raise ConfigError(f"[run] seed: must be >= 0, got {file_seed}")
+    seed = file_seed if seed is None else seed
     out_dir = run.get("out_dir", "")
 
     network = None

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import net as net_mod
-from .errors import NumericsError, ShapeError
+from .errors import ConfigError, NumericsError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -41,19 +41,19 @@ class HmcConfig:
 
     def validate(self) -> None:
         if not all(0 < v < math.inf for v in (self.sigma, self.mass, self.step_size)):
-            raise ValueError("sigma, mass, and step_size must be positive and finite")
+            raise ConfigError("sigma, mass, and step_size must be positive and finite")
         if self.leapfrog_steps < 1:
-            raise ValueError("leapfrog_steps must be >= 1")
+            raise ConfigError("leapfrog_steps must be >= 1")
         if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+            raise ConfigError("iterations must be >= 0")
         if self.init not in ("gaussian", "zero"):
-            raise ValueError(f"unknown init {self.init!r}")
+            raise ConfigError(f"unknown init {self.init!r}")
         # a zero start ignores init_std, so 0 is accepted there
         if not (0 < self.init_std < math.inf or (self.init == "zero" and self.init_std == 0)):
-            raise ValueError("init_std must be positive and finite")
+            raise ConfigError("init_std must be positive and finite")
         outside = [i for i in self.snapshots if not 0 <= i <= self.iterations]
         if outside:
-            raise ValueError(f"snapshots outside [0, iterations = {self.iterations}]: {outside}")
+            raise ConfigError(f"snapshots outside [0, iterations = {self.iterations}]: {outside}")
 
 
 @dataclass

@@ -15,11 +15,14 @@ one record there and one token in ``config.parse_layers``.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
 import struct
+import sys
 import zlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -30,10 +33,7 @@ from .errors import CacheError, CheckpointError, ShapeError
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One layer of the stack. Fields that do not apply to the kind stay 0.
-
-    in_width lets a dense layer pin the width it expects; 0 means inferred.
-    """
+    """One layer of the stack. Fields that do not apply to the kind stay 0."""
     kind: str
     name: str = ""
     channels: int = 0   # conv output channels
@@ -41,7 +41,6 @@ class LayerSpec:
     stride: int = 1
     pad: int = 0
     width: int = 0      # dense output width
-    in_width: int = 0
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,6 @@ class NetworkConfig:
     input_shape: tuple          # (C, H, W)
     layers: tuple               # of LayerSpec
     num_classes: int
-    init: str = "gaussian"
     seed: int = 0
 
 
@@ -66,7 +64,7 @@ def lenet_config(num_classes: int = 10, input_shape=(1, 28, 28), seed: int = 0) 
         LayerSpec("relu"),
         LayerSpec("dense", width=num_classes),
     )
-    return NetworkConfig(tuple(input_shape), layers, num_classes, "gaussian", seed)
+    return NetworkConfig(tuple(input_shape), layers, num_classes, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +113,6 @@ def _dense_shape(spec, shape) -> tuple:
         raise ShapeError("dense layer needs flat input; add a flatten layer")
     if spec.width < 1:
         raise ShapeError("dense layer needs width >= 1")
-    if spec.in_width and spec.in_width != shape[0]:
-        raise ShapeError(f"dense layer expects input width {spec.in_width}, "
-                         f"gets {shape[0]}")
     return (spec.width,)
 
 
@@ -250,8 +245,6 @@ def build_network(config: NetworkConfig) -> Network:
     if net.shapes[-1] != (config.num_classes,):
         raise ShapeError(f"final layer produces {net.shapes[-1]}, "
                          f"expected flat width {config.num_classes}")
-    if config.init != "gaussian":
-        raise ShapeError(f"unknown init scheme {config.init!r}")
     rng = np.random.default_rng(config.seed)
     in_shapes = [tuple(config.input_shape)] + net.shapes[:-1]
     for spec, name, in_shape in zip(config.layers, net.names, in_shapes):
@@ -413,20 +406,16 @@ def write_tensor_file(path, meta: dict, tensors: dict) -> None:
     os.replace(tmp, path)
 
 
-class _Cursor:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
+def _take(fh, n: int) -> bytes:
+    # a stored shape's product can be any size; BytesIO.read takes at most maxsize
+    out = fh.read(min(n, sys.maxsize))
+    if len(out) < n:
+        raise CheckpointError("truncated checkpoint file")
+    return out
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise CheckpointError("truncated checkpoint file")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
 
-    def u(self, fmt: str) -> int:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
+def _u(fh, fmt: str) -> int:
+    return struct.unpack(fmt, _take(fh, struct.calcsize(fmt)))[0]
 
 
 def read_tensor_file(path) -> tuple:
@@ -439,40 +428,32 @@ def read_tensor_file(path) -> tuple:
     stored_crc = struct.unpack("<I", blob[-4:])[0]
     if zlib.crc32(blob[:-4]) != stored_crc:
         raise CheckpointError("checkpoint checksum mismatch")
-    cur = _Cursor(blob[:-4])
-    cur.take(len(_MAGIC))
-    version = cur.u("<I")
+    body = io.BytesIO(blob[len(_MAGIC):-4])
+    version = _u(body, "<I")
     if version != _FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format version {version}")
     try:
-        meta = json.loads(cur.take(cur.u("<I")).decode())
+        meta = json.loads(_take(body, _u(body, "<I")).decode())
     except ValueError as exc:  # bad UTF-8 or bad JSON
         raise CheckpointError(f"checkpoint metadata is not JSON: {exc}") from exc
     if not isinstance(meta, dict):
         raise CheckpointError("checkpoint metadata is not a JSON object")
     tensors = {}
-    for _ in range(cur.u("<I")):
-        name = cur.take(cur.u("<H")).decode()
-        ndim = cur.u("<B")
-        shape = tuple(cur.u("<I") for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        payload = cur.take(count * 8)
+    for _ in range(_u(body, "<I")):
+        try:
+            name = _take(body, _u(body, "<H")).decode()
+        except UnicodeDecodeError as exc:
+            raise CheckpointError("checkpoint tensor name is not UTF-8") from exc
+        shape = tuple(_u(body, "<I") for _ in range(_u(body, "<B")))
+        payload = _take(body, math.prod(shape) * 8)
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-    if cur.pos != len(cur.blob):
+    if body.read(1):
         raise CheckpointError("checkpoint has trailing bytes")
     return meta, tensors
 
 
 def _config_to_meta(config: NetworkConfig) -> dict:
-    return {
-        "kind": "network",
-        "input_shape": list(config.input_shape),
-        "num_classes": config.num_classes,
-        "init": config.init,
-        "seed": config.seed,
-        "layers": [{f.name: getattr(spec, f.name) for f in fields(LayerSpec)}
-                   for spec in config.layers],
-    }
+    return {"kind": "network", **asdict(config)}
 
 
 def _check_meta_type(what: str, value, want: type) -> None:
@@ -484,10 +465,14 @@ def _check_meta_type(what: str, value, want: type) -> None:
 
 def _config_from_meta(meta: dict) -> NetworkConfig:
     try:
-        layers = tuple(LayerSpec(**d) for d in meta["layers"])
+        # files saved before two fields were retired still carry their keys:
+        # the config's init is not read and each layer's input width is
+        # dropped; the stored tensors replace the init either way
+        layers = tuple(LayerSpec(**{k: v for k, v in d.items() if k != "in_width"})
+                       for d in meta["layers"])
         config = NetworkConfig(tuple(meta["input_shape"]), layers,
-                               meta["num_classes"], meta["init"], meta["seed"])
-    except (KeyError, TypeError) as exc:
+                               meta["num_classes"], meta["seed"])
+    except (AttributeError, KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed checkpoint metadata: {exc}") from exc
     for i, spec in enumerate(layers):
         for f in fields(LayerSpec):
@@ -497,7 +482,6 @@ def _config_from_meta(meta: dict) -> NetworkConfig:
         _check_meta_type("input_shape entry", extent, int)
     _check_meta_type("num_classes", config.num_classes, int)
     _check_meta_type("seed", config.seed, int)
-    _check_meta_type("init", config.init, str)
     return config
 
 

@@ -30,15 +30,19 @@ def announce(capsys):
     return _announce
 
 
-def flat_dense_net(input_shape=(1, 2, 2), classes=2):
-    """Zero-parameter scorer: every class score is identically 0, so the
-    tilted density reduces to the reference Gaussian exactly."""
+def flat_dense_net(input_shape=(1, 2, 2), classes=2, tilt=None):
+    """Linear scorer with zero parameters, except that class 0 scores
+    tilt . x when tilt (flat, one weight per pixel) is given. The tilted
+    density is then N(sigma^2 tilt, sigma^2 I) exactly; without a tilt every
+    score is 0 and it is the reference Gaussian."""
     cfg = NetworkConfig(input_shape,
                         (LayerSpec("flatten"), LayerSpec("dense", width=classes)),
                         classes, seed=0)
     net = net_mod.build_network(cfg)
     for p in net.params.values():
         p[...] = 0.0
+    if tilt is not None:
+        net.params["dense1.weight"][0] = tilt
     net.bump_version()
     return net
 
@@ -100,30 +104,37 @@ def test_criterion_4_sampler_mechanics_and_moments(announce):
     rev = suite["leapfrog-reversibility"]
     order = suite["leapfrog-energy-order"]
 
-    # exactly solvable target: zero scorer, so p(x) = N(0, sigma^2 I)
-    net = flat_dense_net()
+    # exactly solvable targets: a zero scorer gives p(x) = N(0, sigma^2 I);
+    # a linear score tilt . x gives N(sigma^2 tilt, sigma^2 I), whose mean
+    # moves with a wrong sign or scale on the tilt, which the zero scorer
+    # cannot show. The tilted chain's shorter trajectories (about a quarter
+    # period) give nearly independent draws, so fewer iterations suffice.
     sigma, mass = 10.0, 0.01
-    cfg = hmc.HmcConfig(sigma=sigma, mass=mass, step_size=0.5, leapfrog_steps=15,
-                        metropolis=True, seed=0)
+    target = np.array([3.0, -3.0, -3.0, 3.0])
+    cases = [("zero", flat_dense_net(), np.zeros(4), 15, 500, 10_000),
+             ("tilted", flat_dense_net(tilt=target / sigma**2), target, 3, 100, 8_000)]
     rng = np.random.default_rng(2024)
-    x0 = rng.normal(0.0, sigma, (1, 2, 2))
-    state = hmc.ChainState(x0, np.zeros_like(x0),
-                           hmc.potential(net, 0, x0, sigma), 0)
-    burn, keep = 500, 10_000
-    draws = np.empty((keep, x0.size))
-    for it in range(burn + keep):
-        state, _ = hmc.hmc_iterate(state, net, 0, cfg, rng)
-        if it >= burn:
-            draws[it - burn] = state.x.ravel()
-    pooled = draws.ravel()
-    mean, var = float(pooled.mean()), float(pooled.var())
-    moments_ok = abs(mean) <= 0.05 * sigma and abs(var - sigma**2) <= 0.05 * sigma**2
+    moments_ok, details = True, []
+    for label, net, mean_want, steps, burn, keep in cases:
+        x0 = rng.normal(0.0, sigma, (1, 2, 2))
+        state = hmc.ChainState(x0, np.zeros_like(x0),
+                               hmc.potential(net, 0, x0, sigma), 0)
+        cfg = hmc.HmcConfig(sigma=sigma, mass=mass, step_size=0.5, leapfrog_steps=steps,
+                            metropolis=True, seed=0)
+        draws = np.empty((keep, x0.size))
+        for it in range(burn + keep):
+            state, _ = hmc.hmc_iterate(state, net, 0, cfg, rng)
+            if it >= burn:
+                draws[it - burn] = state.x.ravel()
+        mean_err = float(np.abs(draws.mean(axis=0) - mean_want).max())
+        var = float(draws.var(axis=0).mean())
+        moments_ok &= mean_err <= 0.05 * sigma and abs(var - sigma**2) <= 0.05 * sigma**2
+        details.append(f"{label} {keep} samples: max pixel |mean err|={mean_err:.3f} "
+                       f"<= 0.5, var={var:.1f} in [95,105]")
 
     announce(4, "sampler", rev.ok and order.ok and moments_ok,
              f"reversibility={rev.value:.2e} <= 1e-8, "
-             f"dH_ratio={order.value:.2f} in [3.5,4.5], "
-             f"{keep} samples: |mean|={abs(mean):.3f} <= 0.5, "
-             f"var={var:.1f} in [95,105]")
+             f"dH_ratio={order.value:.2f} in [3.5,4.5], " + "; ".join(details))
 
 
 def test_criterion_5_synthetic_two_class_training(announce):

@@ -197,12 +197,16 @@ def test_readme_config_parses_and_lists_every_key(tmp_path):
         assert set(listed[section]) == table_keys(section), section
 
 
-def test_with_seed_replaces_every_component(tmp_path):
-    spec = parse_config(write_config(tmp_path)).with_seed(99)
+def test_seed_override_replaces_every_component(tmp_path):
+    spec = parse_config(write_config(tmp_path), seed=99)
     assert spec.seed == 99
     assert spec.network.seed == 99
     assert spec.train.seed == 99
     assert spec.hmc.seed == 99
+    # the file's own seed is still checked under an override
+    bad = write_config(tmp_path, text=BASE_CONFIG.replace("seed = 3", "seed = -1"), name="bad.ini")
+    with pytest.raises(ConfigError, match=r"\[run\] seed"):
+        parse_config(bad, seed=99)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +414,34 @@ def test_ill_typed_checkpoint_meta_exits_3(tmp_path, capsys):
     net.write_tensor_file(ckpt, meta, tensors)
     assert cli.main(["inspect", "--checkpoint", str(ckpt)]) == 3
     assert "layer 0 channels is '2', expected int" in capsys.readouterr().err
+
+
+def test_checkpoint_with_retired_meta_keys_still_loads(tmp_path, capsys):
+    # the meta as written before LayerSpec.in_width and NetworkConfig.init
+    # were retired: the same keys plus those two
+    new, old, resaved = tmp_path / "new.ckpt", tmp_path / "old.ckpt", tmp_path / "re.ckpt"
+    network = net.build_network(parse_config(write_config(tmp_path)).network)
+    net.save_checkpoint(network, new)
+    meta, tensors = net.read_tensor_file(new)
+    meta["init"] = "gaussian"
+    for layer in meta["layers"]:
+        layer["in_width"] = 0
+    net.write_tensor_file(old, meta, tensors)
+    loaded = net.load_checkpoint(old)
+    assert loaded.config == network.config
+    assert loaded.params.keys() == network.params.keys()
+    assert all(np.array_equal(loaded.params[k], network.params[k]) for k in network.params)
+    net.save_checkpoint(loaded, resaved)   # re-saving drops the retired keys
+    assert resaved.read_bytes() == new.read_bytes()
+    assert cli.main(["inspect", "--checkpoint", str(new)]) == 0
+    want = capsys.readouterr().out
+    assert cli.main(["inspect", "--checkpoint", str(old)]) == 0
+    assert capsys.readouterr().out == want
+    # any other unknown layer key is still refused
+    meta["layers"][0]["dilation"] = 1
+    net.write_tensor_file(old, meta, tensors)
+    assert cli.main(["inspect", "--checkpoint", str(old)]) == 3
+    assert "dilation" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("layer,channel,fragment", [

@@ -7,7 +7,7 @@ import pytest
 from tiltnet import hmc
 from tiltnet import net as net_mod
 from tiltnet.checks import fd_grad, hmc_suite
-from tiltnet.errors import NumericsError, ShapeError
+from tiltnet.errors import ConfigError, NumericsError, ShapeError
 
 from conftest import read_image, tiny_config
 
@@ -239,16 +239,16 @@ def test_zero_init_starts_at_origin(tiny_net):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         hmc.HmcConfig(step_size=0.0).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         hmc.HmcConfig(leapfrog_steps=0).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         hmc.HmcConfig(iterations=-1).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         hmc.HmcConfig(init="uniform").validate()
     for outside in ((4,), (-1,), (2, -4, 99)):
-        with pytest.raises(ValueError, match="snapshots outside"):
+        with pytest.raises(ConfigError, match="snapshots outside"):
             hmc.HmcConfig(iterations=3, snapshots=outside).validate()
     hmc.HmcConfig(iterations=3, snapshots=(0, 3)).validate()
     hmc.HmcConfig().validate()

@@ -46,10 +46,6 @@ def test_bad_configs_rejected():
         net.build_network(net.NetworkConfig(
             (1, 6, 6),
             (net.LayerSpec("flatten"), net.LayerSpec("dense", width=5)), 4))
-    with pytest.raises(ShapeError, match="expects input width"):
-        net.build_network(net.NetworkConfig(
-            (1, 6, 6),
-            (net.LayerSpec("flatten"), net.LayerSpec("dense", width=4, in_width=99)), 4))
     with pytest.raises(ShapeError, match="duplicate"):
         net.build_network(net.NetworkConfig(
             (1, 6, 6),
@@ -396,6 +392,7 @@ def test_checkpoint_roundtrip_is_byte_identical(tiny_net, tmp_path):
 
 
 def test_checkpoint_rejects_corruption(tiny_net, tmp_path):
+    import struct, zlib
     p = tmp_path / "x.ckpt"
     net.save_checkpoint(tiny_net, p)
     blob = bytearray(p.read_bytes())
@@ -418,6 +415,23 @@ def test_checkpoint_rejects_corruption(tiny_net, tmp_path):
     bad_magic.write_bytes(bytes(blob3))
     with pytest.raises(CheckpointError, match="magic|checksum"):
         net.load_checkpoint(bad_magic)
+
+    # the first tensor name's first byte, re-signed: only the name is wrong
+    bad_name = tmp_path / "name.ckpt"
+    blob4 = bytearray(blob[:-4])
+    blob4[16 + struct.unpack("<I", blob[12:16])[0] + 4 + 2] = 0xFF
+    bad_name.write_bytes(bytes(blob4) + struct.pack("<I", zlib.crc32(bytes(blob4))))
+    with pytest.raises(CheckpointError, match="checkpoint tensor name is not UTF-8"):
+        net.load_checkpoint(bad_name)
+
+    # a stored shape whose element count exceeds any file, re-signed
+    huge = tmp_path / "huge.ckpt"
+    net.write_tensor_file(huge, {}, {"w": np.zeros((1, 1, 1))})
+    blob5 = bytearray(huge.read_bytes()[:-4])
+    blob5[-20:-8] = struct.pack("<III", *[2**32 - 1] * 3)
+    huge.write_bytes(bytes(blob5) + struct.pack("<I", zlib.crc32(bytes(blob5))))
+    with pytest.raises(CheckpointError, match="truncated checkpoint file"):
+        net.read_tensor_file(huge)
 
 
 def test_checkpoint_rejects_future_version(tiny_net, tmp_path):
@@ -468,7 +482,7 @@ def test_checkpoint_meta_must_be_a_json_object(tiny_net, tmp_path, meta_blob, fr
     (None, "input_shape", [1, "6", 6], "input_shape entry is '6'"),
     (None, "num_classes", False, "num_classes is False"),
     (None, "seed", "0", "seed is '0'"),
-    (None, "init", None, "init is None"),
+    (None, "layers", [1], "malformed checkpoint metadata"),
 ])
 def test_checkpoint_with_ill_typed_meta_is_refused(tiny_net, tmp_path, layer, key,
                                                    value, fragment):
