@@ -208,6 +208,22 @@ def tensor_suite(seed: int = 0) -> list:
     gr = tensor.relu_backward(rprobe, xr)
     gr_fd = fd_grad(lambda a: float((tensor.relu_forward(a) * rprobe).sum()), xr.copy())
     results.append(_res("relu-grad", rel_err(gr_fd, gr), 1e-6))
+
+    # the two-way split changes no byte: LeNet's conv2 (forward, both
+    # gradients) and pool1 at batch 64, with the worker forced on, then off
+    xc, kc, upc, xq = (rng.normal(0.0, 1.0, s) for s in (
+        (64, 20, 12, 12), (50, 20, 5, 5), (64, 50, 8, 8), (64, 20, 24, 24)))
+    runs, forced = [], tensor._WORKER
+    try:
+        for on in (True, False):
+            tensor._WORKER = on
+            pooled, pmap = tensor.maxpool_forward_batch(xq, 2, 2)
+            runs.append([pooled, pmap.indices, tensor.conv2d_forward_batch(xc, kc, kc[:, 0, 0, 0]),
+                         *tensor.conv2d_backward_batch(upc, xc, kc)])
+    finally:
+        tensor._WORKER = forced
+    results.append(_res("split-bytes-differ", sum(np.count_nonzero(
+        a.view(np.uint8) != b.view(np.uint8)) for a, b in zip(*runs)), 0.0))
     return results
 
 

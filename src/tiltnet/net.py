@@ -83,6 +83,7 @@ class _Kind:
     backward: Callable   # (spec, up, x, weight, amap, need_input, need_params) -> (gx, gw, gb)
     init: Callable = None  # (spec, in_shape, rng) -> (weight, bias); None: no parameters
     grow: Callable = None  # (spec, out_extent) -> in_extent; None: no spatial inverse
+    reads_input: bool = True  # False: its backward gets x None (a kept pass frees it)
 
 
 def _spatial(shape, message: str) -> tuple:
@@ -133,7 +134,7 @@ _KINDS = {
         forward=lambda s, x, w, b, keep: tensor.maxpool_forward_batch(x, s.kernel, s.stride, keep),
         backward=lambda s, up, x, w, amap, need_input, need_params: (
             tensor.maxpool_backward_batch(up, amap), None, None),
-        grow=lambda s, e: (e - 1) * s.stride + s.kernel),
+        grow=lambda s, e: (e - 1) * s.stride + s.kernel, reads_input=False),
     "flatten": _Kind(
         stem="flatten",
         out_shape=lambda s, shape: (
@@ -183,9 +184,10 @@ def _resolve_names(layers) -> list:
 
 @dataclass
 class ActivationCache:
-    """Per-layer forward inputs, pooling argmax maps and scores for one batch:
-    what the backward passes read. Only ``forward_batch(keep=True)`` builds
-    one; a score-only pass keeps none of it.
+    """Per-layer forward inputs (None where the backward reads none: pool
+    layers), pooling argmax maps and scores for one batch: what the backward
+    passes read. Only ``forward_batch(keep=True)`` builds one; a score-only
+    pass keeps none of it.
 
     version pins the parameters the pass was computed with; the backward
     passes refuse a cache that predates an optimizer step.
@@ -271,7 +273,7 @@ def forward_batch(net: Network, images, keep: bool = True) -> tuple:
     argmax: dict = {}
     for i, (spec, name) in enumerate(zip(net.layers, net.names)):
         if keep:
-            layer_inputs.append(x)
+            layer_inputs.append(x if _KINDS[spec.kind].reads_input else None)
         x, amap = _KINDS[spec.kind].forward(spec, x, net.params.get(name + ".weight"),
                                             net.params.get(name + ".bias"), keep)
         if amap is not None:

@@ -9,6 +9,7 @@ inputs give bit-identical outputs. Every primitive is batch-first: images are
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -58,22 +59,77 @@ def output_extent(extent: int, kernel: int, stride: int = 1, pad: int = 0,
 # ---------------------------------------------------------------------------
 # convolution (cross-correlation: kernels are applied unflipped)
 
-def _columns(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Column matrix [C_in·kH·kW, n·H'·W'] of a batch: row (c, i, j) holds
-    input channel c at kernel offset (i, j) for every output position, batch
-    before rows before columns."""
-    n, c_in = x.shape[:2]
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """[C_in, kH, kW, n, H', W'] view of a batch's column matrix: reshaped to
+    [C_in·kH·kW, n·H'·W'], row (c, i, j) holds input channel c at kernel
+    offset (i, j) for every output position, batch before rows before
+    columns. Only a padded input is copied, once for the whole batch."""
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    h_out, w_out = win.shape[2:4]
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c_in * kh * kw, n * h_out * w_out)
+    return win.transpose(1, 4, 5, 0, 2, 3)
 
 
-# Column-matrix bytes per forward block: one core's L2 (4 MiB on the 2-vCPU
-# Xeon the benchmark baseline ran on), so a block's GEMM reads its columns
-# from cache. Whole-batch columns at batch 256 (65.5 MB for LeNet's conv2)
-# made that layer's forward about 1.6x slower there.
+# Column-matrix bytes of the two blocks in flight, half each: one core's L2
+# (4 MiB on the 2-vCPU Xeon the benchmark baseline ran on), so a block's GEMM
+# reads its columns from cache. Whole-batch columns at batch 256 (65.5 MB for
+# LeNet's conv2) made that layer's forward about 1.6x slower there.
 _BLOCK_BYTES = 4 << 20
+
+def _split_engages() -> bool:
+    """At least 2 CPUs, and OpenBLAS runs one thread: the first variable it
+    reads that holds a positive count says 1 (read here, never set)."""
+    counts = [int(v) for v in map(os.environ.get, (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+        if v and v.strip().isdigit() and int(v) > 0]
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    return counts[:1] == [1] and len(cpus) >= 2
+
+
+_WORKER = _split_engages()  # tests and checks force it on or off
+_workers = {}  # pid -> its one-thread executor: a forked child starts its own
+
+
+def _in_blocks(n: int, per_image: int, sizes, body) -> None:
+    """body(start, b, bufs) for each block of b images, the most whose
+    per_image·b elements take half of ``_BLOCK_BYTES`` (at least one); bufs
+    are flat arrays of sizes[k]·b elements, one set per thread, allocated
+    here. With more than one block and the split engaged, a worker thread
+    takes blocks too: each thread takes the next block whenever it is free,
+    so a thread the OS delays holds up at most one block. Each block writes
+    its own rows and the blocks depend only on shapes, so the bytes are the
+    same with the worker on or off, whichever thread ran a block. The worker
+    runs only numpy calls and private helpers (no module attribute a
+    profiler may wrap) and allocates nothing large."""
+    block = max(1, _BLOCK_BYTES // (16 * per_image))
+    if n <= block:  # one block, on this thread (the sampler's single image)
+        return body(0, n, [np.empty(size * n) for size in sizes])
+    todo = iter(range(0, n, block))  # shared; its next() is atomic under the interpreter lock
+    scratch = [[np.empty(size * block) for size in sizes] for _ in range(2 if _WORKER else 1)]
+
+    def part(t):
+        for start in todo:
+            b = min(block, n - start)
+            body(start, b, [buf[:size * b] for buf, size in zip(scratch[t], sizes)])
+
+    if _WORKER:
+        _dispatch(part)
+    else:
+        part(0)
+
+
+def _dispatch(part) -> None:
+    """part(1) on the worker, part(0) here; the worker's error is raised here
+    once both are done."""
+    if os.getpid() not in _workers:
+        from concurrent.futures import ThreadPoolExecutor  # not on import: ~5 ms
+        _workers.clear()
+        _workers[os.getpid()] = ThreadPoolExecutor(1)
+    job = _workers[os.getpid()].submit(part, 1)
+    try:
+        part(0)
+    finally:
+        job.exception()  # waits
+    job.result()
 
 
 def conv2d_forward_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
@@ -81,16 +137,15 @@ def conv2d_forward_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     """Cross-correlate a batch [n, C_in, H, W] with kernels
     [C_out, C_in, kH, kW] plus per-channel bias; returns [n, C_out, H', W'].
 
-    The batch runs in blocks of b images, b the most whose column matrix
-    [C_in·kH·kW, b·H'·W'] (see ``_columns``) fits in ``_BLOCK_BYTES``, and
-    at least one. Each block is one GEMM, kernels as [C_out, C_in·kH·kW]
-    times its columns; the [C_out, b, H', W'] product takes the bias and is
+    The batch runs in blocks of b images (see ``_in_blocks``). Each block is
+    one GEMM, kernels as [C_out, C_in·kH·kW] times its columns (see
+    ``_windows``); the [C_out, b, H', W'] product takes the bias and is
     copied transposed into its rows of the NCHW output. So a call holds the
-    output plus one block's columns and product, whatever n is, and a batch
-    within the budget (n=1 in the sampler) is a single block. The batch lies
-    along the GEMM's column axis: on LeNet's geometries an image's output
-    has the same bytes whatever block it lands in, while OpenBLAS can give
-    other geometries last-bit differences from one whole-batch product.
+    output plus two blocks' columns and products, whatever n is, and a batch
+    within one block (n=1 in the sampler) stays on one thread. The batch lies
+    along the GEMM's column axis: on LeNet's geometries an image's output has
+    the same bytes whatever block it lands in, while OpenBLAS can give other
+    geometries last-bit differences from one whole-batch product.
     """
     x = _as_f64(x)
     kernels = _as_f64(kernels)
@@ -109,16 +164,18 @@ def conv2d_forward_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     w_out = output_extent(w, kw, stride, pad, "conv2d width")
 
     weights = kernels.reshape(c_out, -1)
-    block = max(1, _BLOCK_BYTES // (8 * weights.shape[1] * h_out * w_out))
+    rows, hw = weights.shape[1], h_out * w_out
+    win = _windows(x, kh, kw, stride, pad)
     out = np.empty((n, c_out, h_out, w_out))
-    for start in range(0, n, block):
-        xb = x[start:start + block]
-        # the columns are passed inline so they are freed before the copy,
-        # and the product is freed before the next block's GEMM
-        prod = weights @ _columns(xb, kh, kw, stride, pad)
+
+    def block(start, b, bufs):
+        cols = bufs[0].reshape(win.shape[:3] + (b, h_out, w_out))
+        np.copyto(cols, win[:, :, :, start:start + b])
+        prod = np.matmul(weights, cols.reshape(rows, -1), out=bufs[1].reshape(c_out, -1))
         prod += bias[:, None]
-        out[start:start + len(xb)] = prod.reshape(c_out, -1, h_out, w_out).transpose(1, 0, 2, 3)
-        del prod
+        out[start:start + b] = prod.reshape(c_out, b, h_out, w_out).transpose(1, 0, 2, 3)
+
+    _in_blocks(n, rows * hw, (rows * hw, c_out * hw), block)
     _count("conv2d", out.size * c_in * kh * kw)
     return out
 
@@ -135,12 +192,13 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
     leaves the other results bit-identical.
 
     Kernel gradient: one GEMM, ``upstream`` as [C_out, n·H'·W'] times the
-    transposed column matrix of the forward. Input gradient: one GEMM,
-    kernels as [kH·kW·C_in, C_out] times ``upstream`` as [C_out, H'·W'·n],
+    transposed column matrix of the whole batch, filled in the forward's
+    blocks of b images. Input gradient: one GEMM per block, kernels as
+    [kH·kW·C_in, C_out] times the block's ``upstream`` as [C_out, H'·W'·b],
     batch innermost, so each kernel offset (i, j) owns a contiguous
-    [C_in, H', W', n] block. The kH·kW blocks are added at their strided
-    positions into a [C_in, H+2p, W+2p, n] buffer, which is cropped and
-    transposed to NCHW once.
+    [C_in, H', W', b] block. The kH·kW blocks are added at their strided
+    positions into a [C_in, H+2p, W+2p, b] buffer, which is cropped and
+    transposed into the block's NCHW rows.
     """
     upstream = _as_f64(upstream)
     x = _as_f64(x)
@@ -152,27 +210,41 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
     if upstream.shape != (n, c_out, h_out, w_out):
         raise ShapeError(
             f"conv2d backward: upstream {upstream.shape} != {(n, c_out, h_out, w_out)}")
+    rows, hw = c_in * kh * kw, h_out * w_out
 
     grad_kernels = grad_bias = None
     if need_param_grad:
+        win = _windows(x, kh, kw, stride, pad)
+        cols = np.empty(win.shape)
+
+        def fill(start, b, bufs):
+            cols[:, :, :, start:start + b] = win[:, :, :, start:start + b]
+
+        _in_blocks(n, rows * hw, (), fill)
         up = upstream.transpose(1, 0, 2, 3).reshape(c_out, -1)
-        grad_kernels = (up @ _columns(x, kh, kw, stride, pad).T).reshape(kernels.shape)
+        grad_kernels = (up @ cols.reshape(rows, -1).T).reshape(kernels.shape)
         grad_bias = up.sum(axis=1)
-        del up
+        del up, cols
 
     grad_input = None
     if need_input_grad:
-        up = upstream.transpose(1, 2, 3, 0).reshape(c_out, -1)
-        contrib = kernels.transpose(2, 3, 1, 0).reshape(-1, c_out) @ up
-        del up
-        contrib = contrib.reshape(kh, kw, c_in, h_out, w_out, n)
-        gxp = np.zeros((c_in, h + 2 * pad, w + 2 * pad, n))
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += contrib[i, j]
-        del contrib
-        grad_input = np.ascontiguousarray(
-            gxp[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2))
+        k_t = kernels.transpose(2, 3, 1, 0).reshape(-1, c_out)
+        grad_input = np.empty(x.shape)
+        padded = (c_in, h + 2 * pad, w + 2 * pad)
+
+        def block(start, b, bufs):
+            up = bufs[1].reshape(c_out, h_out, w_out, b)
+            np.copyto(up, upstream[start:start + b].transpose(1, 2, 3, 0))
+            contrib = np.matmul(k_t, up.reshape(c_out, -1), out=bufs[0].reshape(rows, hw * b))
+            contrib = contrib.reshape(kh, kw, c_in, h_out, w_out, b)
+            gxp = bufs[2].reshape(padded + (b,))
+            gxp.fill(0.0)
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += contrib[i, j]
+            grad_input[start:start + b] = gxp[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
+
+        _in_blocks(n, rows * hw, (rows * hw, c_out * hw, c_in * padded[1] * padded[2]), block)
     _count("conv2d_bwd", upstream.size * c_in * kh * kw)
     return grad_input, grad_kernels, grad_bias
 
@@ -199,17 +271,18 @@ def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int, need_map: boo
 
     Works on one strided view of ``x`` per window offset (i, j), taken in
     row-major scan order, so no window copy is made. ``pooled`` starts as the
-    first view and takes the elementwise maximum with each later one; on a
-    tie ``np.maximum`` keeps its second argument, the earlier value, so
-    ``-0.0`` against ``0.0`` yields whichever comes first in the window. A NaN
-    anywhere in a window makes the cell NaN. The winner is the first offset
-    whose view equals ``pooled`` (or, in a NaN cell, the first NaN): the same
-    element ``argmax`` over the window picks. Walking the offsets back from
-    the last, ``r = (v != pooled) * (r + 1)`` ends at it, in three in-place
-    passes per offset; the flat row-major map is built from it at the end.
-    Only an input holding a NaN pays for the NaN tests and for re-reading
-    ``pooled`` from the winners (even without need_map), so that a NaN cell
-    carries the first NaN's bits.
+    first view and takes the elementwise maximum with each later one, in
+    blocks of images (see ``_in_blocks``); on a tie ``np.maximum`` keeps its
+    second argument, the earlier value, so ``-0.0`` against ``0.0`` yields
+    whichever comes first in the window. A NaN anywhere in a window makes the
+    cell NaN. The winner is the first offset whose view equals ``pooled``
+    (or, in a NaN cell, the first NaN): the same element ``argmax`` over the
+    window picks. Walking the offsets back from the last,
+    ``r = (v != pooled) * (r + 1)`` ends at it, in three in-place passes per
+    offset; the flat row-major map is built from it at the end. Only an
+    input holding a NaN pays for the NaN tests and for re-reading ``pooled``
+    from the winners (even without need_map), so that a NaN cell carries the
+    first NaN's bits.
     """
     x = _as_f64(x)
     if x.ndim != 4:
@@ -222,9 +295,14 @@ def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int, need_map: boo
     h_span, w_span = stride * (h_out - 1) + 1, stride * (w_out - 1) + 1
     views = [x[:, :, i:i + h_span:stride, j:j + w_span:stride]
              for i in range(k) for j in range(k)]
-    pooled = views[0].copy()
-    for v in views[1:]:
-        np.maximum(v, pooled, out=pooled)
+    pooled = np.empty((n, c, h_out, w_out))
+
+    def block(start, b, bufs):
+        np.copyto(pooled[start:start + b], views[0][start:start + b])
+        for v in views[1:]:
+            np.maximum(v[start:start + b], pooled[start:start + b], out=pooled[start:start + b])
+
+    _in_blocks(n, c * h * w, (), block)
     _count("maxpool", pooled.size * k * k)
 
     has_nan = bool(np.isnan(pooled).any())

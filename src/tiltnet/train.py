@@ -93,13 +93,17 @@ def sgd_step(net: net_mod.Network, grads: dict, state: OptimizerState,
         missing = set(net.params) ^ set(grads)
         raise ShapeError(f"gradient dict does not match parameters: {sorted(missing)}")
     for name in sorted(grads):
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
+        g, w, v = grads[name], net.params[name], state.velocity[name]
+        with np.errstate(over="ignore", invalid="ignore"):  # a finite sum has finite entries
+            finite = np.isfinite(g.sum()) or np.all(np.isfinite(g))
+        if not finite:
             raise NumericsError(f"non-finite gradient for {name}")
-        v = state.velocity[name]
-        v *= momentum
-        v += lr * (g - weight_decay * net.params[name])
-        net.params[name] += v
+        v *= momentum  # v += lr * (g - weight_decay * w), in place, same order
+        t = w * weight_decay
+        np.subtract(g, t, out=t)
+        t *= lr
+        v += t
+        w += v
     net.bump_version()
 
 

@@ -522,7 +522,7 @@ def test_module_runs_as_a_command():
     ok = subprocess.run([sys.executable, "-m", "tiltnet.cli", "gradcheck"], env=env,
                         capture_output=True, text=True, timeout=300)
     assert ok.returncode == 0
-    assert ok.stdout.splitlines()[-1] == "checks=19 failures=0"
+    assert ok.stdout.splitlines()[-1] == "checks=20 failures=0"
     bad = subprocess.run([sys.executable, "-m", "tiltnet.cli", "serve"], env=env,
                          capture_output=True, text=True, timeout=60)
     assert bad.returncode == 2 and "invalid choice" in bad.stderr

@@ -253,6 +253,44 @@ def test_score_only_forward_frees_each_layer_input(monkeypatch, rng):
     assert len(inputs) == 7 and alive == [0] * 7
 
 
+def test_kept_forward_frees_pool_inputs(monkeypatch, rng):
+    # no backward reads a pool layer's input (its routing is in the map), so
+    # conv1's output is dead once pool1 has run, and the cache holds None
+    network = net.build_network(net.lenet_config(seed=5))
+    pool_inputs, alive_at_conv = [], []
+    pool, conv = tensor.maxpool_forward_batch, tensor.conv2d_forward_batch
+
+    def watch_pool(x, *args, **kwargs):
+        pool_inputs.append(weakref.ref(x))
+        return pool(x, *args, **kwargs)
+
+    def watch_conv(x, *args, **kwargs):
+        alive_at_conv.append([ref() is not None for ref in pool_inputs])
+        return conv(x, *args, **kwargs)
+
+    monkeypatch.setattr(tensor, "maxpool_forward_batch", watch_pool)
+    monkeypatch.setattr(tensor, "conv2d_forward_batch", watch_conv)
+    x = rng.random((6, 1, 28, 28))
+    scores, cache = net.forward_batch(network, x)
+    assert alive_at_conv == [[], [False]]
+    assert all(ref() is None for ref in pool_inputs)
+    assert [i for i, a in enumerate(cache.layer_inputs) if a is None] == [1, 3]
+    monkeypatch.undo()
+
+    # the backward reads the same bytes as from a cache that kept them
+    probe = rng.normal(size=scores.shape)
+    full = list(cache.layer_inputs)
+    full[1] = tensor.conv2d_forward_batch(x, network.params["conv1.weight"],
+                                          network.params["conv1.bias"])
+    full[3] = tensor.conv2d_forward_batch(full[2], network.params["conv2.weight"],
+                                          network.params["conv2.bias"])
+    kept = net.ActivationCache(full, cache.argmax, cache.scores, cache.version)
+    grads, want = net.backward_params(network, cache, probe), net.backward_params(network, kept, probe)
+    assert all(grads[k].tobytes() == want[k].tobytes() for k in want)
+    got, want = net.backward_input(network, cache, probe), net.backward_input(network, kept, probe)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_only_a_kept_forward_builds_pool_maps(monkeypatch, rng):
     network = net.build_network(net.lenet_config(seed=5))
     maps = []

@@ -234,12 +234,13 @@ def test_conv_forward_blocks_match_per_image_calls(rng, c_in, extent, c_out):
 
 def test_conv_forward_blocks_keep_padding_and_stride(rng, monkeypatch):
     # integers make every sum exact, so only the block bookkeeping can differ:
-    # a budget of two images' columns splits 5 images into 2 + 2 + 1
+    # a block takes half the budget, so a budget of four images' columns
+    # splits 5 images into 2 + 2 + 1
     x = rng.integers(-3, 4, (5, 2, 7, 7)).astype(float)
     kernels = rng.integers(-3, 4, (3, 2, 3, 3)).astype(float)
     bias = rng.integers(-3, 4, 3).astype(float)
     want = tensor.conv2d_forward_batch(x, kernels, bias, stride=2, pad=1)
-    monkeypatch.setattr(tensor, "_BLOCK_BYTES", 2 * 8 * 2 * 3 * 3 * 4 * 4 + 8)
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", 2 * (2 * 8 * 2 * 3 * 3 * 4 * 4 + 8))
     got = tensor.conv2d_forward_batch(x, kernels, bias, stride=2, pad=1)
     assert got.tobytes() == want.tobytes()
 

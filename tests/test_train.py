@@ -65,6 +65,44 @@ def test_sgd_step_refuses_nonfinite():
         train.sgd_step(network, grads, state, 0.1, 0.0, 0.9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sgd_step_refuses_each_nonfinite_kind_with_its_name(bad):
+    network = build_network(small_config())
+    state = train.OptimizerState(network)
+    grads = {k: np.ones_like(v) for k, v in network.params.items()}
+    grads["dense1.weight"][0, 3] = bad
+    with pytest.raises(NumericsError, match="^non-finite gradient for dense1.weight$"):
+        train.sgd_step(network, grads, state, 0.1, 0.0005, 0.9)
+
+
+def test_sgd_step_accepts_a_finite_gradient_whose_sum_overflows():
+    network = build_network(small_config())
+    state = train.OptimizerState(network)
+    grads = {k: np.zeros_like(v) for k, v in network.params.items()}
+    grads["dense1.weight"][0, :2] = 1e308
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(grads["dense1.weight"].sum())
+    train.sgd_step(network, grads, state, 1e-10, 0.0, 0.9)
+    assert np.isfinite(network.params["dense1.weight"]).all()
+
+
+def test_sgd_step_bytes_equal_the_longhand_update():
+    rng = np.random.default_rng(4)
+    network = build_network(small_config())
+    state = train.OptimizerState(network)
+    params = {k: v.copy() for k, v in network.params.items()}
+    velocity = {}
+    for step in range(3):
+        grads = {k: rng.normal(0.0, 0.1, v.shape) for k, v in params.items()}
+        train.sgd_step(network, grads, state, 0.01, 0.0005, 0.9)
+        for k, g in grads.items():
+            velocity[k] = 0.9 * velocity.get(k, np.zeros_like(g)) + 0.01 * (g - 0.0005 * params[k])
+            params[k] = params[k] + velocity[k]
+    for k in params:
+        assert network.params[k].tobytes() == params[k].tobytes(), k
+        assert state.velocity[k].tobytes() == velocity[k].tobytes(), k
+
+
 def test_sgd_step_invalidates_caches():
     network = build_network(small_config())
     version = network.version
