@@ -9,6 +9,7 @@ inputs give bit-identical outputs. Every primitive is batch-first: images are
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -69,6 +70,35 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarr
     return win.transpose(1, 4, 5, 0, 2, 3)
 
 
+def _conv_geometry(x: np.ndarray, kernels: np.ndarray, stride: int, pad: int) -> tuple:
+    """(n, C_in, H, W, C_out, kH, kW, H', W') of a conv call, or ShapeError."""
+    if x.ndim != 4:
+        raise ShapeError(f"conv2d: input must be 4-D [n,C,H,W], got {x.shape}")
+    if kernels.ndim != 4:
+        raise ShapeError(f"conv2d: kernels must be 4-D, got {kernels.shape}")
+    n, c_in, h, w = x.shape
+    c_out, kc, kh, kw = kernels.shape
+    if kc != c_in:
+        raise ShapeError(f"conv2d: kernels expect {kc} input channels, image has {c_in}")
+    return (n, c_in, h, w, c_out, kh, kw, output_extent(h, kh, stride, pad, "conv2d height"),
+            output_extent(w, kw, stride, pad, "conv2d width"))
+
+
+def _scatter_index(kh, kw, c_in, hp, wp, stride, h_out, w_out, b) -> np.ndarray:
+    """Flat map from each element of a block's input-gradient contributions
+    [kH, kW, C_in, H', W', b] to its cell of the padded grid [C_in, Hp, Wp, b].
+    Never written, yet writeable: np.bincount copies a read-only index."""
+    index = np.zeros((kh, kw, c_in, h_out, w_out, b), np.int64)
+    steps = (wp * b, b, hp * wp * b, stride * wp * b, stride * b, 1)
+    for term in np.ix_(*(np.arange(e) * s for e, s in zip(index.shape, steps))):
+        index += term
+    return index.reshape(-1)
+
+
+# per geometry; callers keep only indices of at most half of _BLOCK_BYTES here
+_cached_index = functools.lru_cache(maxsize=8)(_scatter_index)
+
+
 # Column-matrix bytes of the two blocks in flight, half each: one core's L2
 # (4 MiB on the 2-vCPU Xeon the benchmark baseline ran on), so a block's GEMM
 # reads its columns from cache. Whole-batch columns at batch 256 (65.5 MB for
@@ -89,6 +119,10 @@ _WORKER = _split_engages()  # tests and checks force it on or off
 _workers = {}  # pid -> its one-thread executor: a forked child starts its own
 
 
+def _block_images(per_image: int) -> int:  # the block size of _in_blocks
+    return max(1, _BLOCK_BYTES // (16 * per_image))
+
+
 def _in_blocks(n: int, per_image: int, sizes, body) -> None:
     """body(start, b, bufs) for each block of b images, the most whose
     per_image·b elements take half of ``_BLOCK_BYTES`` (at least one); bufs
@@ -98,9 +132,9 @@ def _in_blocks(n: int, per_image: int, sizes, body) -> None:
     so a thread the OS delays holds up at most one block. Each block writes
     its own rows and the blocks depend only on shapes, so the bytes are the
     same with the worker on or off, whichever thread ran a block. The worker
-    runs only numpy calls and private helpers (no module attribute a
-    profiler may wrap) and allocates nothing large."""
-    block = max(1, _BLOCK_BYTES // (16 * per_image))
+    runs only numpy calls and private helpers (no module attribute a profiler
+    may wrap); the most it allocates is one block's ``np.bincount`` grid."""
+    block = _block_images(per_image)
     if n <= block:  # one block, on this thread (the sampler's single image)
         return body(0, n, [np.empty(size * n) for size in sizes])
     todo = iter(range(0, n, block))  # shared; its next() is atomic under the interpreter lock
@@ -147,21 +181,10 @@ def conv2d_forward_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     the same bytes whatever block it lands in, while OpenBLAS can give other
     geometries last-bit differences from one whole-batch product.
     """
-    x = _as_f64(x)
-    kernels = _as_f64(kernels)
-    bias = _as_f64(bias)
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d: input must be 4-D [n,C,H,W], got {x.shape}")
-    if kernels.ndim != 4:
-        raise ShapeError(f"conv2d: kernels must be 4-D, got {kernels.shape}")
-    n, c_in, h, w = x.shape
-    c_out, kc, kh, kw = kernels.shape
-    if kc != c_in:
-        raise ShapeError(f"conv2d: kernels expect {kc} input channels, image has {c_in}")
+    x, kernels, bias = map(_as_f64, (x, kernels, bias))
+    n, c_in, h, w, c_out, kh, kw, h_out, w_out = _conv_geometry(x, kernels, stride, pad)
     if bias.shape != (c_out,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} != ({c_out},)")
-    h_out = output_extent(h, kh, stride, pad, "conv2d height")
-    w_out = output_extent(w, kw, stride, pad, "conv2d width")
 
     weights = kernels.reshape(c_out, -1)
     rows, hw = weights.shape[1], h_out * w_out
@@ -195,18 +218,13 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
     transposed column matrix of the whole batch, filled in the forward's
     blocks of b images. Input gradient: one GEMM per block, kernels as
     [kH·kW·C_in, C_out] times the block's ``upstream`` as [C_out, H'·W'·b],
-    batch innermost, so each kernel offset (i, j) owns a contiguous
-    [C_in, H', W', b] block. The kH·kW blocks are added at their strided
-    positions into a [C_in, H+2p, W+2p, b] buffer, which is cropped and
-    transposed into the block's NCHW rows.
+    batch innermost. One ``np.bincount`` through ``_scatter_index`` (built on
+    the calling thread, kept per geometry) adds them into a padded grid,
+    cropped into the block's NCHW rows: in index order from +0.0, so each cell
+    sums its kernel offsets (i, j) in the order of a loop of strided adds.
     """
-    upstream = _as_f64(upstream)
-    x = _as_f64(x)
-    kernels = _as_f64(kernels)
-    n, c_in, h, w = x.shape
-    c_out, _, kh, kw = kernels.shape
-    h_out = output_extent(h, kh, stride, pad, "conv2d height")
-    w_out = output_extent(w, kw, stride, pad, "conv2d width")
+    upstream, x, kernels = map(_as_f64, (upstream, x, kernels))
+    n, c_in, h, w, c_out, kh, kw, h_out, w_out = _conv_geometry(x, kernels, stride, pad)
     if upstream.shape != (n, c_out, h_out, w_out):
         raise ShapeError(
             f"conv2d backward: upstream {upstream.shape} != {(n, c_out, h_out, w_out)}")
@@ -229,22 +247,21 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
     grad_input = None
     if need_input_grad:
         k_t = kernels.transpose(2, 3, 1, 0).reshape(-1, c_out)
+        hp, wp, block = h + 2 * pad, w + 2 * pad, _block_images(rows * hw)
+        build = _cached_index if 16 * rows * hw * min(n, block) <= _BLOCK_BYTES else _scatter_index
+        index = {b: build(kh, kw, c_in, hp, wp, stride, h_out, w_out, b)
+                 for b in {min(n, block), n % block} - {0}}
         grad_input = np.empty(x.shape)
-        padded = (c_in, h + 2 * pad, w + 2 * pad)
 
-        def block(start, b, bufs):
-            up = bufs[1].reshape(c_out, h_out, w_out, b)
-            np.copyto(up, upstream[start:start + b].transpose(1, 2, 3, 0))
+        def block_grad(start, b, bufs):
+            # C order for any b and H'·W' (a view at b=1): strides change GEMM bytes
+            up = np.ascontiguousarray(upstream[start:start + b].transpose(1, 2, 3, 0))
             contrib = np.matmul(k_t, up.reshape(c_out, -1), out=bufs[0].reshape(rows, hw * b))
-            contrib = contrib.reshape(kh, kw, c_in, h_out, w_out, b)
-            gxp = bufs[2].reshape(padded + (b,))
-            gxp.fill(0.0)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += contrib[i, j]
-            grad_input[start:start + b] = gxp[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
+            grid = np.bincount(index[b], contrib.reshape(-1), c_in * hp * wp * b)
+            grad_input[start:start + b] = grid.reshape(c_in, hp, wp, b)[
+                :, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
 
-        _in_blocks(n, rows * hw, (rows * hw, c_out * hw, c_in * padded[1] * padded[2]), block)
+        _in_blocks(n, rows * hw, (rows * hw,), block_grad)
     _count("conv2d_bwd", upstream.size * c_in * kh * kw)
     return grad_input, grad_kernels, grad_bias
 

@@ -95,6 +95,65 @@ def test_worker_on_and_off_are_byte_equal_on_any_geometry(case):
     assert on == off
 
 
+def _record_index_builds(mp, log):
+    """Log (thread is main, bytes, cached) for every scatter index asked for."""
+    for name, cached in (("_scatter_index", False), ("_cached_index", True)):
+        def build(*geometry, _build=getattr(tensor, name), _cached=cached):
+            index = _build(*geometry)
+            log.append((threading.current_thread() is threading.main_thread(),
+                        index.nbytes, _cached))
+            return index
+
+        mp.setattr(tensor, name, build)
+
+
+def test_the_worker_reads_scatter_indices_and_never_builds_one(monkeypatch, rng):
+    # a dispatch that leaves every block to the worker: it scatters each one
+    # through an index that only the calling thread built
+    dispatch, builds, scatters = tensor._dispatch, [], []
+    monkeypatch.setattr(tensor, "_WORKER", True)
+    monkeypatch.setattr(tensor, "_dispatch", lambda part: dispatch(lambda t: t and part(t)))
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **kw: (
+        scatters.append(threading.current_thread() is threading.main_thread()),
+        bincount(*a, **kw))[1])
+    tensor._cached_index.cache_clear()
+    _record_index_builds(monkeypatch, builds)
+    for n in (64, 257):  # 8 blocks of 8 images; 32 and a short one
+        x = rng.normal(size=(n, 20, 12, 12))
+        k, up = rng.normal(size=(50, 20, 5, 5)), rng.normal(size=(n, 50, 8, 8))
+        got = tensor.conv2d_backward_batch(up, x, k, need_param_grad=False)[0]
+        monkeypatch.setattr(tensor, "_WORKER", False)
+        assert got.tobytes() == tensor.conv2d_backward_batch(up, x, k)[0].tobytes()
+        monkeypatch.setattr(tensor, "_WORKER", True)
+    assert scatters.count(False) == 8 + 33 and scatters.count(True) == 8 + 33
+    assert builds and all(main for main, _, _ in builds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_geometries())
+def test_index_cache_stays_within_its_entry_bound(case):
+    # budgets from below one image's contributions to a few images: only an
+    # index of at most half the budget enters the cache, which keeps 8 at most
+    n, images, seed, ((c_in, h, w), kshape), stride, pad, _, _ = case
+    c_out, k = kshape[0], kshape[2]
+    h_out, w_out = (tensor.output_extent(e, k, stride, pad) for e in (h, w))
+    per_image = c_in * k * k * h_out * w_out
+    rng = np.random.default_rng(seed)
+    x, kernels = rng.normal(size=(n, c_in, h, w)), rng.normal(size=kshape)
+    up = rng.normal(size=(n, c_out, h_out, w_out))
+    builds = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "_BLOCK_BYTES", 16 * per_image * (images - 1) + 8)
+        _record_index_builds(mp, builds)
+        tensor.conv2d_backward_batch(up, x, kernels, stride, pad, need_param_grad=False)
+        budget = tensor._BLOCK_BYTES
+    assert all(nbytes <= budget // 2 for _, nbytes, cached in builds if cached)
+    assert any(cached for _, _, cached in builds) == (images > 1)
+    info = tensor._cached_index.cache_info()
+    assert info.maxsize == 8 and info.currsize <= 8
+
+
 def test_a_batch_of_one_never_dispatches(monkeypatch, rng):
     def refuse(part):
         raise AssertionError("dispatched")

@@ -67,10 +67,35 @@ def test_conv_rejects_oversized_kernel():
                                     np.zeros((1, 1, 5, 5)), np.zeros(1))
 
 
-def test_conv_rejects_channel_mismatch():
+def _refuse_index(monkeypatch):
+    def refuse(*geometry):
+        raise AssertionError("scatter index built before the shape checks")
+
+    monkeypatch.setattr(tensor, "_scatter_index", refuse)
+    monkeypatch.setattr(tensor, "_cached_index", refuse)
+
+
+def test_conv_rejects_channel_mismatch(monkeypatch):
+    _refuse_index(monkeypatch)
     with pytest.raises(ShapeError, match="channels"):
         tensor.conv2d_forward_batch(np.zeros((1, 2, 5, 5)),
                                     np.zeros((1, 3, 3, 3)), np.zeros(1))
+    # the backward checks like the forward before it builds or reads an index
+    with pytest.raises(ShapeError, match="kernels expect 2 input channels, image has 3"):
+        tensor.conv2d_backward_batch(np.zeros((2, 4, 6, 6)), np.zeros((2, 3, 8, 8)),
+                                     np.zeros((4, 2, 3, 3)))
+
+
+def test_conv_rejects_wrong_rank(monkeypatch):
+    _refuse_index(monkeypatch)
+    with pytest.raises(ShapeError, match="input must be 4-D"):
+        tensor.conv2d_forward_batch(np.zeros((3, 8, 8)), np.zeros((4, 3, 3, 3)), np.zeros(4))
+    with pytest.raises(ShapeError, match="input must be 4-D"):
+        tensor.conv2d_backward_batch(np.zeros((4, 6, 6)), np.zeros((3, 8, 8)),
+                                     np.zeros((4, 3, 3, 3)))
+    with pytest.raises(ShapeError, match="kernels must be 4-D"):
+        tensor.conv2d_backward_batch(np.zeros((1, 4, 6, 6)), np.zeros((1, 3, 8, 8)),
+                                     np.zeros((4, 27)))
 
 
 def test_conv_gradients_match_fd(rng):
@@ -176,6 +201,92 @@ def test_conv_matches_loop_reference_exactly(case):
 
 LENET_CONVS = pytest.mark.parametrize("c_in,extent,c_out", [(1, 28, 20), (20, 12, 50)],
                                       ids=["conv1", "conv2"])
+
+
+def _input_grad_by_offsets(up, x, k, stride, pad):
+    """The input gradient as kH·kW strided adds onto a zeroed padded grid, one
+    block of images at a time, each block's contributions from the one GEMM
+    conv2d_backward_batch makes."""
+    n, c_in, h, w = x.shape
+    c_out, _, kh, kw = k.shape
+    h_out, w_out = up.shape[2:]
+    k_t = k.transpose(2, 3, 1, 0).reshape(-1, c_out)
+    block = tensor._block_images(c_in * kh * kw * h_out * w_out)
+    grad = np.empty(x.shape)
+    for start in range(0, n, block):
+        b = min(block, n - start)
+        up_t = np.ascontiguousarray(up[start:start + b].transpose(1, 2, 3, 0))
+        contrib = (k_t @ up_t.reshape(c_out, -1)).reshape(kh, kw, c_in, h_out, w_out, b)
+        gxp = np.zeros((c_in, h + 2 * pad, w + 2 * pad, b))
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += contrib[i, j]
+        grad[start:start + b] = gxp[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
+    return grad
+
+
+def _one_nan(a):
+    return np.where(np.isnan(a), np.nan, a)
+
+
+def _assert_input_grad_by_offsets(up, x, k, stride, pad):
+    # the same bytes, up to which NaN a NaN cell holds: where NaNs of both
+    # signs meet, IEEE 754 leaves the sign of their sum open, and numpy's own
+    # add paths do not agree on it
+    with np.errstate(all="ignore"):
+        want = _input_grad_by_offsets(up, x, k, stride, pad)
+        for need_params in (True, False):
+            got = tensor.conv2d_backward_batch(up, x, k, stride, pad,
+                                               need_param_grad=need_params)[0]
+            assert got.shape == want.shape
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert _one_nan(got).tobytes() == _one_nan(want).tobytes()
+
+
+def _with_specials(rng, a):
+    """a with inf, -inf, NaN and -0.0 at random positions."""
+    flat = a.reshape(-1)
+    flat[rng.integers(0, flat.size, 4)] = (np.inf, -np.inf, np.nan, -0.0)
+    return a
+
+
+@st.composite
+def _float_conv_cases(draw):
+    k, stride, pad = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    low = 1 + max(0, -(-(1 + 2 * pad - k) // stride))
+    high = (9 + 2 * pad - k) // stride + 1
+    h_out, w_out = draw(st.integers(low, high)), draw(st.integers(low, high))
+    h, w = (k + stride * (e - 1) - 2 * pad for e in (h_out, w_out))
+    n = draw(st.sampled_from([1, 2, 7, 64]))
+    c_in, c_out = draw(st.integers(1, 3)), draw(st.integers(1, 24))
+    return ((n, c_in, h, w), (c_out, c_in, k, k), (n, c_out, h_out, w_out), stride, pad,
+            draw(st.integers(0, 2 ** 32 - 1)), draw(st.sampled_from(["none", "up", "k"])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_float_conv_cases())
+def test_conv_input_grad_adds_offsets_in_loop_order(case):
+    # random floats round differently in every summation order, so byte
+    # equality with the loop pins the order in which each cell sums its
+    # kernel offsets (and which inf or signed zero comes out)
+    x_shape, k_shape, up_shape, stride, pad, seed, specials = case
+    rng = np.random.default_rng(seed)
+    x, k = rng.normal(size=x_shape), rng.normal(size=k_shape)
+    up = rng.normal(size=up_shape) * 10.0 ** rng.integers(-3, 4, up_shape)
+    if specials == "up":
+        up = _with_specials(rng, up)
+    elif specials == "k":
+        k = _with_specials(rng, k)
+    _assert_input_grad_by_offsets(up, x, k, stride, pad)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 257])
+@LENET_CONVS
+def test_lenet_conv_input_grad_adds_offsets_in_loop_order(rng, n, c_in, extent, c_out):
+    x, k = rng.normal(size=(n, c_in, extent, extent)), rng.normal(size=(c_out, c_in, 5, 5))
+    up = rng.normal(size=(n, c_out, extent - 4, extent - 4))
+    _assert_input_grad_by_offsets(up, x, k, 1, 0)
+    _assert_input_grad_by_offsets(_with_specials(rng, up), x, k, 1, 0)
 
 
 def _peak_bytes(call) -> int:
