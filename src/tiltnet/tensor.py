@@ -123,27 +123,25 @@ def _block_images(per_image: int) -> int:  # the block size of _in_blocks
     return max(1, _BLOCK_BYTES // (16 * per_image))
 
 
-def _in_blocks(n: int, per_image: int, sizes, body) -> None:
-    """body(start, b, bufs) for each block of b images, the most whose
-    per_image·b elements take half of ``_BLOCK_BYTES`` (at least one); bufs
-    are flat arrays of sizes[k]·b elements, one set per thread, allocated
-    here. With more than one block and the split engaged, a worker thread
-    takes blocks too: each thread takes the next block whenever it is free,
-    so a thread the OS delays holds up at most one block. Each block writes
-    its own rows and the blocks depend only on shapes, so the bytes are the
-    same with the worker on or off, whichever thread ran a block. The worker
-    runs only numpy calls and private helpers (no module attribute a profiler
-    may wrap); the most it allocates is one block's ``np.bincount`` grid."""
+def _in_blocks(n: int, per_image: int, body) -> None:
+    """body(start, b) for each block of b images, the most whose per_image·b
+    elements take half of ``_BLOCK_BYTES`` (at least one); a block allocates
+    its own temporaries on the thread that runs it. With more than one block
+    and the split engaged, a worker thread takes blocks too: each thread
+    takes the next block whenever it is free, so a thread the OS delays
+    holds up at most one block. Each block writes its own rows and the
+    blocks depend only on shapes, so the bytes are the same with the worker
+    on or off, whichever thread ran a block. The worker runs only numpy
+    calls and private helpers (no module attribute a profiler may wrap); the
+    most it allocates is one block's arrays."""
     block = _block_images(per_image)
     if n <= block:  # one block, on this thread (the sampler's single image)
-        return body(0, n, [np.empty(size * n) for size in sizes])
+        return body(0, n)
     todo = iter(range(0, n, block))  # shared; its next() is atomic under the interpreter lock
-    scratch = [[np.empty(size * block) for size in sizes] for _ in range(2 if _WORKER else 1)]
 
     def part(t):
         for start in todo:
-            b = min(block, n - start)
-            body(start, b, [buf[:size * b] for buf, size in zip(scratch[t], sizes)])
+            body(start, min(block, n - start))
 
     if _WORKER:
         _dispatch(part)
@@ -172,9 +170,11 @@ def conv2d_forward_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     [C_out, C_in, kH, kW] plus per-channel bias; returns [n, C_out, H', W'].
 
     The batch runs in blocks of b images (see ``_in_blocks``). Each block is
-    one GEMM, kernels as [C_out, C_in·kH·kW] times its columns (see
-    ``_windows``); the [C_out, b, H', W'] product takes the bias and is
-    copied transposed into its rows of the NCHW output. So a call holds the
+    one GEMM, kernels as [C_out, C_in·kH·kW] times a C-ordered copy of its
+    columns (see ``_windows``; a reshaped view can reach the GEMM strided and
+    round otherwise); the [C_out, b, H', W'] product takes the bias and is
+    copied transposed into its rows of the NCHW output. A block allocates its
+    columns and product on the thread that runs it, so a call holds the
     output plus two blocks' columns and products, whatever n is, and a batch
     within one block (n=1 in the sampler) stays on one thread. The batch lies
     along the GEMM's column axis: on LeNet's geometries an image's output has
@@ -191,14 +191,12 @@ def conv2d_forward_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     win = _windows(x, kh, kw, stride, pad)
     out = np.empty((n, c_out, h_out, w_out))
 
-    def block(start, b, bufs):
-        cols = bufs[0].reshape(win.shape[:3] + (b, h_out, w_out))
-        np.copyto(cols, win[:, :, :, start:start + b])
-        prod = np.matmul(weights, cols.reshape(rows, -1), out=bufs[1].reshape(c_out, -1))
+    def block(start, b):
+        prod = weights @ np.ascontiguousarray(win[:, :, :, start:start + b]).reshape(rows, -1)
         prod += bias[:, None]
         out[start:start + b] = prod.reshape(c_out, b, h_out, w_out).transpose(1, 0, 2, 3)
 
-    _in_blocks(n, rows * hw, (rows * hw, c_out * hw), block)
+    _in_blocks(n, rows * hw, block)
     _count("conv2d", out.size * c_in * kh * kw)
     return out
 
@@ -235,10 +233,10 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
         win = _windows(x, kh, kw, stride, pad)
         cols = np.empty(win.shape)
 
-        def fill(start, b, bufs):
+        def fill(start, b):
             cols[:, :, :, start:start + b] = win[:, :, :, start:start + b]
 
-        _in_blocks(n, rows * hw, (), fill)
+        _in_blocks(n, rows * hw, fill)
         up = upstream.transpose(1, 0, 2, 3).reshape(c_out, -1)
         grad_kernels = (up @ cols.reshape(rows, -1).T).reshape(kernels.shape)
         grad_bias = up.sum(axis=1)
@@ -253,15 +251,15 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
                  for b in {min(n, block), n % block} - {0}}
         grad_input = np.empty(x.shape)
 
-        def block_grad(start, b, bufs):
+        def block_grad(start, b):
             # C order for any b and H'·W' (a view at b=1): strides change GEMM bytes
             up = np.ascontiguousarray(upstream[start:start + b].transpose(1, 2, 3, 0))
-            contrib = np.matmul(k_t, up.reshape(c_out, -1), out=bufs[0].reshape(rows, hw * b))
+            contrib = k_t @ up.reshape(c_out, -1)
             grid = np.bincount(index[b], contrib.reshape(-1), c_in * hp * wp * b)
             grad_input[start:start + b] = grid.reshape(c_in, hp, wp, b)[
                 :, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
 
-        _in_blocks(n, rows * hw, (rows * hw,), block_grad)
+        _in_blocks(n, rows * hw, block_grad)
     _count("conv2d_bwd", upstream.size * c_in * kh * kw)
     return grad_input, grad_kernels, grad_bias
 
@@ -314,12 +312,12 @@ def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int, need_map: boo
              for i in range(k) for j in range(k)]
     pooled = np.empty((n, c, h_out, w_out))
 
-    def block(start, b, bufs):
+    def block(start, b):
         np.copyto(pooled[start:start + b], views[0][start:start + b])
         for v in views[1:]:
             np.maximum(v[start:start + b], pooled[start:start + b], out=pooled[start:start + b])
 
-    _in_blocks(n, c * h * w, (), block)
+    _in_blocks(n, c * h * w, block)
     _count("maxpool", pooled.size * k * k)
 
     has_nan = bool(np.isnan(pooled).any())

@@ -55,7 +55,7 @@ def _on_and_off(mp, calls):
     return runs
 
 
-@pytest.mark.parametrize("n", [1, 7, 64, 257])
+@pytest.mark.parametrize("n", [1, 7, 9, 16, 64, 257])
 def test_worker_on_and_off_are_byte_equal_at_lenet_shapes(monkeypatch, rng, n):
     on, off = _on_and_off(monkeypatch, _primitive_calls(rng, n, LENET_CONVS, LENET_POOLS))
     assert on == off

@@ -1,6 +1,7 @@
 """Primitives against finite differences and hand-computed cases."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,71 @@ def test_conv_input_grad_adds_offsets_in_loop_order(case):
     elif specials == "k":
         k = _with_specials(rng, k)
     _assert_input_grad_by_offsets(up, x, k, stride, pad)
+
+
+def _forward_by_copied_blocks(x, k, bias, stride, pad):
+    """The conv forward one block of images at a time, each block's window
+    view copied into a C-ordered array before its one GEMM."""
+    n, c_in, h, w = x.shape
+    c_out, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    win = win.transpose(1, 4, 5, 0, 2, 3)
+    h_out, w_out = win.shape[4:]
+    weights = k.reshape(c_out, -1)
+    block = tensor._block_images(weights.shape[1] * h_out * w_out)
+    out = np.empty((n, c_out, h_out, w_out))
+    for start in range(0, n, block):
+        b = min(block, n - start)
+        cols = np.empty(win.shape[:3] + (b, h_out, w_out))
+        cols[...] = win[:, :, :, start:start + b]
+        prod = weights @ cols.reshape(weights.shape[1], -1)
+        prod += bias[:, None]
+        out[start:start + b] = prod.reshape(c_out, b, h_out, w_out).transpose(1, 0, 2, 3)
+    return out
+
+
+@st.composite
+def _float_forward_cases(draw):
+    k, stride, pad = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    low = 1 + max(0, -(-(1 + 2 * pad - k) // stride))
+    high = (9 + 2 * pad - k) // stride + 1
+    # the smallest output extent often: one pixel wide or tall where it can be
+    extent = st.one_of(st.just(low), st.integers(low, high))
+    h_out, w_out = draw(extent), draw(extent)
+    h, w = (k + stride * (e - 1) - 2 * pad for e in (h_out, w_out))
+    n = draw(st.sampled_from([1, 2, 9, 16, 64]))
+    c_in, c_out = draw(st.integers(1, 3)), draw(st.integers(1, 24))
+    return ((n, c_in, h, w), (c_out, c_in, k, k), stride, pad,
+            draw(st.integers(0, 2 ** 32 - 1)), draw(st.sampled_from(["none", "x", "k"])),
+            draw(st.integers(0, 4)), draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_float_forward_cases())
+def test_conv_forward_copies_each_block_before_its_gemm(case):
+    # random floats round differently under another GEMM operand layout, so
+    # byte equality pins that each block's columns reach the GEMM as a
+    # C-ordered copy (a reshaped window view can reach it strided); budgets
+    # run from below one image's columns to a few images', worker on and off
+    x_shape, k_shape, stride, pad, seed, specials, images, worker = case
+    rng = np.random.default_rng(seed)
+    x, k, bias = rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0])
+    if specials == "x":
+        x = _with_specials(rng, x)
+    elif specials == "k":
+        k = _with_specials(rng, k)
+    h_out, w_out = (tensor.output_extent(e, k_shape[2], stride, pad) for e in x_shape[2:])
+    per_image = x_shape[1] * k_shape[2] * k_shape[3] * h_out * w_out
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"), \
+            warnings.catch_warnings():
+        # np.errstate holds for this thread only; the worker's inf·0 warns
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mp.setattr(tensor, "_BLOCK_BYTES", 16 * per_image * images + 8)
+        mp.setattr(tensor, "_WORKER", worker)
+        want = _forward_by_copied_blocks(x, k, bias, stride, pad)
+        got = tensor.conv2d_forward_batch(x, k, bias, stride, pad)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 7, 64, 257])
