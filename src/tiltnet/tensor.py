@@ -9,6 +9,7 @@ inputs give bit-identical outputs. Every primitive is batch-first: images are
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import os
 from collections import Counter
@@ -151,12 +152,13 @@ def _in_blocks(n: int, per_image: int, body) -> None:
 
 def _dispatch(part) -> None:
     """part(1) on the worker, part(0) here; the worker's error is raised here
-    once both are done."""
+    once both are done. The worker runs in a copy of the caller's context,
+    which holds numpy's error state (``np.errstate``)."""
     if os.getpid() not in _workers:
         from concurrent.futures import ThreadPoolExecutor  # not on import: ~5 ms
         _workers.clear()
         _workers[os.getpid()] = ThreadPoolExecutor(1)
-    job = _workers[os.getpid()].submit(part, 1)
+    job = _workers[os.getpid()].submit(contextvars.copy_context().run, part, 1)
     try:
         part(0)
     finally:
@@ -212,9 +214,13 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
     the column product when only the input gradient is wanted). Either flag
     leaves the other results bit-identical.
 
-    Kernel gradient: one GEMM, ``upstream`` as [C_out, n·H'·W'] times the
-    transposed column matrix of the whole batch, filled in the forward's
-    blocks of b images. Input gradient: one GEMM per block, kernels as
+    Both gradients run in the forward's blocks of b images (see
+    ``_in_blocks``). Kernel and bias gradients: a block's C-ordered
+    ``upstream`` as [C_out, b·H'·W'] times its C-ordered columns, transposed,
+    and that upstream's channel sums fill the block's row of per-block
+    partials, then summed in block order: no whole-batch columns, and a batch
+    within one block gets the bytes of one whole-batch product. Input
+    gradient: one GEMM per block, kernels as
     [kH·kW·C_in, C_out] times the block's ``upstream`` as [C_out, H'·W'·b],
     batch innermost. One ``np.bincount`` through ``_scatter_index`` (built on
     the calling thread, kept per geometry) adds them into a padded grid,
@@ -227,25 +233,27 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
         raise ShapeError(
             f"conv2d backward: upstream {upstream.shape} != {(n, c_out, h_out, w_out)}")
     rows, hw = c_in * kh * kw, h_out * w_out
+    block = _block_images(rows * hw)
 
     grad_kernels = grad_bias = None
     if need_param_grad:
         win = _windows(x, kh, kw, stride, pad)
-        cols = np.empty(win.shape)
+        n_blocks = max(1, -(-n // block))  # an empty batch is one empty block
+        parts, bias_parts = np.empty((n_blocks, c_out, rows)), np.empty((n_blocks, c_out))
 
-        def fill(start, b):
-            cols[:, :, :, start:start + b] = win[:, :, :, start:start + b]
+        def param_grad(start, b):
+            cols = np.ascontiguousarray(win[:, :, :, start:start + b]).reshape(rows, -1)
+            u = np.ascontiguousarray(upstream[start:start + b].transpose(1, 0, 2, 3))
+            u = u.reshape(c_out, -1)
+            parts[start // block], bias_parts[start // block] = u @ cols.T, u.sum(axis=1)
 
-        _in_blocks(n, rows * hw, fill)
-        up = upstream.transpose(1, 0, 2, 3).reshape(c_out, -1)
-        grad_kernels = (up @ cols.reshape(rows, -1).T).reshape(kernels.shape)
-        grad_bias = up.sum(axis=1)
-        del up, cols
+        _in_blocks(n, rows * hw, param_grad)
+        grad_kernels, grad_bias = parts.sum(axis=0).reshape(kernels.shape), bias_parts.sum(axis=0)
 
     grad_input = None
     if need_input_grad:
         k_t = kernels.transpose(2, 3, 1, 0).reshape(-1, c_out)
-        hp, wp, block = h + 2 * pad, w + 2 * pad, _block_images(rows * hw)
+        hp, wp = h + 2 * pad, w + 2 * pad
         build = _cached_index if 16 * rows * hw * min(n, block) <= _BLOCK_BYTES else _scatter_index
         index = {b: build(kh, kw, c_in, hp, wp, stride, h_out, w_out, b)
                  for b in {min(n, block), n % block} - {0}}

@@ -224,6 +224,32 @@ def test_worker_error_is_raised_by_the_primitive_after_both_halves(monkeypatch, 
     assert tensor.conv2d_forward_batch(x, k, b).tobytes() == want.tobytes()
 
 
+def _invalid_conv_calls():
+    """LeNet's conv2 at batch 64, each call computing inf·0 in every block:
+    the forward, the kernel gradient and the input gradient."""
+    x, k, up = np.zeros((64, 20, 12, 12)), np.ones((50, 20, 5, 5)), np.zeros((64, 50, 8, 8))
+    x[:, 0, 0, 0] = k[0, 0, 0, 0] = np.inf
+    return [lambda: tensor.conv2d_forward_batch(x, k, np.zeros(50)),
+            lambda: tensor.conv2d_backward_batch(up, x, k, need_input_grad=False),
+            lambda: tensor.conv2d_backward_batch(up, x, k, need_param_grad=False)]
+
+
+@pytest.mark.parametrize("thread", [0, 1], ids=["caller", "worker"])
+def test_blocks_keep_the_callers_error_state(monkeypatch, thread):
+    # numpy keeps np.errstate per context, and the worker runs in the caller's;
+    # a dispatch that leaves every block to the worker (1) or the caller (0)
+    dispatch = tensor._dispatch
+    monkeypatch.setattr(tensor, "_WORKER", True)
+    monkeypatch.setattr(tensor, "_dispatch",
+                        lambda part: dispatch(lambda t: t == thread and part(t)))
+    for call in _invalid_conv_calls():
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call()
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            call()
+
+
 def test_concurrent_callers_share_the_worker(monkeypatch, rng):
     # more calling threads than cores, switching often: each call still gets
     # its own bytes, and every thread finishes

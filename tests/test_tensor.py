@@ -355,6 +355,43 @@ def test_lenet_conv_input_grad_adds_offsets_in_loop_order(rng, n, c_in, extent, 
     _assert_input_grad_by_offsets(_with_specials(rng, up), x, k, 1, 0)
 
 
+def _whole_batch_param_grads(up, x, k):
+    """Kernel and bias gradients as one product over the whole batch: its
+    column matrix filled into a C-ordered array, ``up`` as [C_out, n·H'·W']."""
+    c_out, c_in, kh, kw = k.shape
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3)
+    cols = np.empty(win.shape)
+    cols[...] = win
+    up = up.transpose(1, 0, 2, 3).reshape(c_out, -1)
+    return (up @ cols.reshape(c_in * kh * kw, -1).T).reshape(k.shape), up.sum(axis=1)
+
+
+@pytest.mark.parametrize("blocks,images", [(0, 1), (1, 0), (1, 1), (0, 64), (0, 257)],
+                         ids=["1", "block", "block+1", "64", "257"])
+@LENET_CONVS
+def test_conv_param_grads_sum_block_products_in_block_order(monkeypatch, rng, blocks, images,
+                                                            c_in, extent, c_out):
+    # the whole-batch product of each block, summed in block order: a batch
+    # within one block gets the bytes of one product over the whole batch
+    block = tensor._block_images(c_in * 25 * (extent - 4) ** 2)
+    n = blocks * block + images
+    x, k = rng.normal(size=(n, c_in, extent, extent)), rng.normal(size=(c_out, c_in, 5, 5))
+    up = rng.normal(size=(n, c_out, extent - 4, extent - 4))
+    monkeypatch.setattr(tensor, "_WORKER", True)
+    got = tensor.conv2d_backward_batch(up, x, k, need_input_grad=False)[1:]
+    parts = [_whole_batch_param_grads(up[i:i + block], x[i:i + block], k)
+             for i in range(0, n, block)]
+    want = [part.copy() for part in parts[0]]
+    for part in parts[1:]:
+        for acc, term in zip(want, part):
+            acc += term
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    win = sliding_window_view(x, (5, 5), axis=(2, 3))
+    exact = np.einsum("nohw,nchwij->ocij", up, win), np.einsum("nohw->o", up)
+    for a, b in zip(got, exact):
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
 def _peak_bytes(call) -> int:
     tracemalloc.start()
     try:
@@ -391,6 +428,16 @@ def test_conv_peak_memory_is_columns_plus_output(rng, c_in, extent, c_out):
     bound = 8 * block * hw * (c_in * k * k + c_out) + 8 * n * c_out * hw
     assert bound < 8 * n * hw * (c_in * k * k + c_out)
     assert _peak_bytes(lambda: tensor.conv2d_forward_batch(x, kernels, bias)) <= 1.1 * bound
+
+    # so does the kernel gradient: two blocks' columns and upstream copies,
+    # the per-block partials and the results
+    up = rng.normal(size=(n, c_out, extent - k + 1, extent - k + 1))
+    n_blocks = -(-n // tensor._block_images(c_in * k * k * hw))
+    bound = (8 * block * hw * (c_in * k * k + c_out)
+             + 8 * (n_blocks + 1) * c_out * (c_in * k * k + 1))
+    assert bound < 8 * n * hw * c_in * k * k
+    assert _peak_bytes(lambda: tensor.conv2d_backward_batch(
+        up, x, kernels, need_input_grad=False)) <= 1.1 * bound
 
 
 @LENET_CONVS
