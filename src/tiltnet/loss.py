@@ -34,6 +34,16 @@ def _validate(scores, labels):
     return f, y.astype(np.int64)
 
 
+def _softmax(f, axis):
+    """(log softmax, softmax) of f along axis, shifted by its maximum there:
+    over the classes (axis 1) for the discriminative loss, over the batch
+    (axis 0) for the generative loss's in-batch importance weights."""
+    shifted = f - f.max(axis=axis, keepdims=True)
+    expf = np.exp(shifted)
+    total = expf.sum(axis=axis, keepdims=True)
+    return shifted - np.log(total), expf / total
+
+
 def disc_loss_and_grad(scores, labels):
     """Class-posterior log-likelihood of a batch and its score gradient.
 
@@ -43,12 +53,9 @@ def disc_loss_and_grad(scores, labels):
     """
     f, y = _validate(scores, labels)
     n = f.shape[0]
-    shifted = f - f.max(axis=1, keepdims=True)
-    expf = np.exp(shifted)
-    rowsum = expf.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(rowsum)
+    log_probs, probs = _softmax(f, 1)
     ll = float(log_probs[np.arange(n), y].sum())
-    grad = -expf / rowsum
+    grad = -probs
     grad[np.arange(n), y] += 1.0
     return ll, grad
 
@@ -67,13 +74,10 @@ def gen_loss_and_grad(scores, labels):
     n, c = f.shape
     if n < 2:
         raise ValueError("generative loss needs a batch of n >= 2 examples")
-    shifted = f - f.max(axis=0, keepdims=True)
-    expf = np.exp(shifted)
-    colsum = expf.sum(axis=0, keepdims=True)
-    log_batch_softmax = shifted - np.log(colsum)
+    log_batch_softmax, weights = _softmax(f, 0)
     ll = float((log_batch_softmax[np.arange(n), y] + np.log(n)).sum())
     counts = np.bincount(y, minlength=c).astype(np.float64)
-    grad = -(expf / colsum) * counts
+    grad = -weights * counts
     grad[np.arange(n), y] += 1.0
     return ll, grad
 
@@ -85,8 +89,6 @@ def per_class_ess(scores, labels) -> dict:
     present columns are handled together as rows of the transposed scores."""
     f, y = _validate(scores, labels)
     present = np.unique(y)
-    cols = f.T[present]
-    w = np.exp(cols - cols.max(axis=1, keepdims=True))
-    w /= w.sum(axis=1, keepdims=True)
+    w = _softmax(f.T[present], 1)[1]
     ess = 1.0 / np.square(w).sum(axis=1)
     return {int(k): float(v) for k, v in zip(present, ess)}

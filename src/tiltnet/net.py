@@ -139,7 +139,7 @@ _KINDS = {
         stem="flatten",
         out_shape=lambda s, shape: (
             int(np.prod(_spatial(shape, "flatten layer needs spatial input"))),),
-        forward=lambda s, x, w, b, keep: (np.ascontiguousarray(x.reshape(len(x), -1)), None),
+        forward=lambda s, x, w, b, keep: (x.reshape(-1, math.prod(x.shape[1:])), None),
         backward=lambda s, up, x, w, amap, need_input, need_params: (
             up.reshape(x.shape), None, None)),
     "dense": _Kind(
@@ -258,7 +258,8 @@ def build_network(config: NetworkConfig) -> Network:
 
 def forward_batch(net: Network, images, keep: bool = True) -> tuple:
     """Run a batch [n, C, H, W] of the configured input shape through the
-    stack; returns (scores [n, num_outputs], ActivationCache).
+    stack; returns (scores [n, num_outputs], ActivationCache). A batch of 0
+    images gives empty scores, and both backward passes take its cache.
 
     keep=False is the score-only pass (evaluation, the sampler's potential):
     no layer input outlives the layer that reads it, no pool layer builds an
@@ -280,7 +281,7 @@ def forward_batch(net: Network, images, keep: bool = True) -> tuple:
             argmax[i] = amap
     scores = x
     if net.head is not None:
-        scores = np.ascontiguousarray(x.reshape(len(x), -1)[:, net.head:net.head + 1])
+        scores = np.ascontiguousarray(x[:, net.head].reshape(-1, 1))  # x is [n, C(, 1, 1)]
     if not keep:
         return scores, None
     return scores, ActivationCache(layer_inputs, argmax, scores, net.version)
@@ -401,10 +402,10 @@ def write_tensor_file(path, meta: dict, tensors: dict) -> None:
         buf += struct.pack("<B", arr.ndim)
         buf += b"".join(struct.pack("<I", d) for d in arr.shape)
         buf += arr.tobytes()
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
+    buf += struct.pack("<I", zlib.crc32(buf))
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(bytes(buf))
+        fh.write(buf)
     os.replace(tmp, path)
 
 

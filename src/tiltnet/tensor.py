@@ -85,15 +85,13 @@ def _conv_geometry(x: np.ndarray, kernels: np.ndarray, stride: int, pad: int) ->
             output_extent(w, kw, stride, pad, "conv2d width"))
 
 
-def _scatter_index(kh, kw, c_in, hp, wp, stride, h_out, w_out, b) -> np.ndarray:
+def _scatter_index(kh, kw, c_in, hp, wp, stride, b) -> np.ndarray:
     """Flat map from each element of a block's input-gradient contributions
-    [kH, kW, C_in, H', W', b] to its cell of the padded grid [C_in, Hp, Wp, b].
-    Never written, yet writeable: np.bincount copies a read-only index."""
-    index = np.zeros((kh, kw, c_in, h_out, w_out, b), np.int64)
-    steps = (wp * b, b, hp * wp * b, stride * wp * b, stride * b, 1)
-    for term in np.ix_(*(np.arange(e) * s for e, s in zip(index.shape, steps))):
-        index += term
-    return index.reshape(-1)
+    [kH, kW, C_in, H', W', b] to its cell of the padded grid [C_in, Hp, Wp, b]:
+    the forward's windows over the grid's cell numbers, so the scatter is the
+    gather's adjoint. A C-ordered copy: np.bincount copies a read-only index."""
+    cells = np.arange(c_in * hp * wp * b).reshape(c_in, hp, wp, b).transpose(3, 0, 1, 2)
+    return _windows(cells, kh, kw, stride, 0).transpose(1, 2, 0, 4, 5, 3).flatten()
 
 
 # per geometry; callers keep only indices of at most half of _BLOCK_BYTES here
@@ -126,25 +124,23 @@ def _block_images(per_image: int) -> int:  # the block size of _in_blocks
 
 def _in_blocks(n: int, per_image: int, body) -> None:
     """body(start, b) for each block of b images, the most whose per_image·b
-    elements take half of ``_BLOCK_BYTES`` (at least one); a block allocates
-    its own temporaries on the thread that runs it. With more than one block
-    and the split engaged, a worker thread takes blocks too: each thread
-    takes the next block whenever it is free, so a thread the OS delays
-    holds up at most one block. Each block writes its own rows and the
-    blocks depend only on shapes, so the bytes are the same with the worker
-    on or off, whichever thread ran a block. The worker runs only numpy
-    calls and private helpers (no module attribute a profiler may wrap); the
-    most it allocates is one block's arrays."""
+    elements take half of ``_BLOCK_BYTES`` (at least one), in one loop: n = 0
+    runs no block, and one block (the sampler's single image) runs here. With
+    more blocks and the split engaged, a worker thread takes blocks too, each
+    thread the next block whenever it is free, so a thread the OS delays holds
+    up at most one block. A block allocates its temporaries on the thread that
+    runs it and writes its own rows; blocks depend only on shapes, so the bytes
+    are the same whichever thread ran a block. The worker runs only numpy calls
+    and private helpers (no module attribute a profiler may wrap); the most it
+    allocates is one block's arrays."""
     block = _block_images(per_image)
-    if n <= block:  # one block, on this thread (the sampler's single image)
-        return body(0, n)
     todo = iter(range(0, n, block))  # shared; its next() is atomic under the interpreter lock
 
     def part(t):
         for start in todo:
             body(start, min(block, n - start))
 
-    if _WORKER:
+    if _WORKER and n > block:
         _dispatch(part)
     else:
         part(0)
@@ -238,7 +234,7 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
     grad_kernels = grad_bias = None
     if need_param_grad:
         win = _windows(x, kh, kw, stride, pad)
-        n_blocks = max(1, -(-n // block))  # an empty batch is one empty block
+        n_blocks = -(-n // block)
         parts, bias_parts = np.empty((n_blocks, c_out, rows)), np.empty((n_blocks, c_out))
 
         def param_grad(start, b):
@@ -254,8 +250,8 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
     if need_input_grad:
         k_t = kernels.transpose(2, 3, 1, 0).reshape(-1, c_out)
         hp, wp = h + 2 * pad, w + 2 * pad
-        build = _cached_index if 16 * rows * hw * min(n, block) <= _BLOCK_BYTES else _scatter_index
-        index = {b: build(kh, kw, c_in, hp, wp, stride, h_out, w_out, b)
+        build = _cached_index if 16 * rows * hw <= _BLOCK_BYTES else _scatter_index
+        index = {b: build(kh, kw, c_in, hp, wp, stride, b)
                  for b in {min(n, block), n % block} - {0}}
         grad_input = np.empty(x.shape)
 
@@ -292,20 +288,21 @@ def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int, need_map: boo
     """Max-pool a batch [n, C, H, W]; returns (pooled, ArgmaxMap), the map
     None when need_map is False (no backward will read it).
 
-    Works on one strided view of ``x`` per window offset (i, j), taken in
-    row-major scan order, so no window copy is made. ``pooled`` starts as the
-    first view and takes the elementwise maximum with each later one, in
-    blocks of images (see ``_in_blocks``); on a tie ``np.maximum`` keeps its
-    second argument, the earlier value, so ``-0.0`` against ``0.0`` yields
-    whichever comes first in the window. A NaN anywhere in a window makes the
-    cell NaN. The winner is the first offset whose view equals ``pooled``
-    (or, in a NaN cell, the first NaN): the same element ``argmax`` over the
-    window picks. Walking the offsets back from the last,
-    ``r = (v != pooled) * (r + 1)`` ends at it, in three in-place passes per
-    offset; the flat row-major map is built from it at the end. Only an
-    input holding a NaN pays for the NaN tests and for re-reading ``pooled``
-    from the winners (even without need_map), so that a NaN cell carries the
-    first NaN's bits.
+    Works on one strided slice of ``x`` per window offset (i, j), taken in
+    row-major scan order, so no window copy is made (taking a
+    ``sliding_window_view`` costs about 20 us, two thirds of pool1's map-free
+    pass at n=1). ``pooled`` starts as the first view and takes the
+    elementwise maximum with each later one, in blocks of images (see
+    ``_in_blocks``); on a tie ``np.maximum`` keeps its second argument, the
+    earlier value, so ``-0.0`` against ``0.0`` yields whichever comes first
+    in the window. A NaN anywhere in a window makes the cell NaN. The winner
+    is the first offset whose view equals ``pooled`` (or, in a NaN cell, the
+    first NaN): the same element ``argmax`` over the window picks. Walking
+    the offsets back from the last, ``r = (v != pooled) * (r + 1)`` ends at
+    it, in three in-place passes per offset; the flat row-major map is built
+    from it at the end. Only an input holding a NaN pays for the NaN tests
+    and for re-reading ``pooled`` from the winners (even without need_map),
+    so that a NaN cell carries the first NaN's bits.
     """
     x = _as_f64(x)
     if x.ndim != 4:
@@ -315,8 +312,7 @@ def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int, need_map: boo
     h_out = output_extent(h, k, stride, 0, "maxpool height")
     w_out = output_extent(w, k, stride, 0, "maxpool width")
 
-    h_span, w_span = stride * (h_out - 1) + 1, stride * (w_out - 1) + 1
-    views = [x[:, :, i:i + h_span:stride, j:j + w_span:stride]
+    views = [x[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
              for i in range(k) for j in range(k)]
     pooled = np.empty((n, c, h_out, w_out))
 

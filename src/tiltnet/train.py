@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -218,12 +218,7 @@ def run_training(net: net_mod.Network, train_set: Dataset, config: TrainConfig,
     if start_epoch == 0:
         log.header("tiltnet-train format=1")
         log.header(f"time={time.strftime('%Y-%m-%dT%H:%M:%S')}")
-        log.header(f"mode={config.mode} batch_size={config.batch_size} lr={config.lr} "
-                   f"weight_decay={config.weight_decay} momentum={config.momentum} "
-                   f"epochs={config.epochs} seed={config.seed}")
-        if config.mode == "GG+DG":
-            log.header(f"pretrain_epochs={config.pretrain_epochs} "
-                       f"refine_lr={config.refine_lr}")
+        log.header(" ".join(f"{f.name}={getattr(config, f.name)}" for f in fields(config)))
 
     for epoch in range(start_epoch, config.epochs):
         mode = _mode_for_epoch(config, epoch)

@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import zlib
 from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
@@ -228,6 +229,9 @@ def test_train_eval_sample_inspect_pipeline(tmp_path, capsys):
     assert cli.main(["eval", "--config", str(config), "--checkpoint", ckpt]) == 0
     line = capsys.readouterr().out.strip().splitlines()[-1]
     assert line.startswith("error_rate=") and line.endswith("n=32")
+    # an optimizer sidecar passed for a checkpoint
+    assert cli.main(["eval", "--config", str(config), "--checkpoint", str(out / "000.opt")]) == 3
+    assert "file holds 'optimizer', not a network" in capsys.readouterr().err
 
     assert cli.main(["sample", "--config", str(config), "--checkpoint", ckpt,
                      "--layer", "dense1", "--channel", "1"]) == 0
@@ -414,6 +418,27 @@ def test_ill_typed_checkpoint_meta_exits_3(tmp_path, capsys):
     net.write_tensor_file(ckpt, meta, tensors)
     assert cli.main(["inspect", "--checkpoint", str(ckpt)]) == 3
     assert "layer 0 channels is '2', expected int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"dense1.extra": np.zeros(1)}, "checkpoint parameter names do not match its config"),
+    ({"conv1.bias": None}, "checkpoint parameter names do not match its config"),
+    ({"dense1.bias": np.zeros(3)}, "parameter dense1.bias has shape (3,), config implies (2,)"),
+    (None, "checkpoint has trailing bytes"),
+])
+def test_checkpoint_that_disagrees_with_its_config_exits_3(tmp_path, capsys, edit, message):
+    # tensors added, dropped (None) or reshaped; or one byte past the last tensor
+    ckpt = tmp_path / "edited.ckpt"
+    net.save_checkpoint(net.build_network(parse_config(write_config(tmp_path)).network), ckpt)
+    if edit is None:
+        blob = ckpt.read_bytes()[:-4] + b"\0"
+        ckpt.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))  # re-signed
+    else:
+        meta, tensors = net.read_tensor_file(ckpt)
+        tensors.update(edit)
+        net.write_tensor_file(ckpt, meta, {k: v for k, v in tensors.items() if v is not None})
+    assert cli.main(["inspect", "--checkpoint", str(ckpt)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_checkpoint_with_retired_meta_keys_still_loads(tmp_path, capsys):

@@ -311,6 +311,25 @@ def test_only_a_kept_forward_builds_pool_maps(monkeypatch, rng):
     assert [cache.argmax[i] for i in sorted(cache.argmax)] == maps and len(maps) == 2
 
 
+@pytest.mark.parametrize("layer", [None, "conv2"])
+def test_an_empty_batch_gives_empty_results(layer):
+    # flatten and the truncation head keep n = 0; the parameter gradients of
+    # no images are zeros of the parameters' shapes
+    network = net.build_network(net.lenet_config(seed=3))
+    if layer is not None:
+        network = net.truncate_at(network, layer, 7)
+    images = np.zeros((0,) + tuple(network.config.input_shape))
+    scores, cache = net.forward_batch(network, images)
+    assert scores.shape == net.forward_batch(network, images, keep=False)[0].shape == (
+        0, network.num_outputs)
+    seed = np.zeros(scores.shape)
+    assert net.backward_input(network, cache, seed).shape == images.shape
+    grads = net.backward_params(network, cache, seed)
+    assert grads.keys() == {key for key in network.params if key.split(".")[0] in network.names}
+    assert all(g.shape == network.params[key].shape and not g.any()
+               for key, g in grads.items())
+
+
 def test_truncation_at_final_layer_selects_score(tiny_net, rng):
     xb = rng.normal(size=(4, 1, 6, 6))
     full, _ = net.forward_batch(tiny_net, xb)

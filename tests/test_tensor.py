@@ -615,6 +615,31 @@ def test_relu_zero_input_has_zero_grad():
     np.testing.assert_array_equal(tensor.relu_backward(up, x), [[0.0, 0.0, 1.0]])
 
 
+@pytest.mark.parametrize("worker", [False, True])
+def test_primitives_take_an_empty_batch(monkeypatch, rng, worker):
+    # a batch of 0 images runs no block: empty outputs, zero parameter gradients
+    monkeypatch.setattr(tensor, "_WORKER", worker)
+    x, k = np.zeros((0, 3, 9, 9)), rng.normal(size=(4, 3, 3, 3))
+    assert tensor.conv2d_forward_batch(x, k, np.ones(4), 2, 1).shape == (0, 4, 5, 5)
+    for need_input, need_params in ((True, True), (True, False), (False, True)):
+        gi, gk, gb = tensor.conv2d_backward_batch(np.zeros((0, 4, 5, 5)), x, k, 2, 1,
+                                                  need_input, need_params)
+        assert (gi is not None, gk is not None, gb is not None) == (
+            need_input, need_params, need_params)
+        assert gi is None or gi.shape == x.shape
+        assert gk is None or (gk.shape == k.shape and not gk.any())
+        assert gb is None or (gb.shape == (4,) and not gb.any())
+    assert tensor.maxpool_forward_batch(x, 3, 3, need_map=False)[1] is None
+    pooled, amap = tensor.maxpool_forward_batch(x, 3, 3)
+    assert pooled.shape == amap.indices.shape == (0, 3, 3, 3)
+    assert tensor.maxpool_backward_batch(pooled, amap).shape == x.shape
+    flat, w = np.zeros((0, 5)), rng.normal(size=(2, 5))
+    assert tensor.dense_forward_batch(flat, w, np.ones(2)).shape == (0, 2)
+    gi, gw, gb = tensor.dense_backward_batch(np.zeros((0, 2)), flat, w)
+    assert gi.shape == (0, 5) and gw.shape == w.shape and not gw.any() and not gb.any()
+    assert tensor.relu_forward(x).shape == tensor.relu_backward(x, x).shape == x.shape
+
+
 def test_outputs_are_float64_and_contiguous(rng):
     x = rng.normal(size=(1, 2, 6, 6)).astype(np.float32)
     out = tensor.conv2d_forward_batch(x, rng.normal(size=(2, 2, 3, 3)), np.zeros(2))

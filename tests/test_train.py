@@ -1,6 +1,8 @@
 """Optimizer arithmetic, schedule mechanics, determinism, resume, and the
 cost parity between the two training modes."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -386,6 +388,25 @@ def test_step_lr_policy():
                                lr_step_factor=0.5, epochs=6)
     lrs = [train._lr_for_epoch(config, e) for e in range(6)]
     assert lrs == [0.1, 0.1, 0.05, 0.05, 0.025, 0.025]
+
+
+def test_train_log_header_states_the_whole_config(tmp_path):
+    # a step schedule's fields are logged too; the records keep their format
+    config = train.TrainConfig(batch_size=8, lr=0.1, lr_policy="step", lr_step_every=2,
+                               lr_step_factor=0.5, epochs=3, seed=4)
+    path = tmp_path / "train.log"
+    train.run_training(build_network(small_config()), small_sets(n=16)[0], config,
+                       log=train.MetricsLog(path))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# tiltnet-train format=1" and lines[1].startswith("# time=")
+    assert dict(f.split("=") for f in lines[2][2:].split()) == {
+        f.name: str(getattr(config, f.name)) for f in fields(config)}
+    records = [dict(f.split("=") for f in line.split()) for line in lines[3:]]
+    assert [list(r) for r in records] == [
+        ["epoch", "mode", "lr", "disc_ll", "gen_ll", "train_err", "ess_mean", "ess_min",
+         "wall"]] * 3
+    assert [(r["epoch"], r["lr"]) for r in records] == [("0", "0.1"), ("1", "0.1"),
+                                                        ("2", "0.05")]
 
 
 def test_metrics_log_format(tmp_path):
