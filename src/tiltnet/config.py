@@ -169,10 +169,10 @@ def parse_config(path, seed=None) -> RunSpec:
     None replaces the file's [run] seed, which is still checked."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    with open(path) as fh:   # missing file surfaces as OSError (exit 3)
+    with open(path, encoding="utf-8") as fh:   # missing file surfaces as OSError (exit 3)
         try:
             parser.read_file(fh)
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
     sections = {}

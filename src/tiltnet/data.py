@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ def _read_maybe_gzip(path) -> bytes:
     if blob[:2] == b"\x1f\x8b":
         try:
             blob = gzip.decompress(blob)
-        except OSError as exc:
+        except (OSError, EOFError, zlib.error) as exc:
             raise DataError(f"{path}: corrupt gzip stream: {exc}") from exc
     return blob
 

@@ -62,10 +62,11 @@ def output_extent(extent: int, kernel: int, stride: int = 1, pad: int = 0,
 # convolution (cross-correlation: kernels are applied unflipped)
 
 def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """[C_in, kH, kW, n, H', W'] view of a batch's column matrix: reshaped to
-    [C_in·kH·kW, n·H'·W'], row (c, i, j) holds input channel c at kernel
-    offset (i, j) for every output position, batch before rows before
-    columns. Only a padded input is copied, once for the whole batch."""
+    """[C_in, kH, kW, n, H', W'] view of a batch's columns X: as [C_in·kH·kW,
+    n·H'·W'], row (c, i, j) holds input channel c at kernel offset (i, j) for
+    every output position, batch before rows before columns. All three conv
+    products use it: W·X, U·Xᵀ and Wᵀ·U (see conv2d_backward_batch). Only a
+    padded input is copied, once for the whole batch."""
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     return win.transpose(1, 4, 5, 0, 2, 3)
@@ -86,12 +87,12 @@ def _conv_geometry(x: np.ndarray, kernels: np.ndarray, stride: int, pad: int) ->
 
 
 def _scatter_index(kh, kw, c_in, hp, wp, stride, b) -> np.ndarray:
-    """Flat map from each element of a block's input-gradient contributions
-    [kH, kW, C_in, H', W', b] to its cell of the padded grid [C_in, Hp, Wp, b]:
-    the forward's windows over the grid's cell numbers, so the scatter is the
+    """Flat map from each element of a block's Wᵀ·U, in the column layout
+    [C_in, kH, kW, b, H', W'], to its cell of the padded block [b, C_in, Hp,
+    Wp]: the forward's windows over the cell numbers, so the scatter is the
     gather's adjoint. A C-ordered copy: np.bincount copies a read-only index."""
-    cells = np.arange(c_in * hp * wp * b).reshape(c_in, hp, wp, b).transpose(3, 0, 1, 2)
-    return _windows(cells, kh, kw, stride, 0).transpose(1, 2, 0, 4, 5, 3).flatten()
+    cells = np.arange(b * c_in * hp * wp).reshape(b, c_in, hp, wp)
+    return _windows(cells, kh, kw, stride, 0).flatten()
 
 
 # per geometry; callers keep only indices of at most half of _BLOCK_BYTES here
@@ -210,18 +211,14 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
     the column product when only the input gradient is wanted). Either flag
     leaves the other results bit-identical.
 
-    Both gradients run in the forward's blocks of b images (see
-    ``_in_blocks``). Kernel and bias gradients: a block's C-ordered
-    ``upstream`` as [C_out, b·H'·W'] times its C-ordered columns, transposed,
-    and that upstream's channel sums fill the block's row of per-block
-    partials, then summed in block order: no whole-batch columns, and a batch
-    within one block gets the bytes of one whole-batch product. Input
-    gradient: one GEMM per block, kernels as
-    [kH·kW·C_in, C_out] times the block's ``upstream`` as [C_out, H'·W'·b],
-    batch innermost. One ``np.bincount`` through ``_scatter_index`` (built on
-    the calling thread, kept per geometry) adds them into a padded grid,
-    cropped into the block's NCHW rows: in index order from +0.0, so each cell
-    sums its kernel offsets (i, j) in the order of a loop of strided adds.
+    Both gradients run in the forward's blocks and layout (see ``_in_blocks``
+    and ``_windows``), U a block's upstream as [C_out, b·H'·W'] and X its
+    columns, both C-ordered. Kernel and bias gradients: U·Xᵀ and U's row sums
+    per block, summed in block order, so a batch within one block gets the
+    bytes of one whole-batch product. Input gradient: Wᵀ·U, added into the
+    padded block by one ``np.bincount`` through ``_scatter_index`` (built on
+    the calling thread, kept per geometry) in index order from +0.0, so each
+    cell sums its kernel offsets (i, j) in the order of a loop of strided adds.
     """
     upstream, x, kernels = map(_as_f64, (upstream, x, kernels))
     n, c_in, h, w, c_out, kh, kw, h_out, w_out = _conv_geometry(x, kernels, stride, pad)
@@ -231,6 +228,10 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
     rows, hw = c_in * kh * kw, h_out * w_out
     block = _block_images(rows * hw)
 
+    def block_upstream(start, b):  # C order for any b (a view at b=1): strides change GEMM bytes
+        u = np.ascontiguousarray(upstream[start:start + b].transpose(1, 0, 2, 3))
+        return u.reshape(c_out, -1)
+
     grad_kernels = grad_bias = None
     if need_param_grad:
         win = _windows(x, kh, kw, stride, pad)
@@ -239,8 +240,7 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
 
         def param_grad(start, b):
             cols = np.ascontiguousarray(win[:, :, :, start:start + b]).reshape(rows, -1)
-            u = np.ascontiguousarray(upstream[start:start + b].transpose(1, 0, 2, 3))
-            u = u.reshape(c_out, -1)
+            u = block_upstream(start, b)
             parts[start // block], bias_parts[start // block] = u @ cols.T, u.sum(axis=1)
 
         _in_blocks(n, rows * hw, param_grad)
@@ -248,7 +248,7 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
 
     grad_input = None
     if need_input_grad:
-        k_t = kernels.transpose(2, 3, 1, 0).reshape(-1, c_out)
+        weights = kernels.reshape(c_out, -1)
         hp, wp = h + 2 * pad, w + 2 * pad
         build = _cached_index if 16 * rows * hw <= _BLOCK_BYTES else _scatter_index
         index = {b: build(kh, kw, c_in, hp, wp, stride, b)
@@ -256,12 +256,9 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
         grad_input = np.empty(x.shape)
 
         def block_grad(start, b):
-            # C order for any b and H'·W' (a view at b=1): strides change GEMM bytes
-            up = np.ascontiguousarray(upstream[start:start + b].transpose(1, 2, 3, 0))
-            contrib = k_t @ up.reshape(c_out, -1)
-            grid = np.bincount(index[b], contrib.reshape(-1), c_in * hp * wp * b)
-            grad_input[start:start + b] = grid.reshape(c_in, hp, wp, b)[
-                :, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
+            contrib = weights.T @ block_upstream(start, b)
+            grid = np.bincount(index[b], contrib.reshape(-1), b * c_in * hp * wp)
+            grad_input[start:start + b] = grid.reshape(b, c_in, hp, wp)[:, :, pad:pad + h, pad:pad + w]
 
         _in_blocks(n, rows * hw, block_grad)
     _count("conv2d_bwd", upstream.size * c_in * kh * kw)

@@ -1,6 +1,7 @@
 """Config parsing and the command-line surface, driven in process."""
 
 import configparser
+import gzip
 import os
 import re
 import shutil
@@ -306,11 +307,15 @@ def test_gradcheck_catches_a_planted_loss_bug(monkeypatch, capsys):
 # exit codes
 
 
-def test_bad_config_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("text,message", [
+    (b"[train]\nwarp_speed = 9\n", "unknown keys"),
+    (b"[run]\nout_dir = \xff\xfe\n", "can't decode byte 0xff"),
+], ids=["unknown-key", "not-utf8"])
+def test_bad_config_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"
-    path.write_text("[train]\nwarp_speed = 9\n")
+    path.write_bytes(text)
     assert cli.main(["train", "--config", str(path)]) == 2
-    assert "unknown keys" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_missing_config_exits_3(tmp_path, capsys):
@@ -562,9 +567,9 @@ def test_missing_required_flag_exits_2(capsys):
 # exit-code contract over arbitrary argv and config text
 
 # Value fragments per section and key, the valid one first; "{out}",
-# "{missing}" and "{junk}" become a writable directory, an absent path and a
-# file of garbage. Sizes stay tiny (epochs <= 1, n <= 32, iterations <= 2) so
-# an example runs in milliseconds.
+# "{missing}", "{junk}" and "{gzjunk}" become a writable directory, an absent
+# path, a file of garbage and a gzip stream cut short. Sizes stay tiny
+# (epochs <= 1, n <= 32, iterations <= 2) so an example runs in milliseconds.
 _INI = {
     "network": {
         "layers": ["conv:2@3, pool:2/2, flatten, dense:2", "conv:1@3/2p1, relu, flatten, dense:3",
@@ -584,8 +589,8 @@ _INI = {
     },
     "data": {
         "source": ["synthetic", "idx", "tape"],
-        **{k: ["{missing}", "{junk}", ""] for k in ("train_images", "train_labels",
-                                                   "test_images", "test_labels")},
+        **{k: ["{missing}", "{junk}", "{gzjunk}", ""]
+           for k in ("train_images", "train_labels", "test_images", "test_labels")},
         "n": ["32", "0", "2", "8", "-4"], "classes": ["2", "1", "3"],
         "image_size": ["8", "0", "4", "28"], "noise_std": ["0.1", "-1", "nan"],
         "eval_n": ["8", "0", "x"],
@@ -647,6 +652,7 @@ _COMMANDS = {
 }
 _FLAGS = st.sampled_from([
     ["--config", "{config}"], ["--config", "{missing}"], ["--config", "{out}"],
+    ["--config", "{latin1}"],
     ["--checkpoint", "{ckpt}"], ["--checkpoint", "{junk}"], ["--checkpoint", "{missing}"],
     ["--seed", "0"], ["--seed", "7"], ["--seed", "-1"], ["--seed", "x"], ["--seed"],
     ["--layer", "pool1"], ["--layer", "dense1"], ["--layer", "nope"],
@@ -661,8 +667,11 @@ def cli_files(tmp_path_factory):
     ckpt = root / "net.ckpt"
     net.save_checkpoint(net.build_network(parse_config(write_config(root)).network), ckpt)
     (root / "junk").write_bytes(b"\x00garbage\n[network\n")
+    (root / "gzjunk").write_bytes(gzip.compress(b"\x00" * 256)[:-8])   # no trailer
+    (root / "latin1.ini").write_bytes(b"[run]\nseed = \xff\n")   # not UTF-8
     return {"config": str(root / "run.ini"), "ckpt": str(ckpt), "out": str(root / "out"),
-            "missing": str(root / "missing"), "junk": str(root / "junk")}
+            "missing": str(root / "missing"), "junk": str(root / "junk"),
+            "gzjunk": str(root / "gzjunk"), "latin1": str(root / "latin1.ini")}
 
 
 @settings(max_examples=100)

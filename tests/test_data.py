@@ -71,6 +71,22 @@ def test_idx_rejects_truncated_payload(idx_pair, tmp_path):
         data.read_idx(cut, lp)
 
 
+@pytest.mark.parametrize("spoil", ["truncated", "corrupt"])
+def test_idx_rejects_broken_gzip(idx_pair, tmp_path, spoil):
+    # a stream cut short raises EOFError and spoiled deflate data zlib.error,
+    # neither an OSError like a bad header or CRC
+    ip, lp, _, _ = idx_pair
+    stream = bytearray(gzip.compress(ip.read_bytes()))
+    if spoil == "truncated":
+        del stream[len(stream) // 2:]
+    else:   # every deflate byte, between the 10-byte header and 8-byte trailer
+        stream[10:-8] = bytes(b ^ 0xFF for b in stream[10:-8])
+    broken = tmp_path / "broken.gz"
+    broken.write_bytes(bytes(stream))
+    with pytest.raises(DataError, match="corrupt gzip stream"):
+        data.read_idx(broken, lp)
+
+
 def test_idx_rejects_count_mismatch(idx_pair, tmp_path):
     ip, lp, _, _ = idx_pair
     fewer = tmp_path / "fewer"

@@ -211,18 +211,19 @@ def _input_grad_by_offsets(up, x, k, stride, pad):
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = k.shape
     h_out, w_out = up.shape[2:]
-    k_t = k.transpose(2, 3, 1, 0).reshape(-1, c_out)
+    weights_t = k.reshape(c_out, -1).T
     block = tensor._block_images(c_in * kh * kw * h_out * w_out)
     grad = np.empty(x.shape)
     for start in range(0, n, block):
         b = min(block, n - start)
-        up_t = np.ascontiguousarray(up[start:start + b].transpose(1, 2, 3, 0))
-        contrib = (k_t @ up_t.reshape(c_out, -1)).reshape(kh, kw, c_in, h_out, w_out, b)
-        gxp = np.zeros((c_in, h + 2 * pad, w + 2 * pad, b))
+        u = np.ascontiguousarray(up[start:start + b].transpose(1, 0, 2, 3))
+        contrib = (weights_t @ u.reshape(c_out, -1)).reshape(c_in, kh, kw, b, h_out, w_out)
+        gxp = np.zeros((b, c_in, h + 2 * pad, w + 2 * pad))
         for i in range(kh):
             for j in range(kw):
-                gxp[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += contrib[i, j]
-        grad[start:start + b] = gxp[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
+                gxp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += \
+                    contrib[:, i, j].transpose(1, 0, 2, 3)
+        grad[start:start + b] = gxp[:, :, pad:pad + h, pad:pad + w]
     return grad
 
 
@@ -353,6 +354,48 @@ def test_lenet_conv_input_grad_adds_offsets_in_loop_order(rng, n, c_in, extent, 
     up = rng.normal(size=(n, c_out, extent - 4, extent - 4))
     _assert_input_grad_by_offsets(up, x, k, 1, 0)
     _assert_input_grad_by_offsets(_with_specials(rng, up), x, k, 1, 0)
+
+
+def _input_grad_batch_innermost(up, x, k):
+    """A stride-1, unpadded input gradient with the batch innermost: kernels
+    copied as [kH·kW·C_in, C_out] times each block's upstream as
+    [C_out, H'·W'·b], added by kH·kW strided adds onto a [C_in, H, W, b] grid."""
+    n, c_in, h, w = x.shape
+    c_out, _, kh, kw = k.shape
+    h_out, w_out = up.shape[2:]
+    k_t = k.transpose(2, 3, 1, 0).reshape(-1, c_out)
+    block = tensor._block_images(c_in * kh * kw * h_out * w_out)
+    grad = np.empty(x.shape)
+    for start in range(0, n, block):
+        b = min(block, n - start)
+        up_t = np.ascontiguousarray(up[start:start + b].transpose(1, 2, 3, 0))
+        contrib = (k_t @ up_t.reshape(c_out, -1)).reshape(kh, kw, c_in, h_out, w_out, b)
+        gx = np.zeros((c_in, h, w, b))
+        for i in range(kh):
+            for j in range(kw):
+                gx[:, i:i + h_out, j:j + w_out] += contrib[i, j]
+        grad[start:start + b] = gx.transpose(3, 0, 1, 2)
+    return grad
+
+
+@pytest.mark.parametrize("worker", [False, True])
+@LENET_CONVS
+def test_conv_input_grad_keeps_lenet_bytes(monkeypatch, rng, worker, c_in, extent, c_out):
+    # seeded checkpoints and sampler chains pin LeNet's input-gradient bytes:
+    # on its geometries the forward's layout gives the bytes of the batch-
+    # innermost layout, and every image's row those of its own n=1 call
+    monkeypatch.setattr(tensor, "_WORKER", worker)
+    block = tensor._block_images(c_in * 25 * (extent - 4) ** 2)
+    k = rng.normal(size=(c_out, c_in, 5, 5))
+    for n in (1, 2, block, block + 1, 64):
+        x = rng.normal(size=(n, c_in, extent, extent))
+        up = rng.normal(size=(n, c_out, extent - 4, extent - 4))
+        got = tensor.conv2d_backward_batch(up, x, k, need_param_grad=False)[0]
+        assert got.tobytes() == _input_grad_batch_innermost(up, x, k).tobytes(), n
+        for i in range(n):
+            one = tensor.conv2d_backward_batch(up[i:i + 1], x[i:i + 1], k,
+                                               need_param_grad=False)[0]
+            assert got[i].tobytes() == one[0].tobytes(), (n, i)
 
 
 def _whole_batch_param_grads(up, x, k):
