@@ -298,9 +298,10 @@ def hmc_suite(seed: int = 0) -> list:
     x0 = rng.normal(0.0, 1.0, (1, 2, 2))
     phi0 = rng.normal(0.0, 1.0, (1, 2, 2))
     state = hmc_mod.ChainState(x0.copy(), phi0.copy(),
-                               hmc_mod.potential(quad, 0, x0, hconf.sigma), 0)
+                               hmc_mod.potential(quad, 0, x0, hconf.sigma), 0,
+                               grad=hmc_mod.potential_grad(quad, 0, x0, hconf.sigma))
     fwd = hmc_mod.leapfrog(state, quad, 0, hconf)
-    back = hmc_mod.leapfrog(hmc_mod.ChainState(fwd.x, -fwd.phi, fwd.potential, 0),
+    back = hmc_mod.leapfrog(hmc_mod.ChainState(fwd.x, -fwd.phi, fwd.potential, 0, grad=fwd.grad),
                             quad, 0, hconf)
     rev_err = max(float(np.abs(back.x - x0).max()), float(np.abs(back.phi + phi0).max()))
     results.append(_res("leapfrog-reversibility", rev_err, 1e-8))
@@ -310,7 +311,8 @@ def hmc_suite(seed: int = 0) -> list:
     def dh(eps, steps):
         cfg = replace(hconf, step_size=eps, leapfrog_steps=steps)
         st = hmc_mod.ChainState(x0.copy(), phi0.copy(),
-                                hmc_mod.potential(quad, 0, x0, cfg.sigma), 0)
+                                hmc_mod.potential(quad, 0, x0, cfg.sigma), 0,
+                                grad=hmc_mod.potential_grad(quad, 0, x0, cfg.sigma))
         end = hmc_mod.leapfrog(st, quad, 0, cfg)
         h0 = st.potential + float(np.square(st.phi).sum()) / 2.0
         h1 = end.potential + float(np.square(end.phi).sum()) / 2.0

@@ -13,20 +13,13 @@ from __future__ import annotations
 
 import configparser
 import math
-import re
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 from .errors import ConfigError
 from .hmc import HmcConfig
-from .net import LayerSpec, NetworkConfig, lenet_config
+from .net import NetworkConfig, lenet_config, parse_layers
 from .train import TrainConfig
-
-_LAYER_RES = {
-    "conv": re.compile(r"conv:(\d+)@(\d+)(?:/(\d+))?(?:p(\d+))?"),
-    "pool": re.compile(r"pool:(\d+)(?:/(\d+))?"),
-    "dense": re.compile(r"dense:(\d+)"),
-}
 
 
 @dataclass(frozen=True)
@@ -118,35 +111,6 @@ def _from_table(section: str, items: dict, seed: int):
     except ValueError as exc:
         raise ConfigError(f"[{section}]: {exc}") from exc
     return spec
-
-
-def parse_layers(text: str) -> tuple:
-    """Comma-separated layer tokens:
-    conv:<ch>@<k>[/<stride>][p<pad>], pool:<k>[/<stride>], dense:<w>,
-    relu, flatten. Pool stride defaults to the window edge."""
-    specs = []
-    for token in (t.strip() for t in text.split(",")):
-        if not token:
-            continue
-        if token == "relu":
-            specs.append(LayerSpec("relu"))
-        elif token == "flatten":
-            specs.append(LayerSpec("flatten"))
-        elif (m := _LAYER_RES["conv"].fullmatch(token)):
-            ch, k, s, p = m.groups()
-            specs.append(LayerSpec("conv", channels=int(ch), kernel=int(k),
-                                   stride=int(s or 1), pad=int(p or 0)))
-        elif (m := _LAYER_RES["pool"].fullmatch(token)):
-            k, s = m.groups()
-            specs.append(LayerSpec("maxpool", kernel=int(k),
-                                   stride=int(s) if s else int(k)))
-        elif (m := _LAYER_RES["dense"].fullmatch(token)):
-            specs.append(LayerSpec("dense", width=int(m.group(1))))
-        else:
-            raise ConfigError(f"[network] layers: unknown layer token {token!r}")
-    if not specs:
-        raise ConfigError("[network] layers: no layers given")
-    return tuple(specs)
 
 
 def _network_from(items: dict, seed: int):

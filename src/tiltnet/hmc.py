@@ -18,7 +18,7 @@ unpooling pattern tracks the sample as it moves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,12 +58,13 @@ class HmcConfig:
 
 @dataclass
 class ChainState:
-    """Position, the momentum it was last paired with, cached potential, and
-    the iteration counter."""
+    """Position, the momentum it was last paired with, the iteration counter,
+    and the cached potential and (keyword-only) gradient dU/dx at x."""
     x: np.ndarray
     phi: np.ndarray
     potential: float
     iteration: int = 0
+    grad: np.ndarray = field(kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,9 @@ def _potential_and_grad(net, node, x, sigma):
 
 def leapfrog(state: ChainState, net: net_mod.Network, node: int,
              config: HmcConfig) -> ChainState:
-    """Integrate L steps from (x, phi); time-reversible: running the result
-    with negated momentum retraces to the start.
+    """Integrate L steps from (x, phi) in L evaluations, the first half-step
+    reusing the state's grad; time-reversible: running the result with
+    negated momentum retraces to the start.
 
     Raises NumericsError naming the failing step when the trajectory blows
     up, which is the usual symptom of an oversized step size.
@@ -117,7 +119,7 @@ def leapfrog(state: ChainState, net: net_mod.Network, node: int,
     eps, m, steps = config.step_size, config.mass, config.leapfrog_steps
     x = state.x.astype(np.float64, copy=True)
     phi = state.phi.astype(np.float64, copy=True)
-    u, grad = _potential_and_grad(net, node, x, config.sigma)
+    u, grad = state.potential, state.grad
     phi -= 0.5 * eps * grad
     for step in range(steps):
         x += eps * phi / m
@@ -127,7 +129,7 @@ def leapfrog(state: ChainState, net: net_mod.Network, node: int,
             raise NumericsError(
                 f"leapfrog diverged at step {step + 1}/{steps} "
                 f"(iteration {state.iteration}); reduce step_size")
-    return ChainState(x, phi, u, state.iteration)
+    return ChainState(x, phi, u, state.iteration, grad=grad)
 
 
 def hmc_iterate(state: ChainState, net: net_mod.Network, node: int,
@@ -135,25 +137,16 @@ def hmc_iterate(state: ChainState, net: net_mod.Network, node: int,
     """One momentum refresh + trajectory + accept decision.
 
     Returns (new ChainState, accepted). With metropolis off every proposal is
-    taken. On rejection the state keeps its position and the fresh momentum,
-    so (x, phi, potential) stays a consistent triple either way.
+    taken. On rejection the state keeps its position, potential and grad and
+    takes the fresh momentum, so the four stay consistent either way.
     """
-    phi = rng.normal(0.0, np.sqrt(config.mass), size=state.x.shape)
-    u0 = state.potential
-    k0 = float(np.square(phi).sum() / (2.0 * config.mass))
-    proposal = leapfrog(replace(state, phi=phi), net, node, config)
+    start = replace(state, phi=rng.normal(0.0, np.sqrt(config.mass), size=state.x.shape))
+    k0 = float(np.square(start.phi).sum() / (2.0 * config.mass))
+    proposal = leapfrog(start, net, node, config)
     k1 = float(np.square(proposal.phi).sum() / (2.0 * config.mass))
-    delta_h = (proposal.potential + k1) - (u0 + k0)
-    if config.metropolis:
-        accepted = bool(delta_h <= 0 or rng.uniform() < np.exp(-delta_h))
-    else:
-        accepted = True
-    if accepted:
-        new = ChainState(proposal.x, proposal.phi, proposal.potential,
-                         state.iteration + 1)
-    else:
-        new = ChainState(state.x, phi, u0, state.iteration + 1)
-    return new, accepted
+    delta_h = (proposal.potential + k1) - (state.potential + k0)
+    accepted = not config.metropolis or bool(delta_h <= 0 or rng.uniform() < np.exp(-delta_h))
+    return replace(proposal if accepted else start, iteration=state.iteration + 1), accepted
 
 
 def default_snapshots(iterations: int) -> tuple:
@@ -189,8 +182,8 @@ def sample_node(net: net_mod.Network, layer: str, channel: int,
     shape = sub.config.input_shape
     rng = np.random.default_rng(config.seed)
     x0 = init_image(shape, config, rng)
-    u0 = potential(sub, 0, x0, config.sigma)
-    state = ChainState(x0, np.zeros(shape), u0, 0)
+    u0, grad = _potential_and_grad(sub, 0, x0, config.sigma)
+    state = ChainState(x0, np.zeros(shape), u0, 0, grad=grad)
     marks = set(config.snapshots) if config.snapshots else set(default_snapshots(config.iterations))
     marks |= {0, config.iterations}
     records = [SampleRecord(0, x0.copy(), u0, 0.0, u0, None)]

@@ -7,10 +7,10 @@ the input image for sampling), truncation at any layer to expose a single
 internal node as the score (an ordinary network whose config holds the
 prefix and the one input shape it accepts), and versioned binary checkpoints.
 
-What a layer kind means (its auto-name stem, output shape, parameter init,
-forward, backward and receptive-field inverse) lives in one record of
-``_KINDS``; the passes below only loop over it. Adding a kind means adding
-one record there and one token in ``config.parse_layers``.
+What a layer kind means (its auto-name stem, INI token and so the fields it
+takes, output shape, parameter init, forward, backward and receptive-field
+inverse) lives in one record of ``_KINDS``; ``parse_layers`` and the passes
+below only loop over it. Adding a kind means adding one record there.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import sys
 import zlib
@@ -28,12 +29,12 @@ from typing import Callable
 import numpy as np
 
 from . import tensor
-from .errors import CacheError, CheckpointError, ShapeError
+from .errors import CacheError, CheckpointError, ConfigError, ShapeError
 
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One layer of the stack. Fields that do not apply to the kind stay 0."""
+    """One layer of the stack. Fields its kind does not take keep their defaults."""
     kind: str
     name: str = ""
     channels: int = 0   # conv output channels
@@ -51,33 +52,19 @@ class NetworkConfig:
     seed: int = 0
 
 
-def lenet_config(num_classes: int = 10, input_shape=(1, 28, 28), seed: int = 0) -> NetworkConfig:
-    """The reference stack: conv(20@5) - pool2/2 - conv(50@5) - pool2/2 -
-    flatten - dense(500) - relu - dense(C)."""
-    layers = (
-        LayerSpec("conv", channels=20, kernel=5),
-        LayerSpec("maxpool", kernel=2, stride=2),
-        LayerSpec("conv", channels=50, kernel=5),
-        LayerSpec("maxpool", kernel=2, stride=2),
-        LayerSpec("flatten"),
-        LayerSpec("dense", width=500),
-        LayerSpec("relu"),
-        LayerSpec("dense", width=num_classes),
-    )
-    return NetworkConfig(tuple(input_shape), layers, num_classes, seed)
-
-
 # ---------------------------------------------------------------------------
 # layer kinds
 
 @dataclass(frozen=True)
 class _Kind:
-    """Everything one layer kind means; shapes exclude the batch axis.
+    """Everything one layer kind means; shapes exclude the batch axis. The
+    token's named groups are the LayerSpec fields the kind takes.
     Parameter-free kinds get weight and bias None and return None for gw, gb;
     so do the others when need_params is False.
     Primitives are looked up as ``tensor.<fn>`` at call time, so a wrapper
     patched onto the tensor module (a profiler, a counter) sees every call."""
     stem: str            # prefix of auto-generated layer names
+    token: str           # regex its INI layer token fullmatches
     out_shape: Callable  # (spec, in_shape) -> out_shape; raises ShapeError
     forward: Callable    # (spec, x, weight, bias, keep) -> (y, pool's ArgmaxMap if keep else None)
     backward: Callable   # (spec, up, x, weight, amap, need_input, need_params) -> (gx, gw, gb)
@@ -120,6 +107,7 @@ def _dense_shape(spec, shape) -> tuple:
 _KINDS = {
     "conv": _Kind(
         stem="conv", out_shape=_conv_shape,
+        token=r"conv:(?P<channels>\d+)@(?P<kernel>\d+)(?:/(?P<stride>\d+))?(?:p(?P<pad>\d+))?",
         forward=lambda s, x, w, b, keep: (
             tensor.conv2d_forward_batch(x, w, b, s.stride, s.pad), None),
         backward=lambda s, up, x, w, amap, need_input, need_params: (
@@ -130,20 +118,20 @@ _KINDS = {
             np.zeros(s.channels)),
         grow=lambda s, e: (e - 1) * s.stride + s.kernel - 2 * s.pad),
     "maxpool": _Kind(
-        stem="pool", out_shape=_pool_shape,
+        stem="pool", out_shape=_pool_shape, token=r"pool:(?P<kernel>\d+)(?:/(?P<stride>\d+))?",
         forward=lambda s, x, w, b, keep: tensor.maxpool_forward_batch(x, s.kernel, s.stride, keep),
         backward=lambda s, up, x, w, amap, need_input, need_params: (
             tensor.maxpool_backward_batch(up, amap), None, None),
         grow=lambda s, e: (e - 1) * s.stride + s.kernel, reads_input=False),
     "flatten": _Kind(
-        stem="flatten",
+        stem="flatten", token="flatten",
         out_shape=lambda s, shape: (
             int(np.prod(_spatial(shape, "flatten layer needs spatial input"))),),
         forward=lambda s, x, w, b, keep: (x.reshape(-1, math.prod(x.shape[1:])), None),
         backward=lambda s, up, x, w, amap, need_input, need_params: (
             up.reshape(x.shape), None, None)),
     "dense": _Kind(
-        stem="dense", out_shape=_dense_shape,
+        stem="dense", out_shape=_dense_shape, token=r"dense:(?P<width>\d+)",
         forward=lambda s, x, w, b, keep: (tensor.dense_forward_batch(x, w, b), None),
         backward=lambda s, up, x, w, amap, need_input, need_params: (
             tensor.dense_backward_batch(up, x, w, need_param_grad=need_params)),
@@ -151,7 +139,7 @@ _KINDS = {
             rng.normal(0.0, 1.0 / np.sqrt(shape[0]), (s.width, shape[0])),
             np.zeros(s.width))),
     "relu": _Kind(
-        stem="relu", out_shape=lambda s, shape: shape,
+        stem="relu", token="relu", out_shape=lambda s, shape: shape,
         forward=lambda s, x, w, b, keep: (tensor.relu_forward(x), None),
         backward=lambda s, up, x, w, amap, need_input, need_params: (
             tensor.relu_backward(up, x), None, None),
@@ -164,6 +152,33 @@ def _kind(spec: LayerSpec) -> _Kind:
     if spec.kind not in _KINDS:
         raise ShapeError(f"unknown layer kind {spec.kind!r}; have {', '.join(_KINDS)}")
     return _KINDS[spec.kind]
+
+
+def parse_layers(text: str) -> tuple:
+    """Comma-separated tokens, each fullmatching one kind's ``token`` (see the
+    README's layer line); a pool's stride defaults to its window edge."""
+    specs = []
+    for token in (t.strip() for t in text.split(",")):
+        if not token:
+            continue
+        for kind, record in _KINDS.items():
+            if match := re.fullmatch(record.token, token):
+                break
+        else:
+            raise ConfigError(f"[network] layers: unknown layer token {token!r}")
+        values = {k: int(v) for k, v in match.groupdict().items() if v is not None}
+        values = ({"stride": values["kernel"]} if kind == "maxpool" else {}) | values
+        specs.append(LayerSpec(kind, **values))
+    if not specs:
+        raise ConfigError("[network] layers: no layers given")
+    return tuple(specs)
+
+
+def lenet_config(num_classes: int = 10, input_shape=(1, 28, 28), seed: int = 0) -> NetworkConfig:
+    """The reference stack: the README's layer line, then dense(num_classes)."""
+    layers = parse_layers("conv:20@5, pool:2/2, conv:50@5, pool:2/2, flatten, dense:500, relu")
+    return NetworkConfig(tuple(input_shape), layers + (LayerSpec("dense", width=num_classes),),
+                         num_classes, seed)
 
 
 def _resolve_names(layers) -> list:
@@ -200,8 +215,9 @@ class ActivationCache:
 
 class Network:
     """The config's layer stack with its resolved names and output shapes (no
-    batch axis; ShapeError when the kinds do not chain), a parameter store, and
-    optionally a truncation head exposing one channel of the last layer."""
+    batch axis; ShapeError when the kinds do not chain or a layer sets a field
+    its kind does not take), a parameter store, and optionally a truncation
+    head exposing one channel of the last layer."""
 
     def __init__(self, config: NetworkConfig, params, head=None, version_cell=None):
         if len(config.input_shape) != 3 or any(d < 1 for d in config.input_shape):
@@ -212,8 +228,14 @@ class Network:
         self.names = _resolve_names(config.layers)
         self.shapes = []
         shape = tuple(int(d) for d in config.input_shape)
-        for spec in config.layers:
-            shape = _kind(spec).out_shape(spec, shape)
+        for spec, name in zip(config.layers, self.names):
+            kind = _kind(spec)
+            takes = re.compile(kind.token).groupindex
+            for f in fields(LayerSpec)[2:]:   # all but kind and name
+                if f.name not in takes and getattr(spec, f.name) != f.default:
+                    raise ShapeError(f"layer {name!r}: a {spec.kind} layer takes no {f.name}, "
+                                     f"got {f.name}={getattr(spec, f.name)!r}")
+            shape = kind.out_shape(spec, shape)
             self.shapes.append(shape)
         if not self.shapes:
             raise ShapeError("network needs at least one layer")

@@ -118,7 +118,8 @@ def test_criterion_4_sampler_mechanics_and_moments(announce):
     for label, net, mean_want, steps, burn, keep in cases:
         x0 = rng.normal(0.0, sigma, (1, 2, 2))
         state = hmc.ChainState(x0, np.zeros_like(x0),
-                               hmc.potential(net, 0, x0, sigma), 0)
+                               hmc.potential(net, 0, x0, sigma), 0,
+                               grad=hmc.potential_grad(net, 0, x0, sigma))
         cfg = hmc.HmcConfig(sigma=sigma, mass=mass, step_size=0.5, leapfrog_steps=steps,
                             metropolis=True, seed=0)
         draws = np.empty((keep, x0.size))

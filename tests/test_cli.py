@@ -15,7 +15,7 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tiltnet import cli, hmc, net
 from tiltnet.config import DataSpec, parse_config, parse_layers
@@ -415,6 +415,17 @@ def test_unknown_layer_kind_in_checkpoint_exits_3(tmp_path, capsys):
     assert "unknown layer kind 'bogus'" in capsys.readouterr().err
 
 
+def test_checkpoint_layer_with_a_field_its_kind_does_not_take_exits_3(tmp_path, capsys):
+    ckpt = tmp_path / "padded.ckpt"
+    net.save_checkpoint(net.build_network(parse_config(write_config(tmp_path)).network), ckpt)
+    meta, tensors = net.read_tensor_file(ckpt)
+    assert meta["layers"][1]["kind"] == "maxpool"
+    meta["layers"][1]["pad"] = 1
+    net.write_tensor_file(ckpt, meta, tensors)   # CRC recomputed
+    assert cli.main(["inspect", "--checkpoint", str(ckpt)]) == 3
+    assert "layer 'pool1': a maxpool layer takes no pad" in capsys.readouterr().err
+
+
 def test_ill_typed_checkpoint_meta_exits_3(tmp_path, capsys):
     ckpt = tmp_path / "typed.ckpt"
     net.save_checkpoint(net.build_network(parse_config(write_config(tmp_path)).network), ckpt)
@@ -566,9 +577,10 @@ def test_missing_required_flag_exits_2(capsys):
 # ---------------------------------------------------------------------------
 # exit-code contract over arbitrary argv and config text
 
-# Value fragments per section and key, the valid one first; "{out}",
-# "{missing}", "{junk}" and "{gzjunk}" become a writable directory, an absent
-# path, a file of garbage and a gzip stream cut short. Sizes stay tiny
+# Value fragments per section and key, the valid one first (source has two);
+# "{out}", "{images}", "{labels}", "{missing}", "{junk}" and "{gzjunk}" become
+# a writable directory, a gzipped and a raw IDX file of 32 8x8 images, an
+# absent path, a file of garbage and a gzip stream cut short. Sizes stay tiny
 # (epochs <= 1, n <= 32, iterations <= 2) so an example runs in milliseconds.
 _INI = {
     "network": {
@@ -589,8 +601,8 @@ _INI = {
     },
     "data": {
         "source": ["synthetic", "idx", "tape"],
-        **{k: ["{missing}", "{junk}", "{gzjunk}", ""]
-           for k in ("train_images", "train_labels", "test_images", "test_labels")},
+        **{f"{part}_{kind}": [f"{{{kind}}}", "{missing}", "{junk}", "{gzjunk}", ""]
+           for part in ("train", "test") for kind in ("images", "labels")},
         "n": ["32", "0", "2", "8", "-4"], "classes": ["2", "1", "3"],
         "image_size": ["8", "0", "4", "28"], "noise_std": ["0.1", "-1", "nan"],
         "eval_n": ["8", "0", "x"],
@@ -607,17 +619,20 @@ _INI = {
 for _section, _key in FLOAT_KEYS:   # every float key also meets these
     _INI[_section][_key] += [v for v in ("nan", "inf", "-0.0") if v not in _INI[_section][_key]]
 # keys written whenever their section is; [train] and [hmc] are always there,
-# the others are left out only from wild texts
-_ALWAYS_KEYS = {"network": ("layers",), "train": ("epochs",), "data": ("n", "eval_n"),
+# the others are left out only from wild texts. With source and all four
+# paths always written, a spoiled path meets source = idx about half the time.
+_ALWAYS_KEYS = {"network": ("layers",), "train": ("epochs",),
+              "data": ("n", "eval_n", "source", "train_images", "train_labels",
+                       "test_images", "test_labels"),
               "hmc": ("iterations", "leapfrog_steps")}
 _JUNK_LINES = ["[bogus]", "extra = 1", "no equals sign", "[network", "= 3", "[run]"]
 
 
 @st.composite
 def _ini_texts(draw):
-    """(text, whether a single float key was spoiled). "clean" texts take
-    every key's valid value, "one" spoils a single key, "wild" draws every
-    value."""
+    """(text, whether a single float key was spoiled). "clean" texts draw
+    every key from its valid values, "one" spoils a single key, "wild" draws
+    every value."""
     style = draw(st.sampled_from(["clean", "one", "wild"]))
     # half the spoiled keys are float keys, whose bad values must exit 2
     spoiled = draw(st.sampled_from(FLOAT_KEYS)
@@ -633,7 +648,8 @@ def _ini_texts(draw):
             chosen.add(spoiled[1])
         for key in sorted(chosen):
             wild = style == "wild" or (style == "one" and (section, key) == spoiled)
-            value = draw(st.sampled_from(keys[key])) if wild else keys[key][0]
+            valid = keys[key][:2 if (section, key) == ("data", "source") else 1]
+            value = draw(st.sampled_from(keys[key] if wild else valid))
             lines.append(f"{key} = {value}")
         if style == "wild":
             lines += draw(st.lists(st.sampled_from(_JUNK_LINES), max_size=1))
@@ -669,14 +685,39 @@ def cli_files(tmp_path_factory):
     (root / "junk").write_bytes(b"\x00garbage\n[network\n")
     (root / "gzjunk").write_bytes(gzip.compress(b"\x00" * 256)[:-8])   # no trailer
     (root / "latin1.ini").write_bytes(b"[run]\nseed = \xff\n")   # not UTF-8
+    images, labels = write_idx(root / "idx", 32)
+    images.write_bytes(gzip.compress(images.read_bytes()))
     return {"config": str(root / "run.ini"), "ckpt": str(ckpt), "out": str(root / "out"),
+            "images": str(images), "labels": str(labels),
             "missing": str(root / "missing"), "junk": str(root / "junk"),
             "gzjunk": str(root / "gzjunk"), "latin1": str(root / "latin1.ini")}
 
 
+def _idx_text(values: dict) -> tuple:
+    """An ini draw of the always-written keys and [run] out_dir at their valid
+    values, source = idx, and the given {(section, key): value} in place."""
+    values = {("data", "source"): "idx", ("run", "out_dir"): "{out}", **values}
+    lines = []
+    for section, keys in _INI.items():
+        lines.append(f"[{section}]")
+        named = {key for s, key in values if s == section}
+        for key in sorted(named | set(_ALWAYS_KEYS.get(section, ()))):
+            lines.append(f"{key} = {values.get((section, key), keys[key][0])}")
+    return "\n".join(lines) + "\n", False
+
+
+# Drawn texts reach an IDX reader only now and then (an idx source, a train or
+# eval command and no flag that fails first), so each broken file also runs
+# once through each reader, and one valid idx run trains to the end.
 @settings(max_examples=100)
 @given(command=st.sampled_from(sorted(_COMMANDS)), flags=st.lists(_FLAGS, max_size=3),
        ini=_ini_texts())
+@example(command="train", flags=[], ini=_idx_text({("network", "input_shape"): "1x8x8",
+                                                  ("network", "classes"): "2"}))
+@example(command="train", flags=[], ini=_idx_text({("data", "train_images"): "{gzjunk}"}))
+@example(command="train", flags=[], ini=_idx_text({("data", "train_labels"): "{junk}"}))
+@example(command="eval", flags=[], ini=_idx_text({("data", "test_images"): "{missing}"}))
+@example(command="eval", flags=[], ini=_idx_text({("data", "test_labels"): "{gzjunk}"}))
 def test_cli_maps_every_input_to_an_exit_code(cli_files, command, flags, ini):
     text, float_spoiled = ini
     with open(cli_files["config"], "w") as fh:

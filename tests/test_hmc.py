@@ -58,10 +58,11 @@ def test_leapfrog_is_time_reversible(tiny_net, rng):
     x0 = rng.normal(0.0, 1.0, (1, 6, 6))
     phi0 = rng.normal(0.0, np.sqrt(cfg.mass), (1, 6, 6))
     start = hmc.ChainState(x0.copy(), phi0.copy(),
-                           hmc.potential(tiny_net, 0, x0, cfg.sigma), 0)
+                           hmc.potential(tiny_net, 0, x0, cfg.sigma), 0,
+                           grad=hmc.potential_grad(tiny_net, 0, x0, cfg.sigma))
     end = hmc.leapfrog(start, tiny_net, 0, cfg)
     back = hmc.leapfrog(
-        hmc.ChainState(end.x, -end.phi, end.potential, 0), tiny_net, 0, cfg)
+        hmc.ChainState(end.x, -end.phi, end.potential, 0, grad=end.grad), tiny_net, 0, cfg)
     assert np.abs(back.x - x0).max() < 1e-8
     assert np.abs(-back.phi - phi0).max() < 1e-8
 
@@ -76,7 +77,8 @@ def test_energy_error_scales_with_step_squared():
     def energy_drift(eps, steps):
         cfg = hmc.HmcConfig(sigma=1.0, mass=1.0, step_size=eps, leapfrog_steps=steps)
         start = hmc.ChainState(x0.copy(), phi0.copy(),
-                               hmc.potential(net, 0, x0, 1.0), 0)
+                               hmc.potential(net, 0, x0, 1.0), 0,
+                               grad=hmc.potential_grad(net, 0, x0, 1.0))
         end = hmc.leapfrog(start, net, 0, cfg)
         h0 = start.potential + np.square(phi0).sum() / 2.0
         h1 = end.potential + np.square(end.phi).sum() / 2.0
@@ -89,7 +91,8 @@ def test_energy_error_scales_with_step_squared():
 def test_leapfrog_divergence_raises():
     net = zero_net()
     cfg = hmc.HmcConfig(sigma=1.0, mass=1.0, step_size=1e6, leapfrog_steps=100)
-    state = hmc.ChainState(np.ones((1, 6, 6)), np.ones((1, 6, 6)), 0.0, 0)
+    state = hmc.ChainState(np.ones((1, 6, 6)), np.ones((1, 6, 6)), 0.0, 0,
+                           grad=hmc.potential_grad(net, 0, np.ones((1, 6, 6)), 1.0))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericsError, match="diverged at step"):
             hmc.leapfrog(state, net, 0, cfg)
@@ -106,7 +109,8 @@ def test_builtin_hmc_suite_green():
 
 def fresh_quadratic_state(net, rng):
     x0 = rng.normal(0.0, 1.0, (1, 6, 6))
-    return hmc.ChainState(x0, np.zeros_like(x0), hmc.potential(net, 0, x0, 1.0), 0)
+    return hmc.ChainState(x0, np.zeros_like(x0), hmc.potential(net, 0, x0, 1.0), 0,
+                          grad=hmc.potential_grad(net, 0, x0, 1.0))
 
 
 def test_metropolis_off_accepts_every_proposal():
@@ -236,6 +240,56 @@ def test_zero_init_starts_at_origin(tiny_net):
     recs = hmc.sample_node(tiny_net, "dense1", 0,
                            small_chain_config(init="zero", iterations=0))
     assert np.array_equal(recs[0].image, np.zeros((1, 6, 6)))
+
+
+def test_sample_node_evaluates_each_chain_position_once(tiny_net, monkeypatch):
+    calls = []
+    backward_input = net_mod.backward_input
+    monkeypatch.setattr(net_mod, "backward_input",
+                        lambda *args: calls.append(args) or backward_input(*args))
+    hmc.sample_node(tiny_net, "dense1", 0, small_chain_config(iterations=7, leapfrog_steps=4))
+    assert len(calls) == 1 + 7 * 4
+
+
+def _chain_recomputing_start_gradients(net, layer, channel, config):
+    """sample_node's (image, potential, kinetic, accepted) at every iteration,
+    computed longhand with each trajectory evaluating U and dU/dx at its
+    start point again instead of reusing the chain's cached gradient."""
+    sub = net_mod.truncate_at(net, layer, channel)
+    eps, m, sigma, steps = config.step_size, config.mass, config.sigma, config.leapfrog_steps
+    rng = np.random.default_rng(config.seed)
+    x = hmc.init_image(sub.config.input_shape, config, rng)
+    u = hmc.potential(sub, 0, x, sigma)
+    rows = [(x.copy(), u, 0.0, None)]
+    for _ in range(config.iterations):
+        phi0 = rng.normal(0.0, np.sqrt(m), size=x.shape)
+        x1, phi = x.copy(), phi0.copy()
+        phi -= 0.5 * eps * hmc.potential_grad(sub, 0, x1, sigma)
+        for step in range(steps):
+            x1 += eps * phi / m
+            u1 = hmc.potential(sub, 0, x1, sigma)
+            phi -= (eps if step < steps - 1 else 0.5 * eps) * hmc.potential_grad(sub, 0, x1, sigma)
+        k0 = float(np.square(phi0).sum() / (2.0 * m))
+        k1 = float(np.square(phi).sum() / (2.0 * m))
+        delta_h = (u1 + k1) - (u + k0)
+        accepted = bool(delta_h <= 0 or rng.uniform() < np.exp(-delta_h))
+        if accepted:
+            x, u, k0 = x1, u1, k1
+        rows.append((x.copy(), u, k0, accepted))
+    return rows
+
+
+@pytest.mark.parametrize("layer", ["conv1", "dense1"])
+def test_cached_gradient_chain_matches_recomputing_chain_bytes(tiny_net, layer):
+    config = small_chain_config(step_size=1.5, snapshots=tuple(range(13)))
+    records = hmc.sample_node(tiny_net, layer, 1, config)
+    want = _chain_recomputing_start_gradients(tiny_net, layer, 1, config)
+    assert {accepted for *_, accepted in want[1:]} == {True, False}
+    assert len(records) == len(want)
+    for rec, (image, u, k, accepted) in zip(records, want):
+        assert rec.image.tobytes() == image.tobytes()
+        assert (rec.potential, rec.kinetic, rec.hamiltonian) == (u, k, u + k)
+        assert rec.accepted is accepted
 
 
 def test_config_validation():

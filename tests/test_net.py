@@ -3,6 +3,7 @@ shape, and checkpoint round-trips."""
 
 import re
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -67,6 +68,53 @@ def test_auto_names_count_only_unnamed_layers():
     assert list(network.params) == [
         "conv1.weight", "conv1.bias", "mid.weight", "mid.bias",
         "conv2.weight", "conv2.bias", "dense1.weight", "dense1.bias"]
+
+
+# LeNet as literal specs; lenet_config parses all but the last layer
+LENET_FEATURES = (
+    net.LayerSpec("conv", channels=20, kernel=5),
+    net.LayerSpec("maxpool", kernel=2, stride=2),
+    net.LayerSpec("conv", channels=50, kernel=5),
+    net.LayerSpec("maxpool", kernel=2, stride=2),
+    net.LayerSpec("flatten"),
+    net.LayerSpec("dense", width=500),
+    net.LayerSpec("relu"),
+)
+
+
+@pytest.mark.parametrize("classes", [1, 2, 10, 0, -1])
+def test_lenet_config_is_the_literal_stack(classes):
+    config = net.lenet_config(classes, (3, 32, 32), seed=4)
+    assert config == net.NetworkConfig(
+        (3, 32, 32), LENET_FEATURES + (net.LayerSpec("dense", width=classes),), classes, 4)
+
+
+# one token per kind, every optional group given a non-default value
+_SAMPLE_TOKENS = {"conv": "conv:8@3/2p1", "maxpool": "pool:3/2", "flatten": "flatten",
+                  "dense": "dense:5", "relu": "relu"}
+
+
+def test_each_kind_token_parses_to_exactly_its_named_fields():
+    assert set(_SAMPLE_TOKENS) == set(net._KINDS)
+    for kind, record in net._KINDS.items():
+        assert record.token
+        (spec,) = net.parse_layers(_SAMPLE_TOKENS[kind])
+        assert spec.kind == kind
+        set_fields = {f.name for f in fields(net.LayerSpec)[2:]
+                      if getattr(spec, f.name) != f.default}
+        assert set_fields == set(re.compile(record.token).groupindex)
+
+
+@pytest.mark.parametrize("spec,field", [
+    (net.LayerSpec("maxpool", kernel=3, stride=1, pad=1), "pad"),
+    (net.LayerSpec("dense", width=4, kernel=3), "kernel"),
+    (net.LayerSpec("relu", channels=2), "channels"),
+])
+def test_a_field_its_kind_does_not_take_is_refused(spec, field):
+    # on its own the pool would silently drop the pad: 6x6 -> 4x4
+    layers = (net.LayerSpec("flatten"), spec) if spec.kind == "dense" else (spec,)
+    with pytest.raises(ShapeError, match=rf"layer '\w+1': a {spec.kind} layer takes no {field}"):
+        net.build_network(net.NetworkConfig((1, 6, 6), layers, 4))
 
 
 def test_forward_rejects_wrong_input_shape(tiny_net):
