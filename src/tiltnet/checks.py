@@ -146,7 +146,29 @@ def loss_suite(seed: int = 0, instances: int = 40) -> list:
     results.append(_res("gen-grad-vs-threecase", max_loop_g, 1e-12))
     results.append(_res("disc-grad-rowsums", max_rowsum, 1e-10))
     results.append(_res("gen-grad-colsums", max_colsum, 1e-10))
+    results.append(_res("gen-grad-vs-closed-form", gen_grad_closed_form_error(seed), 0.05,
+                        note="linear scorer, n=512, 156 batches"))
     return results
+
+
+def gen_grad_closed_form_error(seed: int, n: int = 512, batches: int = 156) -> float:
+    """Max error of a linear scorer's generative gradient per class-y example,
+    (G^T X)[y] / n_y for F = X W^T on a mixture of N(mu_c, s^2 I) with weights
+    pi_c, against mu_y - sum_c rho_c (mu_c + s^2 w_y), rho_c ∝ pi_c exp(w_y . mu_c)."""
+    rng = np.random.default_rng(seed)
+    pi, s = np.array([0.5, 0.3, 0.2]), 0.5
+    mu, w = rng.normal(0.0, 1.0, (3, 4)), rng.normal(0.0, 0.5, (3, 4))
+    total, done = np.zeros((3, 4)), 0
+    while done < batches:
+        y = rng.choice(3, n, p=pi)
+        counts = np.bincount(y, minlength=3)
+        if counts.min() > 0:   # a batch that misses a class is drawn again
+            x = mu[y] + s * rng.normal(0.0, 1.0, (n, 4))
+            total += (loss_mod.gen_loss_and_grad(x @ w.T, y)[1].T @ x) / counts[:, None]
+            done += 1
+    rho = pi * np.exp(w @ mu.T)   # rho[y, c], unnormalized
+    exact = mu - (rho @ mu) / rho.sum(axis=1, keepdims=True) - s * s * w
+    return float(np.abs(total / batches - exact).max())
 
 
 def tensor_suite(seed: int = 0) -> list:
@@ -159,55 +181,33 @@ def tensor_suite(seed: int = 0) -> list:
     b = rng.normal(0.0, 1.0, 4)
     probe = rng.normal(0.0, 1.0, (2, 4, 3, 3))  # stride 2, pad 0 output shape
 
-    def conv_obj(which):
-        def f(a):
-            args = {"x": x, "k": k, "b": b}
-            args[which] = a
-            out = tensor.conv2d_forward_batch(args["x"], args["k"], args["b"], 2, 0)
-            return float((out * probe).sum())
-        return f
-
-    gx, gk, gb = tensor.conv2d_backward_batch(probe, x, k, 2, 0)
-    results.append(_res("conv-input-grad", rel_err(fd_grad(conv_obj("x"), x.copy()), gx), 1e-6))
-    results.append(_res("conv-kernel-grad", rel_err(fd_grad(conv_obj("k"), k.copy()), gk), 1e-6))
-    results.append(_res("conv-bias-grad", rel_err(fd_grad(conv_obj("b"), b.copy()), gb), 1e-6))
+    results += _adjoint_checks(("conv-input-grad", "conv-kernel-grad", "conv-bias-grad"),
+                               lambda *a: tensor.conv2d_forward_batch(*a, 2, 0), (x, k, b),
+                               tensor.conv2d_backward_batch(probe, x, k, 2, 0), probe)
 
     xp = rng.normal(0.0, 1.0, (2, 2, 6, 6))
     pooled, amap = tensor.maxpool_forward_batch(xp, 2, 2)
     pprobe = rng.normal(0.0, 1.0, pooled.shape)
 
-    def pool_obj(a):
-        out, _ = tensor.maxpool_forward_batch(a, 2, 2)
-        return float((out * pprobe).sum())
-
-    gpool = tensor.maxpool_backward_batch(pprobe, amap)
-    results.append(_res("pool-routed-grad",
-                        rel_err(fd_grad(pool_obj, xp.copy()), gpool), 1e-6,
-                        note="continuous inputs, no ties"))
+    results += _adjoint_checks(("pool-routed-grad",),
+                               lambda a: tensor.maxpool_forward_batch(a, 2, 2)[0], (xp,),
+                               (tensor.maxpool_backward_batch(pprobe, amap),), pprobe,
+                               note="continuous inputs, no ties")
 
     xd = rng.normal(0.0, 1.0, (3, 5))
     wd = rng.normal(0.0, 1.0, (4, 5))
     bd = rng.normal(0.0, 1.0, 4)
     dprobe = rng.normal(0.0, 1.0, (3, 4))
 
-    def dense_obj(which):
-        def f(a):
-            args = {"x": xd, "w": wd, "b": bd}
-            args[which] = a
-            return float((tensor.dense_forward_batch(args["x"], args["w"], args["b"]) * dprobe).sum())
-        return f
-
-    gxd, gwd, gbd = tensor.dense_backward_batch(dprobe, xd, wd)
-    results.append(_res("dense-input-grad", rel_err(fd_grad(dense_obj("x"), xd.copy()), gxd), 1e-6))
-    results.append(_res("dense-weight-grad", rel_err(fd_grad(dense_obj("w"), wd.copy()), gwd), 1e-6))
-    results.append(_res("dense-bias-grad", rel_err(fd_grad(dense_obj("b"), bd.copy()), gbd), 1e-6))
+    results += _adjoint_checks(("dense-input-grad", "dense-weight-grad", "dense-bias-grad"),
+                               tensor.dense_forward_batch, (xd, wd, bd),
+                               tensor.dense_backward_batch(dprobe, xd, wd), dprobe)
 
     xr = rng.normal(0.0, 1.0, (4, 6))
     xr[np.abs(xr) < 1e-3] += 0.1  # keep clear of the kink
     rprobe = rng.normal(0.0, 1.0, xr.shape)
-    gr = tensor.relu_backward(rprobe, xr)
-    gr_fd = fd_grad(lambda a: float((tensor.relu_forward(a) * rprobe).sum()), xr.copy())
-    results.append(_res("relu-grad", rel_err(gr_fd, gr), 1e-6))
+    results += _adjoint_checks(("relu-grad",), tensor.relu_forward, (xr,),
+                               (tensor.relu_backward(rprobe, xr),), rprobe)
 
     # the two-way split changes no byte: LeNet's conv2 (forward, gradients),
     # conv1's gradients (blocks 18+18+18+10) and pool1 at n=64, worker on/off
@@ -273,10 +273,8 @@ def network_suite(seed: int = 0) -> list:
     # the input gradient of sum(probe * scores), every image and node at once
     scores, cache = net_mod.forward_batch(network, xb)
     probe = rng.normal(0.0, 1.0, scores.shape)
-    gin = net_mod.backward_input(network, cache, probe)
-    def obj_x(a):
-        return float((net_mod.forward_batch(network, a)[0] * probe).sum())
-    results.append(_res("net-input-grad", rel_err(fd_grad(obj_x, xb.copy()), gin), 1e-6))
+    results += _adjoint_checks(("net-input-grad",), lambda a: net_mod.forward_batch(network, a)[0],
+                               (xb,), (net_mod.backward_input(network, cache, probe),), probe)
     return results
 
 
@@ -307,16 +305,11 @@ def hmc_suite(seed: int = 0) -> list:
     results.append(_res("leapfrog-reversibility", rev_err, 1e-8))
 
     # |dH| should scale as eps^2 at fixed trajectory length: halving eps
-    # while doubling L divides the error by ~4
+    # while doubling L divides the error by ~4 (leapfrog copies `state`)
+    h0 = state.potential + float(np.square(state.phi).sum()) / 2.0
     def dh(eps, steps):
-        cfg = replace(hconf, step_size=eps, leapfrog_steps=steps)
-        st = hmc_mod.ChainState(x0.copy(), phi0.copy(),
-                                hmc_mod.potential(quad, 0, x0, cfg.sigma), 0,
-                                grad=hmc_mod.potential_grad(quad, 0, x0, cfg.sigma))
-        end = hmc_mod.leapfrog(st, quad, 0, cfg)
-        h0 = st.potential + float(np.square(st.phi).sum()) / 2.0
-        h1 = end.potential + float(np.square(end.phi).sum()) / 2.0
-        return abs(h1 - h0)
+        end = hmc_mod.leapfrog(state, quad, 0, replace(hconf, step_size=eps, leapfrog_steps=steps))
+        return abs(end.potential + float(np.square(end.phi).sum()) / 2.0 - h0)
 
     ratio = dh(0.1, 30) / dh(0.05, 60)
     ok = 3.5 <= ratio <= 4.5
@@ -327,6 +320,15 @@ def hmc_suite(seed: int = 0) -> list:
 
 def _res(name: str, value: float, tol: float, note: str = "") -> CheckResult:
     return CheckResult(name, float(value), tol, bool(value <= tol), note)
+
+
+def _adjoint_checks(names, forward, args, grads, probe, note: str = "") -> list:
+    """One check per argument slot i: the backward's grads[i] against finite
+    differences of sum(forward(*args) * probe) in args[i], tolerance 1e-6."""
+    def objective(i):
+        return lambda a: float((forward(*args[:i], a, *args[i + 1:]) * probe).sum())
+    return [_res(name, rel_err(fd_grad(objective(i), args[i].copy()), grad), 1e-6, note)
+            for i, (name, grad) in enumerate(zip(names, grads))]
 
 
 def all_suites(seed: int = 0) -> list:

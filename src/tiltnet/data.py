@@ -92,17 +92,11 @@ def synthetic_dataset(n: int, classes: int, image_size: int = 28, seed: int = 0,
     rect = max(3, image_size // 4)
     avail = image_size - rect
     grid = int(np.ceil(np.sqrt(classes)))
-    step = avail // max(grid - 1, 1)
-    if avail < 0 or (grid > 1 and step < 1):
+    step = avail // (grid - 1)   # classes >= 2, so grid >= 2; avail < 0 gives step < 0
+    if step < 1:
         raise DataError(f"image size {image_size} cannot place {classes} distinct "
                         f"{rect}x{rect} rectangles")
-    corners = []
-    for k in range(classes):
-        r, c = (k // grid) * step, (k % grid) * step
-        if r + rect > image_size or c + rect > image_size:
-            raise DataError(f"class {k} rectangle falls outside the {image_size}"
-                            f"x{image_size} image")
-        corners.append((r, c))
+    corners = [((k // grid) * step, (k % grid) * step) for k in range(classes)]
 
     rng = np.random.default_rng(seed)
     labels = (np.arange(n) % classes).astype(np.int64)

@@ -120,15 +120,16 @@ def leapfrog(state: ChainState, net: net_mod.Network, node: int,
     x = state.x.astype(np.float64, copy=True)
     phi = state.phi.astype(np.float64, copy=True)
     u, grad = state.potential, state.grad
-    phi -= 0.5 * eps * grad
-    for step in range(steps):
-        x += eps * phi / m
-        u, grad = _potential_and_grad(net, node, x, config.sigma)
-        phi -= (eps if step < steps - 1 else 0.5 * eps) * grad
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(phi)) and np.isfinite(u)):
-            raise NumericsError(
-                f"leapfrog diverged at step {step + 1}/{steps} "
-                f"(iteration {state.iteration}); reduce step_size")
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
+        phi -= 0.5 * eps * grad
+        for step in range(steps):
+            x += eps * phi / m
+            u, grad = _potential_and_grad(net, node, x, config.sigma)
+            phi -= (eps if step < steps - 1 else 0.5 * eps) * grad
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(phi)) and np.isfinite(u)):
+                raise NumericsError(
+                    f"leapfrog diverged at step {step + 1}/{steps} "
+                    f"(iteration {state.iteration}); reduce step_size")
     return ChainState(x, phi, u, state.iteration, grad=grad)
 
 
@@ -182,7 +183,8 @@ def sample_node(net: net_mod.Network, layer: str, channel: int,
     shape = sub.config.input_shape
     rng = np.random.default_rng(config.seed)
     x0 = init_image(shape, config, rng)
-    u0, grad = _potential_and_grad(sub, 0, x0, config.sigma)
+    with np.errstate(over="ignore", invalid="ignore"):  # the first trajectory checks it
+        u0, grad = _potential_and_grad(sub, 0, x0, config.sigma)
     state = ChainState(x0, np.zeros(shape), u0, 0, grad=grad)
     marks = set(config.snapshots) if config.snapshots else set(default_snapshots(config.iterations))
     marks |= {0, config.iterations}

@@ -220,49 +220,50 @@ def run_training(net: net_mod.Network, train_set: Dataset, config: TrainConfig,
         log.header(f"time={time.strftime('%Y-%m-%dT%H:%M:%S')}")
         log.header(" ".join(f"{f.name}={getattr(config, f.name)}" for f in fields(config)))
 
-    for epoch in range(start_epoch, config.epochs):
-        mode = _mode_for_epoch(config, epoch)
-        lr = _lr_for_epoch(config, epoch)
-        if config.mode == "GG+DG" and epoch == config.pretrain_epochs:
-            state.reset()
-            log.record(event="refine_switch", epoch=epoch, lr=lr)
-        t0 = time.perf_counter()
-        sum_d = sum_g = 0.0
-        seen = wrong = 0
-        ess_values: list = []
-        for xb, yb in epoch_batches(train_set, config.batch_size, config.seed, epoch):
-            scores, cache = net_mod.forward_batch(net, xb)
-            ld, gd = loss_mod.disc_loss_and_grad(scores, yb)
-            sum_d += ld
-            if len(yb) >= 2:
-                lg, gg = loss_mod.gen_loss_and_grad(scores, yb)
-                sum_g += lg
-                ess_values.extend(loss_mod.per_class_ess(scores, yb).values())
-            else:
-                gg = None
-            score_grad = gg if mode == "GG" else gd
-            grads = net_mod.backward_params(net, cache, score_grad / len(yb))
-            sgd_step(net, grads, state, lr, config.weight_decay, config.momentum)
-            wrong += int((scores.argmax(axis=1) != yb).sum())
-            seen += len(yb)
-        wall = time.perf_counter() - t0
-        rec = {
-            "epoch": epoch,
-            "mode": mode,
-            "lr": lr,
-            "disc_ll": sum_d,
-            "gen_ll": sum_g,
-            "train_err": wrong / max(seen, 1),
-        }
-        if eval_set is not None:
-            rec["eval_err"] = evaluate(net, eval_set)
-        if ess_values:
-            rec["ess_mean"] = float(np.mean(ess_values))
-            rec["ess_min"] = float(np.min(ess_values))
-        rec["wall"] = wall
-        log.record(**rec)
-        if out_dir is not None:
-            _checkpoint_epoch(net, state, config, epoch, out_dir)
+    with np.errstate(over="ignore", invalid="ignore"):  # losses and sgd_step refuse NaN/inf
+        for epoch in range(start_epoch, config.epochs):
+            mode = _mode_for_epoch(config, epoch)
+            lr = _lr_for_epoch(config, epoch)
+            if config.mode == "GG+DG" and epoch == config.pretrain_epochs:
+                state.reset()
+                log.record(event="refine_switch", epoch=epoch, lr=lr)
+            t0 = time.perf_counter()
+            sum_d = sum_g = 0.0
+            seen = wrong = 0
+            ess_values: list = []
+            for xb, yb in epoch_batches(train_set, config.batch_size, config.seed, epoch):
+                scores, cache = net_mod.forward_batch(net, xb)
+                ld, gd = loss_mod.disc_loss_and_grad(scores, yb)
+                sum_d += ld
+                if len(yb) >= 2:
+                    lg, gg = loss_mod.gen_loss_and_grad(scores, yb)
+                    sum_g += lg
+                    ess_values.extend(loss_mod.per_class_ess(scores, yb).values())
+                else:
+                    gg = None
+                score_grad = gg if mode == "GG" else gd
+                grads = net_mod.backward_params(net, cache, score_grad / len(yb))
+                sgd_step(net, grads, state, lr, config.weight_decay, config.momentum)
+                wrong += int((scores.argmax(axis=1) != yb).sum())
+                seen += len(yb)
+            wall = time.perf_counter() - t0
+            rec = {
+                "epoch": epoch,
+                "mode": mode,
+                "lr": lr,
+                "disc_ll": sum_d,
+                "gen_ll": sum_g,
+                "train_err": wrong / max(seen, 1),
+            }
+            if eval_set is not None:
+                rec["eval_err"] = evaluate(net, eval_set)
+            if ess_values:
+                rec["ess_mean"] = float(np.mean(ess_values))
+                rec["ess_min"] = float(np.min(ess_values))
+            rec["wall"] = wall
+            log.record(**rec)
+            if out_dir is not None:
+                _checkpoint_epoch(net, state, config, epoch, out_dir)
     return net, log
 
 

@@ -42,6 +42,14 @@ def find_mnist():
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
 
+
+def pytest_configure(config):
+    """With --hypothesis-seed N, draw examples from seed N instead: the tier-1
+    profile's derandomize would otherwise override the seed."""
+    if config.getoption("--hypothesis-seed", None) is not None:
+        settings.register_profile("seeded", derandomize=False, database=None, deadline=None)
+        settings.load_profile("seeded")
+
 MNIST = find_mnist()
 needs_mnist = pytest.mark.skipif(
     MNIST is None,

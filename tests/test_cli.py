@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tiltnet import cli, hmc, net
+from tiltnet import checks, cli, hmc, net
 from tiltnet.config import DataSpec, parse_config, parse_layers
 from tiltnet.errors import ConfigError
 from tiltnet.hmc import HmcConfig
@@ -549,6 +549,64 @@ def test_unrenderable_channel_count_exits_2_before_sampling(tmp_path, capsys, mo
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,section,key", [
+    ("sample", "hmc", "step_size"), ("sample", "hmc", "init_std"), ("train", "train", "lr"),
+])
+def test_diverged_run_exits_4_with_one_error_line(tmp_path, capsys, command, section, key):
+    # tier-1 turns numpy warnings into errors, so a warning would surface
+    # here as an uncaught RuntimeWarning
+    text = with_key(with_key(BASE_CONFIG, section, key, "1e300"), "data", "n", "32")
+    config = write_config(tmp_path, text=text)
+    argv = [command, "--config", str(config)]
+    if command == "sample":
+        ckpt = tmp_path / "net.ckpt"
+        net.save_checkpoint(net.build_network(parse_config(config).network), ckpt)
+        argv += ["--checkpoint", str(ckpt), "--layer", "dense1", "--channel", "0"]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    if command == "sample":
+        assert not (tmp_path / "out").exists()
+
+
+def test_sample_renders_three_channel_images_as_ppm(tmp_path, capsys):
+    config = write_config(tmp_path, text=BASE_CONFIG.replace("input_shape = 1x8x8",
+                                                             "input_shape = 3x8x8"))
+    ckpt = tmp_path / "net.ckpt"
+    net.save_checkpoint(net.build_network(parse_config(config).network), ckpt)
+    assert cli.main(["sample", "--config", str(config), "--checkpoint", str(ckpt),
+                     "--layer", "dense1", "--channel", "0"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    names = sorted(p.name for p in out.glob("sample_*"))
+    assert names == [f"sample_dense1_c0_iter{it:06d}.ppm" for it in (0, 2, 4)]
+    for name in names:
+        assert (out / name).read_bytes()[:2] == b"P6"
+        assert f"file={name}" in (out / "manifest.txt").read_text()
+
+
+def test_negative_seed_flag_exits_2_and_names_the_seed(tmp_path, capsys):
+    assert cli.main(["train", "--config", str(write_config(tmp_path)), "--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gradcheck_takes_its_seed_from_the_config_unless_overridden(tmp_path, capsys,
+                                                                    monkeypatch):
+    seen = []
+    monkeypatch.setattr(checks, "all_suites", lambda seed: seen.append(seed) or [])
+    config = str(write_config(tmp_path))   # [run] seed = 3
+    assert cli.main(["gradcheck", "--config", config]) == 0
+    assert cli.main(["gradcheck", "--config", config, "--seed", "5"]) == 0
+    assert seen == [3, 5]
+    assert capsys.readouterr().out.splitlines()[-1] == "checks=0 failures=0"
+
+
+def test_metropolis_off_parses_to_false(tmp_path):
+    text = with_key(BASE_CONFIG, "hmc", "metropolis", "off")
+    assert parse_config(write_config(tmp_path, text=text)).hmc.metropolis is False
+
+
 @pytest.mark.parametrize("flag", [["--config", "run.ini"], ["--seed", "3"]])
 def test_inspect_takes_only_a_checkpoint(tmp_path, capsys, flag):
     ckpt = tmp_path / "net.ckpt"
@@ -563,7 +621,7 @@ def test_module_runs_as_a_command():
     ok = subprocess.run([sys.executable, "-m", "tiltnet.cli", "gradcheck"], env=env,
                         capture_output=True, text=True, timeout=300)
     assert ok.returncode == 0
-    assert ok.stdout.splitlines()[-1] == "checks=20 failures=0"
+    assert ok.stdout.splitlines()[-1] == "checks=21 failures=0"
     bad = subprocess.run([sys.executable, "-m", "tiltnet.cli", "serve"], env=env,
                          capture_output=True, text=True, timeout=60)
     assert bad.returncode == 2 and "invalid choice" in bad.stderr
@@ -621,18 +679,20 @@ for _section, _key in FLOAT_KEYS:   # every float key also meets these
 # keys written whenever their section is; [train] and [hmc] are always there,
 # the others are left out only from wild texts. With source and all four
 # paths always written, a spoiled path meets source = idx about half the time.
-_ALWAYS_KEYS = {"network": ("layers",), "train": ("epochs",),
+# The network and data shapes and out_dir are written too, so a clean text is
+# a config that every command runs to exit 0.
+_ALWAYS_KEYS = {"network": ("layers", "input_shape", "classes"), "train": ("epochs",),
               "data": ("n", "eval_n", "source", "train_images", "train_labels",
-                       "test_images", "test_labels"),
-              "hmc": ("iterations", "leapfrog_steps")}
+                       "test_images", "test_labels", "classes", "image_size"),
+              "hmc": ("iterations", "leapfrog_steps"), "run": ("out_dir",)}
 _JUNK_LINES = ["[bogus]", "extra = 1", "no equals sign", "[network", "= 3", "[run]"]
 
 
 @st.composite
 def _ini_texts(draw):
-    """(text, whether a single float key was spoiled). "clean" texts draw
-    every key from its valid values, "one" spoils a single key, "wild" draws
-    every value."""
+    """(text, style, whether a single float key was spoiled). "clean" texts
+    draw every key but arch (which collides with layers) from its valid
+    values, "one" spoils a single key, "wild" draws every value."""
     style = draw(st.sampled_from(["clean", "one", "wild"]))
     # half the spoiled keys are float keys, whose bad values must exit 2
     spoiled = draw(st.sampled_from(FLOAT_KEYS)
@@ -643,7 +703,8 @@ def _ini_texts(draw):
             continue
         lines.append(f"[{section}]")
         chosen = set(_ALWAYS_KEYS.get(section, ()))
-        chosen |= set(draw(st.lists(st.sampled_from(sorted(keys)), max_size=4)))
+        drawable = sorted(k for k in keys if style != "clean" or k != "arch")
+        chosen |= set(draw(st.lists(st.sampled_from(drawable), max_size=4)))
         if style == "one" and spoiled[0] == section:
             chosen.add(spoiled[1])
         for key in sorted(chosen):
@@ -653,7 +714,7 @@ def _ini_texts(draw):
             lines.append(f"{key} = {value}")
         if style == "wild":
             lines += draw(st.lists(st.sampled_from(_JUNK_LINES), max_size=1))
-    return "\n".join(lines) + "\n", style == "one" and spoiled in FLOAT_KEYS
+    return "\n".join(lines) + "\n", style, style == "one" and spoiled in FLOAT_KEYS
 
 
 # each command's required flags with valid values, then drawn extra flags
@@ -694,16 +755,16 @@ def cli_files(tmp_path_factory):
 
 
 def _idx_text(values: dict) -> tuple:
-    """An ini draw of the always-written keys and [run] out_dir at their valid
-    values, source = idx, and the given {(section, key): value} in place."""
-    values = {("data", "source"): "idx", ("run", "out_dir"): "{out}", **values}
+    """An ini draw of the always-written keys at their valid values,
+    source = idx, and the given {(section, key): value} in place."""
+    values = {("data", "source"): "idx", **values}
     lines = []
     for section, keys in _INI.items():
         lines.append(f"[{section}]")
         named = {key for s, key in values if s == section}
         for key in sorted(named | set(_ALWAYS_KEYS.get(section, ()))):
             lines.append(f"{key} = {values.get((section, key), keys[key][0])}")
-    return "\n".join(lines) + "\n", False
+    return "\n".join(lines) + "\n", "idx", False
 
 
 # Drawn texts reach an IDX reader only now and then (an idx source, a train or
@@ -712,14 +773,13 @@ def _idx_text(values: dict) -> tuple:
 @settings(max_examples=100)
 @given(command=st.sampled_from(sorted(_COMMANDS)), flags=st.lists(_FLAGS, max_size=3),
        ini=_ini_texts())
-@example(command="train", flags=[], ini=_idx_text({("network", "input_shape"): "1x8x8",
-                                                  ("network", "classes"): "2"}))
+@example(command="train", flags=[], ini=_idx_text({}))
 @example(command="train", flags=[], ini=_idx_text({("data", "train_images"): "{gzjunk}"}))
 @example(command="train", flags=[], ini=_idx_text({("data", "train_labels"): "{junk}"}))
 @example(command="eval", flags=[], ini=_idx_text({("data", "test_images"): "{missing}"}))
 @example(command="eval", flags=[], ini=_idx_text({("data", "test_labels"): "{gzjunk}"}))
 def test_cli_maps_every_input_to_an_exit_code(cli_files, command, flags, ini):
-    text, float_spoiled = ini
+    text, style, float_spoiled = ini
     with open(cli_files["config"], "w") as fh:
         fh.write(text.format(**cli_files))
     shutil.rmtree(cli_files["out"], ignore_errors=True)
@@ -727,5 +787,7 @@ def test_cli_maps_every_input_to_an_exit_code(cli_files, command, flags, ini):
                         _COMMANDS[command] + [part for flag in flags for part in flag]]
     code = cli.main(argv)
     assert code in (0, 2, 3, 4, 5)
+    if style == "clean" and not flags and command != "serve":
+        assert code == 0, (argv, text)
     if float_spoiled and code == 2:
         assert not Path(cli_files["out"]).exists()   # refused before any output

@@ -128,6 +128,24 @@ def test_synthetic_geometry_and_balance():
                 assert (masks[y1] != masks[y2]).any()
 
 
+def test_every_accepted_geometry_places_whole_distinct_rectangles():
+    accepted = 0
+    for classes in range(2, 41):
+        for size in range(1, 41):
+            try:
+                ds = data.synthetic_dataset(classes, classes, size, noise_std=0.0)
+            except DataError as exc:
+                assert "cannot place" in str(exc)
+                continue
+            accepted += 1
+            rect = max(3, size // 4)
+            bright = ds.images[:, 0] == 1.0
+            # a rectangle cut by the image border would light fewer pixels
+            assert (bright.sum(axis=(1, 2)) == rect * rect).all(), (classes, size)
+            assert len({img.tobytes() for img in bright}) == classes, (classes, size)
+    assert accepted > 500
+
+
 def test_synthetic_rejects_impossible_geometry():
     with pytest.raises(DataError):
         data.synthetic_dataset(10, 9, 4, seed=0)   # 3x3 rects cannot spread on 4x4

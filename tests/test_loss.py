@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tiltnet import loss
-from tiltnet.checks import (disc_loss_loops, fd_grad, gen_grad_loops,
-                            gen_loss_loops, loss_suite, rel_err)
+from tiltnet.checks import (disc_loss_loops, fd_grad, gen_grad_closed_form_error,
+                            gen_grad_loops, gen_loss_loops, loss_suite, rel_err)
 from tiltnet.errors import NumericsError, ShapeError
 
 # strategy: a well-scaled score matrix and matching labels
@@ -190,3 +190,11 @@ def test_validation_errors():
 def test_builtin_loss_suite_is_green():
     for result in loss_suite(seed=5, instances=10):
         assert result.ok, f"{result.name}: {result.value} > {result.tol}"
+
+
+def test_gen_grad_estimates_its_population_closed_form():
+    # the in-batch reference's O(1/n) bias shrinks from n=32 to n=512
+    large = gen_grad_closed_form_error(0, n=512, batches=156)
+    small = gen_grad_closed_form_error(0, n=32, batches=2500)
+    assert large <= 0.05
+    assert large < small
