@@ -50,6 +50,7 @@ def pytest_configure(config):
         settings.register_profile("seeded", derandomize=False, database=None, deadline=None)
         settings.load_profile("seeded")
 
+
 MNIST = find_mnist()
 needs_mnist = pytest.mark.skipif(
     MNIST is None,
