@@ -279,7 +279,7 @@ def network_suite(seed: int = 0) -> list:
 
 
 def hmc_suite(seed: int = 0) -> list:
-    """Integrator reversibility and the step-size order of the energy error."""
+    """Integrator reversibility, the energy error's order, reused input gradients."""
     rng = np.random.default_rng(seed)
     # zero network: scores vanish, so U is exactly quadratic
     config = net_mod.NetworkConfig(
@@ -295,9 +295,8 @@ def hmc_suite(seed: int = 0) -> list:
                               leapfrog_steps=40, iterations=1)
     x0 = rng.normal(0.0, 1.0, (1, 2, 2))
     phi0 = rng.normal(0.0, 1.0, (1, 2, 2))
-    state = hmc_mod.ChainState(x0.copy(), phi0.copy(),
-                               hmc_mod.potential(quad, 0, x0, hconf.sigma), 0,
-                               grad=hmc_mod.potential_grad(quad, 0, x0, hconf.sigma))
+    u0, grad0, _ = hmc_mod._potential_and_grad(quad, 0, x0, hconf.sigma)
+    state = hmc_mod.ChainState(x0.copy(), phi0.copy(), u0, 0, grad=grad0)
     fwd = hmc_mod.leapfrog(state, quad, 0, hconf)
     back = hmc_mod.leapfrog(hmc_mod.ChainState(fwd.x, -fwd.phi, fwd.potential, 0, grad=fwd.grad),
                             quad, 0, hconf)
@@ -315,6 +314,17 @@ def hmc_suite(seed: int = 0) -> list:
     ok = 3.5 <= ratio <= 4.5
     results.append(CheckResult("leapfrog-energy-order", ratio, 0.5, ok,
                                note="|dH(eps)| / |dH(eps/2)|, band 3.5..4.5"))
+    # the sampler's path, each pass reusing the last one's cache, against fresh passes
+    routed = net_mod.build_network(net_mod.NetworkConfig((1, 6, 6), net_mod.parse_layers(
+        "conv:3@3, pool:2/2, flatten, dense:8, relu, dense:2"), 2, seed))
+    (x, phi), cache, differ = rng.normal(0.0, 1.0, (2, 1, 6, 6)), None, 0
+    for _ in range(20):
+        _, grad, cache = hmc_mod._potential_and_grad(routed, 0, x, 1.0, cache)
+        fresh = hmc_mod.potential_grad(routed, 0, x, 1.0)
+        differ += np.count_nonzero(grad.view(np.uint8) != fresh.view(np.uint8))
+        phi -= 0.1 * grad
+        x += 0.1 * phi
+    results.append(_res("reuse-bytes-differ", differ, 0.0, note="20 steps of a trajectory"))
     return results
 
 

@@ -96,22 +96,22 @@ def potential_grad(net: net_mod.Network, node: int, x: np.ndarray, sigma: float)
     return _potential_and_grad(net, node, x, sigma)[1]
 
 
-def _potential_and_grad(net, node, x, sigma):
-    # one forward serves both the score and the input-gradient seed
+def _potential_and_grad(net, node, x, sigma, reuse=None):
+    # one forward serves U and dU/dx; its cache lends the next call its layers
     x = np.ascontiguousarray(x, dtype=np.float64)
     scores, cache = net_mod.forward_batch(net, x[None])
     u = _energy(scores, node, x, sigma)
     seed = np.zeros(scores.shape)
     seed[0, node] = 1.0
-    gin = net_mod.backward_input(net, cache, seed)[0]
-    return u, -gin + x / (sigma * sigma)
+    gin = net_mod.backward_input(net, cache, seed, reuse)[0]
+    return u, -gin + x / (sigma * sigma), cache
 
 
 def leapfrog(state: ChainState, net: net_mod.Network, node: int,
              config: HmcConfig) -> ChainState:
-    """Integrate L steps from (x, phi) in L evaluations, the first half-step
-    reusing the state's grad; time-reversible: running the result with
-    negated momentum retraces to the start.
+    """Integrate L steps from (x, phi) in L evaluations, each lending the
+    next its unchanged layers and the first half-step reusing the state's
+    grad; time-reversible: the result, momentum negated, runs back to the start.
 
     Raises NumericsError naming the failing step when the trajectory blows
     up, which is the usual symptom of an oversized step size.
@@ -119,12 +119,12 @@ def leapfrog(state: ChainState, net: net_mod.Network, node: int,
     eps, m, steps = config.step_size, config.mass, config.leapfrog_steps
     x = state.x.astype(np.float64, copy=True)
     phi = state.phi.astype(np.float64, copy=True)
-    u, grad = state.potential, state.grad
+    u, grad, cache = state.potential, state.grad, None
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
         phi -= 0.5 * eps * grad
         for step in range(steps):
             x += eps * phi / m
-            u, grad = _potential_and_grad(net, node, x, config.sigma)
+            u, grad, cache = _potential_and_grad(net, node, x, config.sigma, cache)
             phi -= (eps if step < steps - 1 else 0.5 * eps) * grad
             if not (np.all(np.isfinite(x)) and np.all(np.isfinite(phi)) and np.isfinite(u)):
                 raise NumericsError(
@@ -183,8 +183,11 @@ def sample_node(net: net_mod.Network, layer: str, channel: int,
     shape = sub.config.input_shape
     rng = np.random.default_rng(config.seed)
     x0 = init_image(shape, config, rng)
-    with np.errstate(over="ignore", invalid="ignore"):  # the first trajectory checks it
-        u0, grad = _potential_and_grad(sub, 0, x0, config.sigma)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        u0, grad, _ = _potential_and_grad(sub, 0, x0, config.sigma)
+        if not (np.isfinite(u0) and np.all(np.isfinite(grad))):
+            raise NumericsError(f"the start image (init_std = {config.init_std:g}) "
+                                f"made the energy non-finite")
     state = ChainState(x0, np.zeros(shape), u0, 0, grad=grad)
     marks = set(config.snapshots) if config.snapshots else set(default_snapshots(config.iterations))
     marks |= {0, config.iterations}

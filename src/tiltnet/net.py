@@ -71,6 +71,7 @@ class _Kind:
     init: Callable = None  # (spec, in_shape, rng) -> (weight, bias); None: no parameters
     grow: Callable = None  # (spec, out_extent) -> in_extent; None: no spatial inverse
     reads_input: bool = True  # False: its backward gets x None (a kept pass frees it)
+    routing: Callable = None  # (x, amap) -> bytes of what its input gradient reads of x
 
 
 def _spatial(shape, message: str) -> tuple:
@@ -122,7 +123,8 @@ _KINDS = {
         forward=lambda s, x, w, b, keep: tensor.maxpool_forward_batch(x, s.kernel, s.stride, keep),
         backward=lambda s, up, x, w, amap, need_input, need_params: (
             tensor.maxpool_backward_batch(up, amap), None, None),
-        grow=lambda s, e: (e - 1) * s.stride + s.kernel, reads_input=False),
+        grow=lambda s, e: (e - 1) * s.stride + s.kernel, reads_input=False,
+        routing=lambda x, amap: amap.indices.tobytes()),
     "flatten": _Kind(
         stem="flatten", token="flatten",
         out_shape=lambda s, shape: (
@@ -143,7 +145,7 @@ _KINDS = {
         forward=lambda s, x, w, b, keep: (tensor.relu_forward(x), None),
         backward=lambda s, up, x, w, amap, need_input, need_params: (
             tensor.relu_backward(up, x), None, None),
-        grow=lambda s, e: e),
+        grow=lambda s, e: e, routing=lambda x, amap: (x > 0.0).tobytes()),
 }
 
 
@@ -211,6 +213,7 @@ class ActivationCache:
     argmax: dict
     scores: np.ndarray
     version: int
+    record: tuple = None  # backward_input's (net, seed bytes, routing states, upstreams)
 
 
 class Network:
@@ -309,7 +312,7 @@ def forward_batch(net: Network, images, keep: bool = True) -> tuple:
     return scores, ActivationCache(layer_inputs, argmax, scores, net.version)
 
 
-def _backward(net: Network, cache: ActivationCache, score_grad, params: bool):
+def _backward(net: Network, cache: ActivationCache, score_grad, params: bool, reuse=None):
     """Reverse pass from score_grad = d(objective)/d(scores), [n, num_outputs].
 
     params=True returns the parameter gradients and skips the first layer's
@@ -317,7 +320,7 @@ def _backward(net: Network, cache: ActivationCache, score_grad, params: bool):
     skips every parameter-gradient product. No layer couples batch items, so
     row k of the input gradient depends on row k of score_grad only.
     """
-    if cache.version != net.version:
+    if any(c is not None and c.version != net.version for c in (cache, reuse)):
         raise CacheError("activation cache is stale: parameters changed after the "
                          "forward pass")
     up = np.ascontiguousarray(score_grad, dtype=np.float64)
@@ -331,15 +334,24 @@ def _backward(net: Network, cache: ActivationCache, score_grad, params: bool):
         seeded[:, net.head] = up[:, 0]
         up = seeded.reshape((n, shape[0]) + (1,) * (len(shape) - 1))
     grads: dict = {}
+    record, old = (net, up.tobytes(), {}, {}), reuse and reuse.record
+    same = bool(old) and old[:2] == record[:2]
     for i in reversed(range(len(net.layers))):
-        spec, name = net.layers[i], net.names[i]
-        up, gw, gb = _KINDS[spec.kind].backward(
-            spec, up, cache.layer_inputs[i], net.params.get(name + ".weight"),
-            cache.argmax.get(i), not params or i > 0, params)
-        if gw is not None:
-            grads[name + ".weight"] = gw
-            grads[name + ".bias"] = gb
-    return grads if params else up
+        spec, name, kind = net.layers[i], net.names[i], _KINDS[net.layers[i].kind]
+        if kind.routing is not None and not params:  # record the upstream it routes
+            up = record[3][i] = old[3][i] if same else up
+            record[2][i] = kind.routing(cache.layer_inputs[i], cache.argmax.get(i))
+            same = same and record[2][i] == old[2][i]
+        if not same:
+            up, gw, gb = kind.backward(spec, up, cache.layer_inputs[i], net.params.get(
+                name + ".weight"), cache.argmax.get(i), not params or i > 0, params)
+            if gw is not None:
+                grads[name + ".weight"] = gw
+                grads[name + ".bias"] = gb
+    if not params:
+        up = record[3][-1] = old[3][-1] if same else up
+        cache.record = record
+    return grads if params else up.copy()  # the record's array is never the caller's
 
 
 def backward_params(net: Network, cache: ActivationCache, score_grad) -> dict:
@@ -350,15 +362,17 @@ def backward_params(net: Network, cache: ActivationCache, score_grad) -> dict:
     return _backward(net, cache, score_grad, params=True)
 
 
-def backward_input(net: Network, cache: ActivationCache, score_grad) -> np.ndarray:
+def backward_input(net: Network, cache: ActivationCache, score_grad, reuse=None) -> np.ndarray:
     """Input gradient [n, C, H, W] of sum(score_grad * scores), score_grad
     being [n, num_outputs]: a one-hot seed picks one node of one image, an
     all-ones column gives every image the gradient of its own score.
 
     No parameter-gradient work; pool routing follows the argmax maps
-    recorded for that forward pass.
+    recorded for that forward pass. reuse, an earlier cache of net (CacheError
+    if stale), lends its layers' results from the head down while the seed's
+    bytes and each routing state so far (ReLU signs, pool winners) match.
     """
-    return _backward(net, cache, score_grad, params=False)
+    return _backward(net, cache, score_grad, False, reuse)
 
 
 def truncate_at(net: Network, layer_name: str, channel: int) -> Network:

@@ -168,17 +168,20 @@ def evaluate(net: net_mod.Network, dataset: Dataset, batch_size: int = 256) -> f
     """Classification error rate under argmax of the scores (ties resolve to
     the lowest class index, which is what argmax does). Score-only forward
     passes: no activation cache is kept. DataError for an empty dataset or a
-    batch size below 1."""
+    batch size below 1, NumericsError for non-finite scores."""
     if len(dataset) < 1:
         raise DataError("cannot evaluate on an empty dataset")
     if batch_size < 1:
         raise DataError(f"evaluation batch size must be >= 1, got {batch_size}")
     wrong = 0
-    for start in range(0, len(dataset), batch_size):
-        xb = dataset.images[start:start + batch_size]
-        yb = dataset.labels[start:start + batch_size]
-        scores, _ = net_mod.forward_batch(net, xb, keep=False)
-        wrong += int((scores.argmax(axis=1) != yb).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite scores are refused
+        for start in range(0, len(dataset), batch_size):
+            xb = dataset.images[start:start + batch_size]
+            yb = dataset.labels[start:start + batch_size]
+            scores, _ = net_mod.forward_batch(net, xb, keep=False)
+            if not np.all(np.isfinite(scores)):
+                raise NumericsError("non-finite scores in evaluation")
+            wrong += int((scores.argmax(axis=1) != yb).sum())
     return wrong / len(dataset)
 
 

@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from tiltnet import loss, tensor
 from tiltnet.data import epoch_batches
-from tiltnet.net import LayerSpec, NetworkConfig, build_network, forward_batch
+from tiltnet.net import LayerSpec, NetworkConfig, build_network, forward_batch, parse_layers
 
 _MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -89,6 +89,19 @@ def tiny_net():
     gen = np.random.default_rng(42)
     for p in net.params.values():
         p += gen.normal(0.0, 0.1, p.shape)
+    net.bump_version()
+    return net
+
+
+def routed_net(seed=4):
+    """LeNet's layer kinds in LeNet's order at 14x14, with parameters large
+    enough that ReLU signs and pool winners move along a sampler chain."""
+    config = NetworkConfig((1, 14, 14), parse_layers(
+        "conv:4@3, pool:2/2, conv:6@3, pool:2/2, flatten, dense:16, relu, dense:3"), 3, seed)
+    net = build_network(config)
+    gen = np.random.default_rng(seed)
+    for p in net.params.values():
+        p += gen.normal(0.0, 0.3, p.shape)
     net.bump_version()
     return net
 

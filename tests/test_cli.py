@@ -549,13 +549,21 @@ def test_unrenderable_channel_count_exits_2_before_sampling(tmp_path, capsys, mo
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command,section,key", [
-    ("sample", "hmc", "step_size"), ("sample", "hmc", "init_std"), ("train", "train", "lr"),
+@pytest.mark.parametrize("command,section,key,edits,names", [
+    pytest.param("sample", "hmc", "step_size", {}, "step_size", id="sample-hmc-step_size"),
+    pytest.param("sample", "hmc", "init_std", {}, "init_std", id="sample-hmc-init_std"),
+    pytest.param("train", "train", "lr", {}, "non-finite", id="train-train-lr"),
+    # one step, so no later step's loss meets the overflowed weights: evaluate must
+    pytest.param("train", "train", "lr", {("data", "n"): "16", ("train", "epochs"): "1"},
+                 "non-finite scores", id="train-train-lr-last-step"),
 ])
-def test_diverged_run_exits_4_with_one_error_line(tmp_path, capsys, command, section, key):
+def test_diverged_run_exits_4_with_one_error_line(tmp_path, capsys, command, section, key,
+                                                   edits, names):
     # tier-1 turns numpy warnings into errors, so a warning would surface
     # here as an uncaught RuntimeWarning
     text = with_key(with_key(BASE_CONFIG, section, key, "1e300"), "data", "n", "32")
+    for (sec, k), value in edits.items():
+        text = with_key(text, sec, k, value)
     config = write_config(tmp_path, text=text)
     argv = [command, "--config", str(config)]
     if command == "sample":
@@ -564,7 +572,7 @@ def test_diverged_run_exits_4_with_one_error_line(tmp_path, capsys, command, sec
         argv += ["--checkpoint", str(ckpt), "--layer", "dense1", "--channel", "0"]
     assert cli.main(argv) == 4
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert len(err) == 1 and err[0].startswith("error: ") and names in err[0], err
     if command == "sample":
         assert not (tmp_path / "out").exists()
 
@@ -621,7 +629,7 @@ def test_module_runs_as_a_command():
     ok = subprocess.run([sys.executable, "-m", "tiltnet.cli", "gradcheck"], env=env,
                         capture_output=True, text=True, timeout=300)
     assert ok.returncode == 0
-    assert ok.stdout.splitlines()[-1] == "checks=21 failures=0"
+    assert ok.stdout.splitlines()[-1] == "checks=22 failures=0"
     bad = subprocess.run([sys.executable, "-m", "tiltnet.cli", "serve"], env=env,
                          capture_output=True, text=True, timeout=60)
     assert bad.returncode == 2 and "invalid choice" in bad.stderr

@@ -4,12 +4,12 @@ records, and the PGM/PPM round trip."""
 import numpy as np
 import pytest
 
-from tiltnet import hmc
+from tiltnet import hmc, tensor
 from tiltnet import net as net_mod
 from tiltnet.checks import fd_grad, hmc_suite
 from tiltnet.errors import ConfigError, NumericsError, ShapeError
 
-from conftest import read_image, tiny_config
+from conftest import op_counts_since, read_image, routed_net, tiny_config
 
 
 def zero_net(classes=3):
@@ -248,6 +248,28 @@ def test_sample_node_evaluates_each_chain_position_once(tiny_net, monkeypatch):
                         lambda *args: calls.append(args) or backward_input(*args))
     hmc.sample_node(tiny_net, "dense1", 0, small_chain_config(iterations=7, leapfrog_steps=4))
     assert len(calls) == 1 + 7 * 4
+
+
+@pytest.mark.parametrize("layer,channel", [("dense2", 1), ("conv2", 3)])
+def test_a_chain_reusing_layers_has_the_bytes_of_fresh_passes(layer, channel, monkeypatch):
+    network = routed_net()
+    cfg = hmc.HmcConfig(sigma=1.0, mass=1.0, step_size=0.5, leapfrog_steps=5, iterations=12,
+                        init_std=1.0, seed=3, snapshots=tuple(range(13)))
+
+    def run():
+        before = tensor.op_counts()
+        rows = [(r.image.tobytes(), r.potential, r.kinetic, r.accepted)
+                for r in hmc.sample_node(network, layer, channel, cfg)]
+        return rows, sum(v for k, v in op_counts_since(before).items() if k.endswith("bwd.calls"))
+
+    reused, reused_calls = run()
+    backward_input = net_mod.backward_input
+    monkeypatch.setattr(net_mod, "backward_input",
+                        lambda net, cache, seed, reuse=None: backward_input(net, cache, seed))
+    fresh, fresh_calls = run()
+    assert reused == fresh
+    assert [row[3] for row in reused].count(False) >= 1   # a chain with rejections
+    assert reused_calls < fresh_calls   # some layers were reused
 
 
 def _chain_recomputing_start_gradients(net, layer, channel, config):

@@ -12,7 +12,7 @@ from tiltnet import loss, net, tensor
 from tiltnet.checks import fd_grad, network_suite, rel_err
 from tiltnet.errors import CacheError, CheckpointError, ShapeError
 
-from conftest import tiny_config
+from conftest import op_counts_since, routed_net, tiny_config
 
 
 def test_reference_stack_parameter_count():
@@ -265,6 +265,73 @@ def test_stale_cache_is_refused(tiny_net, rng):
         net.backward_params(tiny_net, cache, np.zeros((2, 3)))
     with pytest.raises(CacheError):
         net.backward_input(tiny_net, cache, np.zeros((2, 3)))
+
+
+def test_a_reuse_cache_from_before_an_update_is_refused(rng):
+    network = routed_net()
+    seed = np.array([[0.0, 1.0, 0.0]])
+    _, old = net.forward_batch(network, rng.normal(size=(1, 1, 14, 14)))
+    net.backward_input(network, old, seed)
+    network.bump_version()
+    _, cache = net.forward_batch(network, rng.normal(size=(1, 1, 14, 14)))
+    with pytest.raises(CacheError, match="stale"):
+        net.backward_input(network, cache, seed, reuse=old)
+
+
+def _backward_calls(before):
+    counts = op_counts_since(before)
+    return {op: counts.get(f"{op}_bwd.calls", 0) for op in ("dense", "relu", "maxpool", "conv2d")}
+
+
+# layers 0-7: conv1 pool1 conv2 pool2 flatten dense1 relu1 dense2
+@pytest.mark.parametrize("change,recomputed", [
+    ("nothing", {"dense": 0, "relu": 0, "maxpool": 0, "conv2d": 0}),
+    ("relu1 sign", {"dense": 1, "relu": 1, "maxpool": 2, "conv2d": 2}),
+    ("pool2 winner", {"dense": 0, "relu": 0, "maxpool": 2, "conv2d": 2}),
+    ("pool1 winner", {"dense": 0, "relu": 0, "maxpool": 1, "conv2d": 1}),
+    ("score gradient", {"dense": 2, "relu": 1, "maxpool": 2, "conv2d": 2}),
+])
+def test_reuse_recomputes_from_the_first_changed_routing_down(rng, change, recomputed):
+    network = routed_net()
+    seed = np.array([[0.0, 1.0, 0.0]])
+    _, old = net.forward_batch(network, rng.normal(size=(1, 1, 14, 14)))
+    net.backward_input(network, old, seed)
+    # the same forward pass with one routing state edited by hand
+    cache = net.ActivationCache(list(old.layer_inputs), dict(old.argmax), old.scores, old.version)
+    if change == "relu1 sign":
+        flipped = old.layer_inputs[6].copy()
+        flipped[0, 0] = -flipped[0, 0]
+        assert flipped[0, 0] != 0.0
+        cache.layer_inputs[6] = flipped
+    elif change.endswith("winner"):
+        i = 3 if change == "pool2 winner" else 1
+        indices = old.argmax[i].indices.copy()
+        indices[0, 0, 0, 0] ^= 1   # the next column in the same 2x2 window
+        cache.argmax[i] = tensor.ArgmaxMap(old.argmax[i].input_shape, indices)
+    elif change == "score gradient":
+        seed = np.array([[0.0, 0.0, 1.0]])
+    before = tensor.op_counts()
+    got = net.backward_input(network, cache, seed, reuse=old)
+    assert _backward_calls(before) == recomputed
+    fresh = net.ActivationCache(cache.layer_inputs, cache.argmax, cache.scores, cache.version)
+    assert got.tobytes() == net.backward_input(network, fresh, seed).tobytes()
+
+
+def test_a_reused_result_is_never_an_array_the_caller_holds(rng):
+    network = routed_net()
+    seed, x = np.array([[1.0, 0.0, 0.0]]), rng.normal(size=(1, 1, 14, 14))
+    _, first = net.forward_batch(network, x)
+    want = net.backward_input(network, first, seed)
+    returned = net.backward_input(network, first, seed)
+    returned[...] = 7.0   # the caller owns what it got back
+    for _ in range(2):
+        _, cache = net.forward_batch(network, x)
+        before = tensor.op_counts()
+        got = net.backward_input(network, cache, seed, reuse=first)
+        assert _backward_calls(before) == {"dense": 0, "relu": 0, "maxpool": 0, "conv2d": 0}
+        assert got.tobytes() == want.tobytes()
+        got[...] = -7.0
+        first = cache
 
 
 @pytest.mark.parametrize("n", [1, 63, 256, 257])
