@@ -83,12 +83,12 @@ def cmd_train(spec: RunSpec) -> int:
     log = train_mod.MetricsLog(out / "train.log", echo=True)
     train_mod.run_training(network, train_set, spec.train, eval_set=eval_set,
                            out_dir=out, log=log)
-    final = out / "final.ckpt"
-    net_mod.save_checkpoint(network, final)
-    err = train_mod.evaluate(network, train_set)
-    print(f"final_train_err={err:.6f}")
+    # evaluated first: weights whose scores overflow never reach final.ckpt
+    print(f"final_train_err={train_mod.evaluate(network, train_set):.6f}")
     if eval_set is not None:
         print(f"final_eval_err={train_mod.evaluate(network, eval_set):.6f}")
+    final = out / "final.ckpt"
+    net_mod.save_checkpoint(network, final)
     print(f"checkpoint={final}")
     return 0
 

@@ -124,7 +124,7 @@ _KINDS = {
         backward=lambda s, up, x, w, amap, need_input, need_params: (
             tensor.maxpool_backward_batch(up, amap), None, None),
         grow=lambda s, e: (e - 1) * s.stride + s.kernel, reads_input=False,
-        routing=lambda x, amap: amap.indices.tobytes()),
+        routing=lambda x, amap: amap.winners.tobytes()),
     "flatten": _Kind(
         stem="flatten", token="flatten",
         out_shape=lambda s, shape: (

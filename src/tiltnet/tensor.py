@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ShapeError
 
@@ -61,15 +61,26 @@ def output_extent(extent: int, kernel: int, stride: int = 1, pad: int = 0,
 # ---------------------------------------------------------------------------
 # convolution (cross-correlation: kernels are applied unflipped)
 
+@functools.lru_cache(maxsize=16)
+def _window_layout(shape, strides, kh, kw, stride) -> tuple:
+    """(shape, strides) of ``_windows``' view of an array of this layout: the
+    ``sliding_window_view`` ones, taken over a stand-in that is never read."""
+    win = sliding_window_view(as_strided(np.empty(1), shape, strides), (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
+    return win.shape, win.strides
+
+
 def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """[C_in, kH, kW, n, H', W'] view of a batch's columns X: as [C_in·kH·kW,
-    n·H'·W'], row (c, i, j) holds input channel c at kernel offset (i, j) for
-    every output position, batch before rows before columns. All three conv
-    products use it: W·X, U·Xᵀ and Wᵀ·U (see conv2d_backward_batch). Only a
-    padded input is copied, once for the whole batch."""
+    """[C_in, kH, kW, n, H', W'] read-only view of a contiguous batch's columns X:
+    as [C_in·kH·kW, n·H'·W'], row (c, i, j) holds input channel c at kernel
+    offset (i, j) for every output position, batch before rows before columns.
+    All three conv products use it: W·X, U·Xᵀ and Wᵀ·U (see conv2d_backward_batch).
+    Its layout comes from ``_window_layout``; only a padded input is copied."""
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    return win.transpose(1, 4, 5, 0, 2, 3)
+    shape, strides = _window_layout(xp.shape, xp.strides, kh, kw, stride)
+    win = np.ndarray(shape, xp.dtype, xp, 0, strides)
+    win.flags.writeable = False
+    return win
 
 
 def _conv_geometry(x: np.ndarray, kernels: np.ndarray, stride: int, pad: int) -> tuple:
@@ -268,17 +279,39 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
 # ---------------------------------------------------------------------------
 # max pooling
 
+@functools.lru_cache(maxsize=8)
+def _pool_base(n, c, h, w, h_out, w_out, kernel, stride, whole) -> tuple:
+    """(offset, *base) of ``ArgmaxMap.indices``, kept per geometry: each window
+    offset's flat step from its corner, then each pooled cell's flat corner as
+    one array if whole (at most half of ``_BLOCK_BYTES``), else as two terms."""
+    offset = (np.arange(kernel, dtype=np.int64)[:, None] * w + np.arange(kernel)).ravel()
+    corner = (np.arange(h_out, dtype=np.int64)[:, None] * w + np.arange(w_out)) * stride
+    plane = (np.arange(n * c, dtype=np.int64) * (h * w)).reshape(n, c, 1, 1)
+    return (offset, corner + plane) if whole else (offset, corner, plane)
+
+
 @dataclass(frozen=True)
 class ArgmaxMap:
     """Routing table from pooled cells back to winning input positions.
 
-    ``indices`` has the pooled shape, which the backward pass checks its
-    upstream against, and holds flat row-major positions into an input of
-    ``input_shape``; ties go to the first maximal element in window scan
-    order. Overlapping windows may route several cells to one position.
+    ``winners`` has the pooled shape and holds each cell's row-major offset in
+    its window (int8 unless kernel² > 127); ``indices``, built on each read,
+    holds them as int64 flat positions into an input of ``input_shape``. Ties
+    go to the first maximal element; overlapping windows may share a position.
     """
     input_shape: tuple
-    indices: np.ndarray
+    winners: np.ndarray
+    kernel: int
+    stride: int
+
+    @property
+    def indices(self) -> np.ndarray:
+        offset, *base = _pool_base(*self.input_shape, *self.winners.shape[2:], self.kernel,
+                                   self.stride, 8 * self.winners.size <= _BLOCK_BYTES // 2)
+        idx = offset[self.winners]
+        for term in base:
+            idx += term
+        return idx
 
 
 def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int, need_map: bool = True):
@@ -296,8 +329,8 @@ def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int, need_map: boo
     is the first offset whose view equals ``pooled`` (or, in a NaN cell, the
     first NaN): the same element ``argmax`` over the window picks. Walking
     the offsets back from the last, ``r = (v != pooled) * (r + 1)`` ends at
-    it, in three in-place passes per offset; the flat row-major map is built
-    from it at the end. Only an input holding a NaN pays for the NaN tests
+    it, in three in-place passes per offset, and the map keeps these winners
+    (see ``ArgmaxMap``). Only an input holding a NaN pays for the NaN tests
     and for re-reading ``pooled`` from the winners (even without need_map),
     so that a NaN cell carries the first NaN's bits.
     """
@@ -334,23 +367,19 @@ def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int, need_map: boo
         inner += 1
         inner *= miss
 
-    offset = (np.arange(k, dtype=np.int64)[:, None] * w + np.arange(k)).ravel()
-    corner = (np.arange(h_out, dtype=np.int64)[:, None] * w + np.arange(w_out)) * stride
-    idx = offset[inner]
-    idx += corner
-    idx += (np.arange(n * c, dtype=np.int64) * (h * w)).reshape(n, c, 1, 1)
+    amap = ArgmaxMap(x.shape, inner, k, stride)
     if has_nan:  # np.maximum keeps the last NaN of a window, argmax the first
-        pooled = x.reshape(-1)[idx]
-    return pooled, ArgmaxMap(x.shape, idx) if need_map else None
+        pooled = x.reshape(-1)[amap.indices]
+    return pooled, amap if need_map else None
 
 
 def maxpool_backward_batch(upstream: np.ndarray, amap: ArgmaxMap) -> np.ndarray:
     """Route pooled-cell gradients to the recorded winners, accumulating on
     collisions."""
     upstream = _as_f64(upstream)
-    if upstream.shape != amap.indices.shape:
+    if upstream.shape != amap.winners.shape:
         raise ShapeError(
-            f"maxpool backward: upstream {upstream.shape} != map {amap.indices.shape}")
+            f"maxpool backward: upstream {upstream.shape} != map {amap.winners.shape}")
     grad = np.bincount(amap.indices.ravel(), weights=upstream.ravel(),
                        minlength=int(np.prod(amap.input_shape)))
     _count("maxpool_bwd", upstream.size)

@@ -556,6 +556,10 @@ def test_unrenderable_channel_count_exits_2_before_sampling(tmp_path, capsys, mo
     # one step, so no later step's loss meets the overflowed weights: evaluate must
     pytest.param("train", "train", "lr", {("data", "n"): "16", ("train", "epochs"): "1"},
                  "non-finite scores", id="train-train-lr-last-step"),
+    # and with no evaluation set, the final evaluate meets them before final.ckpt
+    pytest.param("train", "train", "lr", {("data", "n"): "16", ("train", "epochs"): "1",
+                                          ("data", "eval_n"): "0"},
+                 "non-finite scores", id="train-train-lr-no-eval-set"),
 ])
 def test_diverged_run_exits_4_with_one_error_line(tmp_path, capsys, command, section, key,
                                                    edits, names):
@@ -575,6 +579,7 @@ def test_diverged_run_exits_4_with_one_error_line(tmp_path, capsys, command, sec
     assert len(err) == 1 and err[0].startswith("error: ") and names in err[0], err
     if command == "sample":
         assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out" / "final.ckpt").exists()
 
 
 def test_sample_renders_three_channel_images_as_ppm(tmp_path, capsys):

@@ -3,10 +3,11 @@ shape, and checkpoint round-trips."""
 
 import re
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiltnet import loss, net, tensor
 from tiltnet.checks import fd_grad, network_suite, rel_err
@@ -299,9 +300,9 @@ def test_reuse_recomputes_from_the_first_changed_routing_down(rng, change, recom
         cache.layer_inputs[6] = flipped
     elif change.endswith("winner"):
         i = 3 if change == "pool2 winner" else 1
-        indices = old.argmax[i].indices.copy()
-        indices[0, 0, 0, 0] ^= 1   # the next column in the same 2x2 window
-        cache.argmax[i] = tensor.ArgmaxMap(old.argmax[i].input_shape, indices)
+        winners = old.argmax[i].winners.copy()
+        winners[0, 0, 0, 0] ^= 1   # the next column in the same 2x2 window
+        cache.argmax[i] = replace(old.argmax[i], winners=winners)
     elif change == "score gradient":
         seed = np.array([[0.0, 0.0, 1.0]])
     before = tensor.op_counts()
@@ -326,6 +327,63 @@ def test_a_reused_result_is_never_an_array_the_caller_holds(rng):
         assert got.tobytes() == want.tobytes()
         got[...] = -7.0
         first = cache
+
+
+@st.composite
+def _random_stacks(draw):
+    """Layers from the grammar on 1-2 channels of 6-12 pixels: strided and
+    padded convs, some with a relu after, and pools that overlap when their
+    stride is below their kernel; then flatten and one or two dense."""
+    shape = (draw(st.integers(1, 2)),) + (draw(st.integers(6, 12)),) * 2
+    tokens, e = [], shape[1]
+    for _ in range(draw(st.integers(1, 3))):
+        if e >= 2 and draw(st.booleans()):
+            k = draw(st.integers(2, min(3, e)))
+            stride = draw(st.sampled_from([s for s in (1, 2) if (e - k) % s == 0]))
+            tokens.append(f"pool:{k}/{stride}")
+            e = (e - k) // stride + 1
+        else:
+            pad = draw(st.integers(0, 1))
+            k = draw(st.integers(1, min(3, e + 2 * pad)))
+            stride = draw(st.sampled_from([s for s in (1, 2) if (e + 2 * pad - k) % s == 0]))
+            tokens.append(f"conv:{draw(st.integers(1, 3))}@{k}/{stride}p{pad}")
+            tokens += ["relu"] if draw(st.booleans()) else []
+            e = (e + 2 * pad - k) // stride + 1
+    tokens.append("flatten")
+    if draw(st.booleans()):
+        tokens += [f"dense:{draw(st.integers(2, 6))}", "relu"]
+    return shape, ", ".join(tokens + ["dense:3"]), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=25)
+@given(_random_stacks())
+def test_reuse_gives_the_bytes_of_a_fresh_pass_on_random_stacks(case):
+    # every truncation too; steps from none to large move routing states from
+    # none to all, and an overlapping pool's cell may win several windows
+    shape, layers, seed = case
+    network = net.build_network(net.NetworkConfig(shape, net.parse_layers(layers), 3, seed))
+    rng = np.random.default_rng(seed)
+    for p in network.params.values():
+        p += rng.normal(0.0, 0.3, p.shape)
+    network.bump_version()
+    subs = [network]
+    for name in network.names:
+        try:
+            subs.append(net.truncate_at(network, name, 0))
+        except ShapeError as e:
+            assert "padding swallows" in str(e)
+    for sub in subs:
+        x = rng.normal(size=(1,) + sub.config.input_shape)
+        up = rng.normal(size=(1, sub.num_outputs))
+        _, old = net.forward_batch(sub, x)
+        net.backward_input(sub, old, up)
+        for scale in (0.0, 1e-3, 0.1, 1.0):
+            x = x + rng.normal(0.0, scale, x.shape)
+            _, cache = net.forward_batch(sub, x)
+            got = net.backward_input(sub, cache, up, reuse=old)
+            fresh = net.backward_input(sub, net.forward_batch(sub, x)[1], up)
+            assert got.tobytes() == fresh.tobytes(), (layers, sub.names[-1], scale)
+            old = cache
 
 
 @pytest.mark.parametrize("n", [1, 63, 256, 257])

@@ -1,11 +1,12 @@
 """Primitives against finite differences and hand-computed cases."""
 
+import functools
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -512,6 +513,36 @@ def test_conv_forward_blocks_keep_padding_and_stride(rng, monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
+@st.composite
+def _window_cases(draw):
+    k, stride, pad = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    h, w = (k + stride * (draw(st.integers(1, 4)) - 1) - 2 * pad for _ in "hw")
+    assume(h >= 1 and w >= 1)
+    n, c = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    source = draw(st.sampled_from(["image", "cells", "slice"]))
+    if source == "cells":  # _scatter_index's cell numbers
+        x = np.arange(n * c * h * w).reshape(n, c, h, w)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = rng.normal(size=(n + 3, c, h, w))
+        x = x[1:n + 1] if source == "slice" else x[:n].copy()  # evaluate passes slices
+    return x, k, stride, pad
+
+
+@settings(max_examples=200)
+@given(_window_cases())
+def test_windows_reuse_sliding_window_view_layouts(case):
+    x, k, stride, pad = case
+    for a in (x, np.asfortranarray(x)):  # same shape, other strides: not one layout
+        got = tensor._windows(a, k, k, stride, pad)
+        ap = np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else a
+        want = sliding_window_view(ap, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+        want = want.transpose(1, 4, 5, 0, 2, 3)
+        assert (got.shape, got.strides, got.dtype) == (want.shape, want.strides, want.dtype)
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable and not want.flags.writeable
+
+
 def test_maxpool_constant_input_picks_first():
     x = np.zeros((1, 1, 4, 4))
     pooled, amap = tensor.maxpool_forward_batch(x, 2, 2)
@@ -592,6 +623,8 @@ def test_maxpool_matches_window_argmax(case):
     pooled, amap = tensor.maxpool_forward_batch(x, k, stride)
     want, want_idx = _maxpool_reference(x, k, stride)
     assert pooled.shape == want.shape and pooled.tobytes() == want.tobytes()
+    assert amap.winners.dtype == (np.int8 if k * k <= 127 else np.intp)
+    assert amap.winners.shape == pooled.shape
     assert amap.indices.dtype == np.int64
     np.testing.assert_array_equal(amap.indices, want_idx)
     # backward: the same additions, in the same order, as np.add.at from +0.0
@@ -609,6 +642,24 @@ def test_maxpool_without_map_pools_the_same_bytes(case):
     pooled, _ = tensor.maxpool_forward_batch(x, k, stride)
     lean, amap = tensor.maxpool_forward_batch(x, k, stride, need_map=False)
     assert amap is None and lean.tobytes() == pooled.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 64, 256])
+def test_pool_base_cache_keeps_no_entry_over_its_bound(monkeypatch, rng, n):
+    # a whole base for LeNet's pool1 at 256 images would take 5.9 MB: the
+    # cache keeps its two broadcast terms instead, for the same indices
+    built = []
+
+    def build(*geometry, _unkept=tensor._pool_base.__wrapped__):
+        parts = _unkept(*geometry)
+        built.append(sum(p.nbytes for p in parts))
+        return parts
+
+    monkeypatch.setattr(tensor, "_pool_base", functools.lru_cache(maxsize=8)(build))
+    x = rng.normal(size=(n, 20, 24, 24))
+    _, amap = tensor.maxpool_forward_batch(x, 2, 2)
+    assert amap.indices.tobytes() == _maxpool_reference(x, 2, 2)[1].tobytes()
+    assert len(built) == 1 and built[0] <= tensor._BLOCK_BYTES // 2
 
 
 def test_maxpool_rejects_mismatched_map(rng):
