@@ -280,14 +280,14 @@ def conv2d_backward_batch(upstream: np.ndarray, x: np.ndarray,
 # max pooling
 
 @functools.lru_cache(maxsize=8)
-def _pool_base(n, c, h, w, h_out, w_out, kernel, stride, whole) -> tuple:
-    """(offset, *base) of ``ArgmaxMap.indices``, kept per geometry: each window
-    offset's flat step from its corner, then each pooled cell's flat corner as
-    one array if whole (at most half of ``_BLOCK_BYTES``), else as two terms."""
+def _pool_base(n, c, h, w, h_out, w_out, kernel, stride) -> tuple:
+    """(offset, corner, plane) of ``ArgmaxMap.indices``, kept per geometry: a
+    window offset's flat step from its corner, a pooled cell's corner in its
+    plane, an (image, channel) plane's start; never a full-size base."""
     offset = (np.arange(kernel, dtype=np.int64)[:, None] * w + np.arange(kernel)).ravel()
     corner = (np.arange(h_out, dtype=np.int64)[:, None] * w + np.arange(w_out)) * stride
     plane = (np.arange(n * c, dtype=np.int64) * (h * w)).reshape(n, c, 1, 1)
-    return (offset, corner + plane) if whole else (offset, corner, plane)
+    return offset, corner, plane
 
 
 @dataclass(frozen=True)
@@ -306,11 +306,11 @@ class ArgmaxMap:
 
     @property
     def indices(self) -> np.ndarray:
-        offset, *base = _pool_base(*self.input_shape, *self.winners.shape[2:], self.kernel,
-                                   self.stride, 8 * self.winners.size <= _BLOCK_BYTES // 2)
+        offset, corner, plane = _pool_base(*self.input_shape, *self.winners.shape[2:],
+                                           self.kernel, self.stride)
         idx = offset[self.winners]
-        for term in base:
-            idx += term
+        idx += corner
+        idx += plane
         return idx
 
 

@@ -1,6 +1,5 @@
 """Primitives against finite differences and hand-computed cases."""
 
-import functools
 import tracemalloc
 import warnings
 
@@ -644,22 +643,14 @@ def test_maxpool_without_map_pools_the_same_bytes(case):
     assert amap is None and lean.tobytes() == pooled.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 64, 256])
-def test_pool_base_cache_keeps_no_entry_over_its_bound(monkeypatch, rng, n):
-    # a whole base for LeNet's pool1 at 256 images would take 5.9 MB: the
-    # cache keeps its two broadcast terms instead, for the same indices
-    built = []
-
-    def build(*geometry, _unkept=tensor._pool_base.__wrapped__):
-        parts = _unkept(*geometry)
-        built.append(sum(p.nbytes for p in parts))
-        return parts
-
-    monkeypatch.setattr(tensor, "_pool_base", functools.lru_cache(maxsize=8)(build))
-    x = rng.normal(size=(n, 20, 24, 24))
+def test_pool_base_cache_keeps_only_broadcast_terms(rng):
+    # LeNet's pool1 at 256 images: the int64 map takes 5.9 MB, its kept base
+    # kernel² + h_out·w_out + n·C int64s
+    x = rng.normal(size=(256, 20, 24, 24))
     _, amap = tensor.maxpool_forward_batch(x, 2, 2)
     assert amap.indices.tobytes() == _maxpool_reference(x, 2, 2)[1].tobytes()
-    assert len(built) == 1 and built[0] <= tensor._BLOCK_BYTES // 2
+    kept = tensor._pool_base(*x.shape, 12, 12, 2, 2)
+    assert sum(p.nbytes for p in kept) == 8 * (4 + 144 + 256 * 20)
 
 
 def test_maxpool_rejects_mismatched_map(rng):
