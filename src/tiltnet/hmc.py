@@ -186,8 +186,11 @@ def sample_node(net: net_mod.Network, layer: str, channel: int,
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         u0, grad, _ = _potential_and_grad(sub, 0, x0, config.sigma)
         if not (np.isfinite(u0) and np.all(np.isfinite(grad))):
-            raise NumericsError(f"the start image (init_std = {config.init_std:g}) "
-                                f"made the energy non-finite")
+            if not np.isfinite(np.square(x0).sum() / (2.0 * config.sigma ** 2)):
+                raise NumericsError(f"the start image (init_std = {config.init_std:g}) "
+                                    f"made the energy non-finite")
+            raise NumericsError("the network's score or gradient is not finite at the start "
+                                "image; its parameters may be non-finite or overflowing")
     state = ChainState(x0, np.zeros(shape), u0, 0, grad=grad)
     marks = set(config.snapshots) if config.snapshots else set(default_snapshots(config.iterations))
     marks |= {0, config.iterations}

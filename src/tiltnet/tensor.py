@@ -5,6 +5,8 @@ adjoint.
 Everything operates on float64 numpy arrays and is deterministic: the same
 inputs give bit-identical outputs. Every primitive is batch-first: images are
 [n, C, H, W] and flat activations [n, D]; a single image is a batch of one.
+A NaN in an input shows up as a NaN in every output it feeds; its sign and
+payload are unspecified, and so is any routing through it.
 """
 
 from __future__ import annotations
@@ -325,14 +327,11 @@ def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int, need_map: boo
     elementwise maximum with each later one, in blocks of images (see
     ``_in_blocks``); on a tie ``np.maximum`` keeps its second argument, the
     earlier value, so ``-0.0`` against ``0.0`` yields whichever comes first
-    in the window. A NaN anywhere in a window makes the cell NaN. The winner
-    is the first offset whose view equals ``pooled`` (or, in a NaN cell, the
-    first NaN): the same element ``argmax`` over the window picks. Walking
+    in the window. The winner is the first offset whose view equals
+    ``pooled``: the same element ``argmax`` over the window picks. Walking
     the offsets back from the last, ``r = (v != pooled) * (r + 1)`` ends at
     it, in three in-place passes per offset, and the map keeps these winners
-    (see ``ArgmaxMap``). Only an input holding a NaN pays for the NaN tests
-    and for re-reading ``pooled`` from the winners (even without need_map),
-    so that a NaN cell carries the first NaN's bits.
+    (see ``ArgmaxMap``).
     """
     x = _as_f64(x)
     if x.ndim != 4:
@@ -354,23 +353,16 @@ def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int, need_map: boo
     _in_blocks(n, c * h * w, block)
     _count("maxpool", pooled.size * k * k)
 
-    has_nan = bool(np.isnan(pooled).any())
-    if not (need_map or has_nan):
+    if not need_map:
         return pooled, None
     # the last offset is never tested: a cell no earlier offset wins goes to it
     inner = np.zeros(pooled.shape, np.int8 if k * k <= 127 else np.intp)
     miss = np.empty(pooled.shape, bool)
     for v in reversed(views[:-1]):
         np.not_equal(v, pooled, out=miss)
-        if has_nan:
-            miss &= ~np.isnan(v)
         inner += 1
         inner *= miss
-
-    amap = ArgmaxMap(x.shape, inner, k, stride)
-    if has_nan:  # np.maximum keeps the last NaN of a window, argmax the first
-        pooled = x.reshape(-1)[amap.indices]
-    return pooled, amap if need_map else None
+    return pooled, ArgmaxMap(x.shape, inner, k, stride)
 
 
 def maxpool_backward_batch(upstream: np.ndarray, amap: ArgmaxMap) -> np.ndarray:

@@ -62,6 +62,8 @@ class TrainConfig:
             raise ConfigError(f"unknown lr_policy {self.lr_policy!r}")
         if self.lr_policy == "step" and self.lr_step_every < 1:
             raise ConfigError("lr_policy=step needs lr_step_every >= 1")
+        if self.lr_policy == "constant" and (self.lr_step_every, self.lr_step_factor) != (0, 1.0):
+            raise ConfigError("lr_policy=constant takes no lr_step_every or lr_step_factor")
         if not 0 < self.lr_step_factor < math.inf:
             raise ConfigError("lr_step_factor must be positive and finite")
 

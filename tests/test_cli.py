@@ -152,6 +152,7 @@ def test_parse_config_lenet_preset(tmp_path):
     ("[hmc]\nseed = 1\n", "unknown keys"),
     ("[train]\nlr_policy = step\nlr_step_every = 1\nlr_step_factor = -1\n",
      r"\[train\]: lr_step_factor"),
+    ("[train]\nlr_step_every = 2\nlr_step_factor = 0.5\n", r"\[train\]: lr_policy=constant"),
     ("[hmc]\ninit_std = 0\n", r"\[hmc\]: init_std"),
 ])
 def test_parse_config_rejections(tmp_path, text, fragment):
@@ -560,6 +561,10 @@ def test_unrenderable_channel_count_exits_2_before_sampling(tmp_path, capsys, mo
     pytest.param("train", "train", "lr", {("data", "n"): "16", ("train", "epochs"): "1",
                                           ("data", "eval_n"): "0"},
                  "non-finite scores", id="train-train-lr-no-eval-set"),
+    # sampling from that run's 000.ckpt: the network, not init_std, is at fault
+    pytest.param("sample", "train", "lr", {("data", "n"): "16", ("train", "epochs"): "1",
+                                           ("data", "eval_n"): "0"},
+                 "network's score", id="sample-train-lr-diverged-checkpoint"),
 ])
 def test_diverged_run_exits_4_with_one_error_line(tmp_path, capsys, command, section, key,
                                                    edits, names):
@@ -572,11 +577,18 @@ def test_diverged_run_exits_4_with_one_error_line(tmp_path, capsys, command, sec
     argv = [command, "--config", str(config)]
     if command == "sample":
         ckpt = tmp_path / "net.ckpt"
-        net.save_checkpoint(net.build_network(parse_config(config).network), ckpt)
+        if section == "train":   # the first checkpoint of a run that diverged
+            assert cli.main(["train", "--config", str(config)]) == 4
+            (tmp_path / "out" / "000.ckpt").rename(ckpt)
+            shutil.rmtree(tmp_path / "out")
+            capsys.readouterr()
+        else:
+            net.save_checkpoint(net.build_network(parse_config(config).network), ckpt)
         argv += ["--checkpoint", str(ckpt), "--layer", "dense1", "--channel", "0"]
     assert cli.main(argv) == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and names in err[0], err
+    assert ("init_std" in err[0]) == (key == "init_std"), err
     if command == "sample":
         assert not (tmp_path / "out").exists()
     assert not (tmp_path / "out" / "final.ckpt").exists()
@@ -667,8 +679,8 @@ _INI = {
         "lr": ["0.05", "0", "nan", "inf"], "weight_decay": ["0", "-1"],
         "momentum": ["0.9", "1", "nan"], "epochs": ["1", "0", "-1"],
         "pretrain_epochs": ["0", "1", "-1"], "refine_lr": ["0.01", "-0.5"],
-        "lr_policy": ["constant", "step", "cosine"], "lr_step_every": ["1", "0"],
-        "lr_step_factor": ["0.5", "x"],
+        "lr_policy": ["constant", "step", "cosine"], "lr_step_every": ["0", "1"],
+        "lr_step_factor": ["1.0", "0.5", "x"],
     },
     "data": {
         "source": ["synthetic", "idx", "tape"],

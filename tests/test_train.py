@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from tiltnet import data, loss, net, tensor, train
+from tiltnet import data, hmc, loss, net, tensor, train
 from tiltnet.errors import CheckpointError, ConfigError, DataError, NumericsError
 from tiltnet.net import LayerSpec, NetworkConfig, build_network
 
@@ -417,3 +417,22 @@ def test_metrics_log_format(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "# demo"
     assert text[1] == "epoch=0 value=0.5 name=x"
+
+
+def test_a_nan_weight_is_refused_before_any_routing_is_read():
+    # the NaN rule: a NaN shows up in every score it feeds, its bits and its
+    # pool routing unspecified; evaluation, training and sampling refuse it
+    network = build_network(small_config())
+    network.params["conv1.weight"][1, 0, 2, 0] = np.nan
+    network.bump_version()
+    train_set, eval_set = small_sets(n=16)
+    kept, _ = net.forward_batch(network, eval_set.images)
+    lean, _ = net.forward_batch(network, eval_set.images, keep=False)
+    assert np.isnan(kept).any()
+    np.testing.assert_array_equal(np.isnan(kept), np.isnan(lean))
+    with pytest.raises(NumericsError, match="non-finite scores"):
+        train.evaluate(network, eval_set)
+    with pytest.raises(NumericsError, match="non-finite"):
+        train.run_training(network, train_set, train.TrainConfig(batch_size=16, epochs=1))
+    with pytest.raises(NumericsError, match="network's score"):
+        hmc.sample_node(network, "dense1", 0, hmc.HmcConfig(iterations=1, leapfrog_steps=1))
