@@ -30,18 +30,16 @@ from .errors import (CheckpointError, ConfigError, DataError, NumericsError,
 
 
 def _load_train_set(spec: DataSpec, seed: int) -> data_mod.Dataset:
-    if spec.source == "idx":
+    if spec.train_images:
         return data_mod.read_idx(spec.train_images, spec.train_labels)
     return data_mod.synthetic_dataset(spec.n, spec.classes, spec.image_size,
                                       seed=seed, noise_std=spec.noise_std)
 
 
 def _load_eval_set(spec: DataSpec, seed: int):
-    if spec.source == "idx":
-        if not (spec.test_images and spec.test_labels):
-            return None
+    if spec.test_images:
         return data_mod.read_idx(spec.test_images, spec.test_labels)
-    if spec.eval_n < 1:
+    if spec.train_images or spec.eval_n < 1:
         return None
     # a disjoint draw: same geometry, different noise stream
     return data_mod.synthetic_dataset(spec.eval_n, spec.classes, spec.image_size,

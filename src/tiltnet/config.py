@@ -24,22 +24,25 @@ from .train import TrainConfig
 
 @dataclass(frozen=True)
 class DataSpec:
-    source: str = "synthetic"    # or "idx"
-    train_images: str = ""       # idx only: the four IDX paths
+    train_images: str = ""       # the IDX paths; given, they select IDX data
     train_labels: str = ""
     test_images: str = ""
     test_labels: str = ""
-    n: int = 512                 # synthetic only: the generator's arguments
+    n: int = 512                 # without IDX paths: the generator's arguments
     classes: int = 2
     image_size: int = 28
     noise_std: float = 0.1
     eval_n: int = 256
 
     def validate(self) -> None:
-        if self.source not in ("synthetic", "idx"):
-            raise ConfigError(f"source: expected synthetic or idx, got {self.source!r}")
-        if self.source == "idx" and not (self.train_images and self.train_labels):
-            raise ConfigError("source=idx needs train_images and train_labels")
+        if bool(self.train_images) != bool(self.train_labels):
+            raise ConfigError("give train_images and train_labels together")
+        if bool(self.test_images) != bool(self.test_labels):
+            raise ConfigError("give test_images and test_labels together")
+        if self.test_images and not self.train_images:
+            raise ConfigError("test_images and test_labels need train_images and train_labels")
+        if self.eval_n < 0:
+            raise ConfigError(f"eval_n must be >= 0, got {self.eval_n}")
         if not 0 <= self.noise_std < math.inf:
             raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 

@@ -33,8 +33,7 @@ class HmcConfig:
     step_size: float = 1e-4    # leapfrog eps
     leapfrog_steps: int = 100  # L
     iterations: int = 300      # T; 0 means record the initialization only
-    init: str = "gaussian"     # or "zero"
-    init_std: float = 10.0
+    init_std: float = 10.0     # 0 starts at the zero image
     metropolis: bool = True
     seed: int = 0
     snapshots: tuple = ()      # iteration indices to record; () = default set
@@ -46,11 +45,8 @@ class HmcConfig:
             raise ConfigError("leapfrog_steps must be >= 1")
         if self.iterations < 0:
             raise ConfigError("iterations must be >= 0")
-        if self.init not in ("gaussian", "zero"):
-            raise ConfigError(f"unknown init {self.init!r}")
-        # a zero start ignores init_std, so 0 is accepted there
-        if not (0 < self.init_std < math.inf or (self.init == "zero" and self.init_std == 0)):
-            raise ConfigError("init_std must be positive and finite")
+        if not 0 <= self.init_std < math.inf:
+            raise ConfigError("init_std must be finite and >= 0")
         outside = [i for i in self.snapshots if not 0 <= i <= self.iterations]
         if outside:
             raise ConfigError(f"snapshots outside [0, iterations = {self.iterations}]: {outside}")
@@ -163,12 +159,6 @@ def default_snapshots(iterations: int) -> tuple:
     return tuple(sorted(marks))
 
 
-def init_image(shape, config: HmcConfig, rng: np.random.Generator) -> np.ndarray:
-    if config.init == "zero":
-        return np.zeros(shape)
-    return rng.normal(0.0, config.init_std, size=shape)
-
-
 def sample_node(net: net_mod.Network, layer: str, channel: int,
                 config: HmcConfig) -> list:
     """Synthesize an image from one node; returns SampleRecords at the
@@ -182,7 +172,7 @@ def sample_node(net: net_mod.Network, layer: str, channel: int,
     sub = net_mod.truncate_at(net, layer, channel)
     shape = sub.config.input_shape
     rng = np.random.default_rng(config.seed)
-    x0 = init_image(shape, config, rng)
+    x0 = rng.normal(0.0, config.init_std, size=shape) if config.init_std else np.zeros(shape)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         u0, grad, _ = _potential_and_grad(sub, 0, x0, config.sigma)
         if not (np.isfinite(u0) and np.all(np.isfinite(grad))):

@@ -39,8 +39,7 @@ class TrainConfig:
     epochs: int = 25
     pretrain_epochs: int = 16    # GG+DG only: epochs spent in GG
     refine_lr: float = 0.003     # GG+DG only: rate after the switch
-    lr_policy: str = "constant"  # or "step"
-    lr_step_every: int = 0
+    lr_step_every: int = 0       # 0: a constant rate
     lr_step_factor: float = 1.0
     seed: int = 0
 
@@ -58,12 +57,10 @@ class TrainConfig:
         if self.mode == "GG+DG" and not 0 <= self.pretrain_epochs < max(self.epochs, 1):
             raise ConfigError(f"pretrain_epochs must lie in [0, epochs), got "
                               f"{self.pretrain_epochs} with epochs={self.epochs}")
-        if self.lr_policy not in ("constant", "step"):
-            raise ConfigError(f"unknown lr_policy {self.lr_policy!r}")
-        if self.lr_policy == "step" and self.lr_step_every < 1:
-            raise ConfigError("lr_policy=step needs lr_step_every >= 1")
-        if self.lr_policy == "constant" and (self.lr_step_every, self.lr_step_factor) != (0, 1.0):
-            raise ConfigError("lr_policy=constant takes no lr_step_every or lr_step_factor")
+        if self.lr_step_every < 0:
+            raise ConfigError(f"lr_step_every must be >= 0, got {self.lr_step_every}")
+        if self.lr_step_every == 0 and self.lr_step_factor != 1.0:
+            raise ConfigError("lr_step_factor needs lr_step_every >= 1")
         if not 0 < self.lr_step_factor < math.inf:
             raise ConfigError("lr_step_factor must be positive and finite")
 
@@ -200,7 +197,7 @@ def _lr_for_epoch(config: TrainConfig, epoch: int) -> float:
     else:
         base = config.lr
         steps_into = epoch
-    if config.lr_policy == "step":
+    if config.lr_step_every:
         base *= config.lr_step_factor ** (steps_into // config.lr_step_every)
     return base
 

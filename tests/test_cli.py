@@ -39,7 +39,6 @@ epochs = 2
 pretrain_epochs = 0
 
 [data]
-source = synthetic
 n = 64
 classes = 2
 image_size = 8
@@ -143,17 +142,23 @@ def test_parse_config_lenet_preset(tmp_path):
     ("[network]\narch = alexnet\n", "unknown preset"),
     ("[network]\nlayers = dense:2\ninput_shape = 28x28\n", "input_shape"),
     ("[network]\nclasses = 2\n", "needs arch or layers"),
-    ("[data]\nsource = csv\n", "synthetic or idx"),
-    ("[data]\nsource = idx\n", "needs train_images"),
+    ("[data]\nsource = idx\n", "unknown keys"),
+    ("[data]\ntrain_images = a.idx\n", "train_images and train_labels together"),
+    ("[data]\ntrain_images = a.idx\ntrain_labels = b.idx\ntest_labels = c.idx\n",
+     "test_images and test_labels together"),
+    ("[data]\ntest_images = c.idx\ntest_labels = d.idx\n", "need train_images"),
+    ("[data]\neval_n = -5\n", r"\[data\]: eval_n must be >= 0"),
     ("[hmc]\nstep_size = 0\n", r"\[hmc\]"),
     ("[hmc]\nmetropolis = maybe\n", "boolean"),
     ("[train]\nbatch_size = soon\n", "bad value"),
     ("[train]\nseed = 1\n", "unknown keys"),
     ("[hmc]\nseed = 1\n", "unknown keys"),
-    ("[train]\nlr_policy = step\nlr_step_every = 1\nlr_step_factor = -1\n",
-     r"\[train\]: lr_step_factor"),
-    ("[train]\nlr_step_every = 2\nlr_step_factor = 0.5\n", r"\[train\]: lr_policy=constant"),
-    ("[hmc]\ninit_std = 0\n", r"\[hmc\]: init_std"),
+    ("[train]\nlr_policy = step\n", "unknown keys"),
+    ("[train]\nlr_step_every = 1\nlr_step_factor = -1\n", r"\[train\]: lr_step_factor"),
+    ("[train]\nlr_step_every = -1\n", r"\[train\]: lr_step_every"),
+    ("[train]\nlr_step_factor = 0.5\n", r"\[train\]: lr_step_factor needs lr_step_every"),
+    ("[hmc]\ninit = zero\n", "unknown keys"),
+    ("[hmc]\ninit_std = -1\n", r"\[hmc\]: init_std"),
 ])
 def test_parse_config_rejections(tmp_path, text, fragment):
     path = tmp_path / "bad.ini"
@@ -164,8 +169,8 @@ def test_parse_config_rejections(tmp_path, text, fragment):
 
 def test_zero_init_accepts_zero_init_std(tmp_path):
     path = tmp_path / "zero.ini"
-    path.write_text("[hmc]\ninit = zero\ninit_std = 0\n")
-    assert parse_config(path).hmc.init_std == 0.0   # a zero start ignores it
+    path.write_text("[hmc]\ninit_std = 0\n")
+    assert parse_config(path).hmc.init_std == 0.0   # the zero-image start
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -186,13 +191,26 @@ def test_negative_noise_std_exits_2_before_any_output(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("lines", [
+    "train_images = {0}\ntrain_labels = {1}\ntest_images = {0}\n", "eval_n = -5\n",
+], ids=["half-test-pair", "negative-eval_n"])
+def test_data_that_would_drop_the_evaluation_set_exits_2_before_any_output(tmp_path, capsys,
+                                                                         lines):
+    text = BASE_CONFIG.replace("eval_n = 32\n", lines.format(*write_idx(tmp_path / "idx", 32)))
+    assert cli.main(["train", "--config", str(write_config(tmp_path, text=text))]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [data]: "), err
+    assert ("test_images and test_labels" in err[0]) == lines.startswith("train"), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_config_parses_and_lists_every_key(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = re.search(r"A complete config.*?```ini\n(.*?)```", readme, re.S).group(1)
     path = tmp_path / "readme.ini"
     path.write_text(block)
     spec = parse_config(path)
-    assert spec.data.source == "idx" and spec.network.num_classes == 10
+    assert spec.data.train_images and spec.network.num_classes == 10
     listed = configparser.ConfigParser(interpolation=None)
     listed.optionxform = str
     listed.read_string(block)
@@ -326,8 +344,7 @@ def test_missing_config_exits_3(tmp_path, capsys):
 
 def test_missing_data_files_exit_3_without_partial_output(tmp_path, capsys):
     text = BASE_CONFIG.replace(
-        "source = synthetic",
-        "source = idx\ntrain_images = missing.idx\ntrain_labels = missing.idx")
+        "[data]\n", "[data]\ntrain_images = missing.idx\ntrain_labels = missing.idx\n")
     config = write_config(tmp_path, text=text)
     assert cli.main(["train", "--config", str(config)]) == 3
     capsys.readouterr()
@@ -369,9 +386,9 @@ def test_empty_idx_set_exits_3_without_output(tmp_path, capsys, train_count, tes
                                                fragment):
     train_files = write_idx(tmp_path / "train", train_count)
     test_files = write_idx(tmp_path / "test", test_count)
-    text = BASE_CONFIG.replace("source = synthetic", (
-        "source = idx\ntrain_images = {}\ntrain_labels = {}\n"
-        "test_images = {}\ntest_labels = {}").format(*train_files, *test_files))
+    text = BASE_CONFIG.replace("[data]\n", (
+        "[data]\ntrain_images = {}\ntrain_labels = {}\n"
+        "test_images = {}\ntest_labels = {}\n").format(*train_files, *test_files))
     config = write_config(tmp_path, text=text)
     assert cli.main(["train", "--config", str(config)]) == 3
     assert fragment in capsys.readouterr().err
@@ -380,9 +397,9 @@ def test_empty_idx_set_exits_3_without_output(tmp_path, capsys, train_count, tes
 
 def test_eval_on_empty_idx_set_exits_3(tmp_path, capsys):
     test_files = write_idx(tmp_path / "test", 0)
-    text = BASE_CONFIG.replace("source = synthetic", (
-        "source = idx\ntrain_images = {0}\ntrain_labels = {1}\n"
-        "test_images = {0}\ntest_labels = {1}").format(*test_files))
+    text = BASE_CONFIG.replace("[data]\n", (
+        "[data]\ntrain_images = {0}\ntrain_labels = {1}\n"
+        "test_images = {0}\ntest_labels = {1}\n").format(*test_files))
     config = write_config(tmp_path, text=text)
     ckpt = tmp_path / "net.ckpt"
     net.save_checkpoint(net.build_network(parse_config(config).network), ckpt)
@@ -660,7 +677,7 @@ def test_missing_required_flag_exits_2(capsys):
 # ---------------------------------------------------------------------------
 # exit-code contract over arbitrary argv and config text
 
-# Value fragments per section and key, the valid one first (source has two);
+# Value fragments per section and key, the valid one first;
 # "{out}", "{images}", "{labels}", "{missing}", "{junk}" and "{gzjunk}" become
 # a writable directory, a gzipped and a raw IDX file of 32 8x8 images, an
 # absent path, a file of garbage and a gzip stream cut short. Sizes stay tiny
@@ -679,37 +696,36 @@ _INI = {
         "lr": ["0.05", "0", "nan", "inf"], "weight_decay": ["0", "-1"],
         "momentum": ["0.9", "1", "nan"], "epochs": ["1", "0", "-1"],
         "pretrain_epochs": ["0", "1", "-1"], "refine_lr": ["0.01", "-0.5"],
-        "lr_policy": ["constant", "step", "cosine"], "lr_step_every": ["0", "1"],
+        "lr_step_every": ["0", "1", "-1"],
         "lr_step_factor": ["1.0", "0.5", "x"],
     },
     "data": {
-        "source": ["synthetic", "idx", "tape"],
         **{f"{part}_{kind}": [f"{{{kind}}}", "{missing}", "{junk}", "{gzjunk}", ""]
            for part in ("train", "test") for kind in ("images", "labels")},
         "n": ["32", "0", "2", "8", "-4"], "classes": ["2", "1", "3"],
         "image_size": ["8", "0", "4", "28"], "noise_std": ["0.1", "-1", "nan"],
-        "eval_n": ["8", "0", "x"],
+        "eval_n": ["8", "0", "-1", "x"],
     },
     "hmc": {
         "sigma": ["2", "0", "nan", "inf"], "mass": ["1", "-1"],
         "step_size": ["0.01", "1e9", "nan"], "leapfrog_steps": ["2", "1", "0"],
-        "iterations": ["2", "0", "1", "-1"], "init": ["gaussian", "zero", "ones"],
-        "init_std": ["1", "0"], "metropolis": ["true", "off", "maybe"],
-        "snapshots": ["1", "0,2", "-1", "x"],
+        "iterations": ["2", "0", "1", "-1"], "init_std": ["1", "0", "-1"],
+        "metropolis": ["true", "off", "maybe"], "snapshots": ["1", "0,2", "-1", "x"],
     },
     "run": {"out_dir": ["{out}", "", "{junk}"], "seed": ["3", "0", "-1", "x"]},
 }
 for _section, _key in FLOAT_KEYS:   # every float key also meets these
     _INI[_section][_key] += [v for v in ("nan", "inf", "-0.0") if v not in _INI[_section][_key]]
 # keys written whenever their section is; [train] and [hmc] are always there,
-# the others are left out only from wild texts. With source and all four
-# paths always written, a spoiled path meets source = idx about half the time.
+# the others are left out only from wild texts. The four IDX paths are one
+# group, written all or none by a drawn boolean, so clean texts reach both
+# data sources and a spoiled path meets the other three about half the time.
 # The network and data shapes and out_dir are written too, so a clean text is
 # a config that every command runs to exit 0.
 _ALWAYS_KEYS = {"network": ("layers", "input_shape", "classes"), "train": ("epochs",),
-              "data": ("n", "eval_n", "source", "train_images", "train_labels",
-                       "test_images", "test_labels", "classes", "image_size"),
+              "data": ("n", "eval_n", "classes", "image_size"),
               "hmc": ("iterations", "leapfrog_steps"), "run": ("out_dir",)}
+_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
 _JUNK_LINES = ["[bogus]", "extra = 1", "no equals sign", "[network", "= 3", "[run]"]
 
 
@@ -728,14 +744,16 @@ def _ini_texts(draw):
             continue
         lines.append(f"[{section}]")
         chosen = set(_ALWAYS_KEYS.get(section, ()))
-        drawable = sorted(k for k in keys if style != "clean" or k != "arch")
+        drawable = sorted(k for k in keys if (style != "clean" or k != "arch")
+                          and k not in _PATHS)
         chosen |= set(draw(st.lists(st.sampled_from(drawable), max_size=4)))
+        if section == "data" and draw(st.booleans()):
+            chosen |= set(_PATHS)
         if style == "one" and spoiled[0] == section:
             chosen.add(spoiled[1])
         for key in sorted(chosen):
             wild = style == "wild" or (style == "one" and (section, key) == spoiled)
-            valid = keys[key][:2 if (section, key) == ("data", "source") else 1]
-            value = draw(st.sampled_from(keys[key] if wild else valid))
+            value = draw(st.sampled_from(keys[key] if wild else keys[key][:1]))
             lines.append(f"{key} = {value}")
         if style == "wild":
             lines += draw(st.lists(st.sampled_from(_JUNK_LINES), max_size=1))
@@ -780,9 +798,9 @@ def cli_files(tmp_path_factory):
 
 
 def _idx_text(values: dict) -> tuple:
-    """An ini draw of the always-written keys at their valid values,
-    source = idx, and the given {(section, key): value} in place."""
-    values = {("data", "source"): "idx", **values}
+    """An ini draw of the always-written keys and the four IDX paths at
+    their valid values, with the given {(section, key): value} in place."""
+    values = {**{("data", key): _INI["data"][key][0] for key in _PATHS}, **values}
     lines = []
     for section, keys in _INI.items():
         lines.append(f"[{section}]")
@@ -792,7 +810,7 @@ def _idx_text(values: dict) -> tuple:
     return "\n".join(lines) + "\n", "idx", False
 
 
-# Drawn texts reach an IDX reader only now and then (an idx source, a train or
+# Drawn texts reach an IDX reader only now and then (IDX paths, a train or
 # eval command and no flag that fails first), so each broken file also runs
 # once through each reader, and one valid idx run trains to the end.
 @settings(max_examples=100)

@@ -237,7 +237,7 @@ def test_records_are_energy_consistent(tiny_net):
 
 def test_zero_init_starts_at_origin(tiny_net):
     recs = hmc.sample_node(tiny_net, "dense1", 0,
-                           small_chain_config(init="zero", iterations=0))
+                           small_chain_config(init_std=0.0, iterations=0))
     assert np.array_equal(recs[0].image, np.zeros((1, 6, 6)))
 
 
@@ -279,7 +279,7 @@ def _chain_recomputing_start_gradients(net, layer, channel, config):
     sub = net_mod.truncate_at(net, layer, channel)
     eps, m, sigma, steps = config.step_size, config.mass, config.sigma, config.leapfrog_steps
     rng = np.random.default_rng(config.seed)
-    x = hmc.init_image(sub.config.input_shape, config, rng)
+    x = rng.normal(0.0, config.init_std, size=sub.config.input_shape)   # init_std > 0
     u = hmc.potential(sub, 0, x, sigma)
     rows = [(x.copy(), u, 0.0, None)]
     for _ in range(config.iterations):
@@ -320,8 +320,9 @@ def test_config_validation():
         hmc.HmcConfig(leapfrog_steps=0).validate()
     with pytest.raises(ConfigError):
         hmc.HmcConfig(iterations=-1).validate()
-    with pytest.raises(ConfigError):
-        hmc.HmcConfig(init="uniform").validate()
+    for init_std in (-1.0, float("nan")):
+        with pytest.raises(ConfigError, match="init_std"):
+            hmc.HmcConfig(init_std=init_std).validate()
     for outside in ((4,), (-1,), (2, -4, 99)):
         with pytest.raises(ConfigError, match="snapshots outside"):
             hmc.HmcConfig(iterations=3, snapshots=outside).validate()

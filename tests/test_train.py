@@ -384,16 +384,15 @@ def test_evaluate_error_matches_cached_forward():
 
 
 def test_step_lr_policy():
-    config = train.TrainConfig(lr=0.1, lr_policy="step", lr_step_every=2,
-                               lr_step_factor=0.5, epochs=6)
+    config = train.TrainConfig(lr=0.1, lr_step_every=2, lr_step_factor=0.5, epochs=6)
     lrs = [train._lr_for_epoch(config, e) for e in range(6)]
     assert lrs == [0.1, 0.1, 0.05, 0.05, 0.025, 0.025]
 
 
 def test_train_log_header_states_the_whole_config(tmp_path):
     # a step schedule's fields are logged too; the records keep their format
-    config = train.TrainConfig(batch_size=8, lr=0.1, lr_policy="step", lr_step_every=2,
-                               lr_step_factor=0.5, epochs=3, seed=4)
+    config = train.TrainConfig(batch_size=8, lr=0.1, lr_step_every=2, lr_step_factor=0.5,
+                               epochs=3, seed=4)
     path = tmp_path / "train.log"
     train.run_training(build_network(small_config()), small_sets(n=16)[0], config,
                        log=train.MetricsLog(path))
