@@ -696,8 +696,7 @@ _INI = {
         "lr": ["0.05", "0", "nan", "inf"], "weight_decay": ["0", "-1"],
         "momentum": ["0.9", "1", "nan"], "epochs": ["1", "0", "-1"],
         "pretrain_epochs": ["0", "1", "-1"], "refine_lr": ["0.01", "-0.5"],
-        "lr_step_every": ["0", "1", "-1"],
-        "lr_step_factor": ["1.0", "0.5", "x"],
+        "lr_step_every": ["0", "1", "-1"], "lr_step_factor": ["1.0", "0.5", "x"],
     },
     "data": {
         **{f"{part}_{kind}": [f"{{{kind}}}", "{missing}", "{junk}", "{gzjunk}", ""]
