@@ -4,7 +4,7 @@
     tiltnet eval      --config run.ini --checkpoint net.ckpt
     tiltnet sample    --config run.ini --checkpoint net.ckpt \\
                       --layer conv2 --channel 7 [--seed N]
-    tiltnet gradcheck [--config run.ini] [--seed N]
+    tiltnet gradcheck [--seed N]
     tiltnet inspect   --checkpoint net.ckpt
 
 ``python -m tiltnet.cli <command> ...`` is the same without the script.
@@ -98,8 +98,7 @@ def cmd_eval(spec: RunSpec, checkpoint) -> int:
     if eval_set is None:
         raise ConfigError("eval needs test_images/test_labels (idx) or eval_n "
                           "(synthetic)")
-    if len(eval_set):  # an empty set is left to evaluate's own DataError
-        _check_set(eval_set, "evaluation", network.config, "the checkpoint")
+    _check_set(eval_set, "evaluation", network.config, "the checkpoint")
     err = train_mod.evaluate(network, eval_set)
     print(f"error_rate={err:.6f} n={len(eval_set)}")
     return 0
@@ -173,21 +172,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "and synthesize images from their nodes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, need_config: bool, **extra):
+    def add(name, **extra):
         p = sub.add_parser(name, **extra)
-        p.add_argument("--config", required=need_config, help="run configuration file")
+        p.add_argument("--config", required=True, help="run configuration file")
         if name in ("eval", "sample"):
             p.add_argument("--checkpoint", required=True, help="network checkpoint")
         p.add_argument("--seed", type=_seed, default=None,
                        help="override [run] seed")
         return p
 
-    add("train", True, help="train a network per the config")
-    add("eval", True, help="classification error of a checkpoint")
-    p_sample = add("sample", True, help="synthesize images from one node")
+    add("train", help="train a network per the config")
+    add("eval", help="classification error of a checkpoint")
+    p_sample = add("sample", help="synthesize images from one node")
     p_sample.add_argument("--layer", required=True, help="layer name, e.g. conv2")
     p_sample.add_argument("--channel", required=True, type=int)
-    add("gradcheck", False, help="run the built-in correctness suites")
+    p_check = sub.add_parser("gradcheck", help="run the built-in correctness suites")
+    p_check.add_argument("--seed", type=_seed, default=0, help="seed of the random inputs")
     p_inspect = sub.add_parser("inspect", help="describe a checkpoint")
     p_inspect.add_argument("--checkpoint", required=True, help="network checkpoint")
     return parser
@@ -201,11 +201,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "inspect":
             return cmd_inspect(args.checkpoint)
-        if args.command == "gradcheck" and not args.config:
-            return cmd_gradcheck(args.seed or 0)
-        spec = parse_config(args.config, args.seed)
         if args.command == "gradcheck":
-            return cmd_gradcheck(spec.seed)
+            return cmd_gradcheck(args.seed)
+        spec = parse_config(args.config, args.seed)
         if args.command == "train":
             return cmd_train(spec)
         if args.command == "eval":

@@ -7,8 +7,8 @@ the input image for sampling), truncation at any layer to expose a single
 internal node as the score (an ordinary network whose config holds the
 prefix and the one input shape it accepts), and versioned binary checkpoints.
 
-What a layer kind means (its auto-name stem, INI token and so the fields it
-takes, output shape, parameter init, forward, backward and receptive-field
+What a layer kind means (its name stem, INI token and so the fields it takes,
+output shape, weight shape and init std, forward, backward and receptive-field
 inverse) lives in one record of ``_KINDS``; ``parse_layers`` and the passes
 below only loop over it. Adding a kind means adding one record there.
 """
@@ -59,6 +59,7 @@ class NetworkConfig:
 class _Kind:
     """Everything one layer kind means; shapes exclude the batch axis. The
     token's named groups are the LayerSpec fields the kind takes.
+    A kind with a weight has one zero-initialized bias per weight row.
     Parameter-free kinds get weight and bias None and return None for gw, gb;
     so do the others when need_params is False.
     Primitives are looked up as ``tensor.<fn>`` at call time, so a wrapper
@@ -68,7 +69,7 @@ class _Kind:
     out_shape: Callable  # (spec, in_shape) -> out_shape; raises ShapeError
     forward: Callable    # (spec, x, weight, bias, keep) -> (y, pool's ArgmaxMap if keep else None)
     backward: Callable   # (spec, up, x, weight, amap, need_input, need_params) -> (gx, gw, gb)
-    init: Callable = None  # (spec, in_shape, rng) -> (weight, bias); None: no parameters
+    weight: Callable = None  # (spec, in_shape) -> (weight shape, init std); None: no parameters
     grow: Callable = None  # (spec, out_extent) -> in_extent; None: no spatial inverse
     reads_input: bool = True  # False: its backward gets x None (a kept pass frees it)
     routing: Callable = None  # (x, amap) -> bytes of what its input gradient reads of x
@@ -114,9 +115,7 @@ _KINDS = {
         backward=lambda s, up, x, w, amap, need_input, need_params: (
             tensor.conv2d_backward_batch(up, x, w, s.stride, s.pad, need_input_grad=need_input,
                                          need_param_grad=need_params)),
-        init=lambda s, shape, rng: (
-            rng.normal(0.0, 0.01, (s.channels, shape[0], s.kernel, s.kernel)),
-            np.zeros(s.channels)),
+        weight=lambda s, shape: ((s.channels, shape[0], s.kernel, s.kernel), 0.01),
         grow=lambda s, e: (e - 1) * s.stride + s.kernel - 2 * s.pad),
     "maxpool": _Kind(
         stem="pool", out_shape=_pool_shape, token=r"pool:(?P<kernel>\d+)(?:/(?P<stride>\d+))?",
@@ -128,7 +127,7 @@ _KINDS = {
     "flatten": _Kind(
         stem="flatten", token="flatten",
         out_shape=lambda s, shape: (
-            int(np.prod(_spatial(shape, "flatten layer needs spatial input"))),),
+            math.prod(_spatial(shape, "flatten layer needs spatial input")),),
         forward=lambda s, x, w, b, keep: (x.reshape(-1, math.prod(x.shape[1:])), None),
         backward=lambda s, up, x, w, amap, need_input, need_params: (
             up.reshape(x.shape), None, None)),
@@ -137,9 +136,7 @@ _KINDS = {
         forward=lambda s, x, w, b, keep: (tensor.dense_forward_batch(x, w, b), None),
         backward=lambda s, up, x, w, amap, need_input, need_params: (
             tensor.dense_backward_batch(up, x, w, need_param_grad=need_params)),
-        init=lambda s, shape, rng: (
-            rng.normal(0.0, 1.0 / np.sqrt(shape[0]), (s.width, shape[0])),
-            np.zeros(s.width))),
+        weight=lambda s, shape: ((s.width, shape[0]), 1.0 / math.sqrt(shape[0]))),
     "relu": _Kind(
         stem="relu", token="relu", out_shape=lambda s, shape: shape,
         forward=lambda s, x, w, b, keep: (tensor.relu_forward(x), None),
@@ -218,9 +215,11 @@ class ActivationCache:
 
 class Network:
     """The config's layer stack with its resolved names and output shapes (no
-    batch axis; ShapeError when the kinds do not chain or a layer sets a field
-    its kind does not take), a parameter store, and optionally a truncation
-    head exposing one channel of the last layer."""
+    batch axis; ShapeError when the kinds do not chain, a layer sets a field
+    its kind does not take, or an untruncated stack does not end flat at
+    num_classes), the parameter shapes it implies (``param_shapes``, name to
+    shape in layer order, each weight before its bias), a parameter store,
+    and optionally a truncation head exposing one channel of the last layer."""
 
     def __init__(self, config: NetworkConfig, params, head=None, version_cell=None):
         if len(config.input_shape) != 3 or any(d < 1 for d in config.input_shape):
@@ -229,7 +228,7 @@ class Network:
         self.config = config
         self.layers = list(config.layers)
         self.names = _resolve_names(config.layers)
-        self.shapes = []
+        self.shapes, self.param_shapes = [], {}
         shape = tuple(int(d) for d in config.input_shape)
         for spec, name in zip(config.layers, self.names):
             kind = _kind(spec)
@@ -238,10 +237,16 @@ class Network:
                 if f.name not in takes and getattr(spec, f.name) != f.default:
                     raise ShapeError(f"layer {name!r}: a {spec.kind} layer takes no {f.name}, "
                                      f"got {f.name}={getattr(spec, f.name)!r}")
-            shape = kind.out_shape(spec, shape)
+            in_shape, shape = shape, kind.out_shape(spec, shape)
+            if kind.weight is not None:
+                weight = kind.weight(spec, in_shape)[0]
+                self.param_shapes |= {name + ".weight": weight, name + ".bias": weight[:1]}
             self.shapes.append(shape)
         if not self.shapes:
             raise ShapeError("network needs at least one layer")
+        if head is None and self.shapes[-1] != (config.num_classes,):
+            raise ShapeError(f"final layer produces {self.shapes[-1]}, "
+                             f"expected flat width {config.num_classes}")
         self.params = params
         self.head = head  # None for full nets, else selected channel (int)
         self._version = version_cell if version_cell is not None else [0]
@@ -262,22 +267,19 @@ class Network:
 
     def param_count(self) -> int:
         """Parameters of this network's own layers, not its parent's whole store."""
-        own = {f"{name}.{part}" for name in self.names for part in ("weight", "bias")}
-        return int(sum(p.size for key, p in self.params.items() if key in own))
+        return sum(map(math.prod, self.param_shapes.values()))
 
 
 def build_network(config: NetworkConfig) -> Network:
-    """Validate the config, allocate parameters, and seed the initializer."""
+    """Validate the config; draw its weights from one default_rng(seed), biases zero."""
     net = Network(config, {})
-    if net.shapes[-1] != (config.num_classes,):
-        raise ShapeError(f"final layer produces {net.shapes[-1]}, "
-                         f"expected flat width {config.num_classes}")
     rng = np.random.default_rng(config.seed)
     in_shapes = [tuple(config.input_shape)] + net.shapes[:-1]
     for spec, name, in_shape in zip(config.layers, net.names, in_shapes):
-        init = _KINDS[spec.kind].init
-        if init is not None:
-            net.params[name + ".weight"], net.params[name + ".bias"] = init(spec, in_shape, rng)
+        if (weight := _KINDS[spec.kind].weight) is not None:
+            shape, std = weight(spec, in_shape)
+            net.params[name + ".weight"] = rng.normal(0.0, std, shape)
+            net.params[name + ".bias"] = np.zeros(shape[0])
     return net
 
 
@@ -521,6 +523,8 @@ def _config_from_meta(meta: dict) -> NetworkConfig:
         _check_meta_type("input_shape entry", extent, int)
     _check_meta_type("num_classes", config.num_classes, int)
     _check_meta_type("seed", config.seed, int)
+    if config.seed < 0:
+        raise CheckpointError(f"malformed checkpoint metadata: seed is {config.seed}")
     return config
 
 
@@ -532,19 +536,19 @@ def save_checkpoint(net: Network, path) -> None:
 
 
 def load_checkpoint(path) -> Network:
-    """Rebuild a network from a checkpoint, verifying parameter inventory."""
+    """Rebuild a network from a checkpoint whose tensors fit its config; draws nothing."""
     meta, tensors = read_tensor_file(path)
     if meta.get("kind") != "network":
         raise CheckpointError(f"file holds {meta.get('kind')!r}, not a network")
     try:
-        net = build_network(_config_from_meta(meta))
+        net = Network(_config_from_meta(meta), {})
     except ShapeError as exc:
         raise CheckpointError(f"checkpoint describes an invalid network: {exc}") from exc
-    if set(tensors) != set(net.params):
+    if set(tensors) != set(net.param_shapes):
         raise CheckpointError("checkpoint parameter names do not match its config")
     for name, arr in tensors.items():
-        if arr.shape != net.params[name].shape:
+        if arr.shape != net.param_shapes[name]:
             raise CheckpointError(f"parameter {name} has shape {arr.shape}, "
-                                  f"config implies {net.params[name].shape}")
-        net.params[name] = arr
+                                  f"config implies {net.param_shapes[name]}")
+    net.params.update((name, tensors[name]) for name in net.param_shapes)
     return net

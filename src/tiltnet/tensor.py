@@ -18,7 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ShapeError
 
@@ -63,24 +62,16 @@ def output_extent(extent: int, kernel: int, stride: int = 1, pad: int = 0,
 # ---------------------------------------------------------------------------
 # convolution (cross-correlation: kernels are applied unflipped)
 
-@functools.lru_cache(maxsize=16)
-def _window_layout(shape, strides, kh, kw, stride) -> tuple:
-    """(shape, strides) of ``_windows``' view of an array of this layout: the
-    ``sliding_window_view`` ones, taken over a stand-in that is never read."""
-    win = sliding_window_view(as_strided(np.empty(1), shape, strides), (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
-    return win.shape, win.strides
-
-
 def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
     """[C_in, kH, kW, n, H', W'] read-only view of a contiguous batch's columns X:
     as [C_in·kH·kW, n·H'·W'], row (c, i, j) holds input channel c at kernel
     offset (i, j) for every output position, batch before rows before columns.
     All three conv products use it: W·X, U·Xᵀ and Wᵀ·U (see conv2d_backward_batch).
-    Its layout comes from ``_window_layout``; only a padded input is copied."""
+    Its shape and strides follow from the input's; only a padded input is copied."""
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    shape, strides = _window_layout(xp.shape, xp.strides, kh, kw, stride)
-    win = np.ndarray(shape, xp.dtype, xp, 0, strides)
+    (n, c, h, w), (sn, sc, sh, sw) = xp.shape, xp.strides
+    shape = (c, kh, kw, n, (h - kh) // stride + 1, (w - kw) // stride + 1)
+    win = np.ndarray(shape, xp.dtype, xp, 0, (sc, sh, sw, sn, stride * sh, stride * sw))
     win.flags.writeable = False
     return win
 

@@ -289,10 +289,10 @@ def _read_epoch(ckpt: Path):
         meta, velocity = net_mod.read_tensor_file(opt)
     except FileNotFoundError as exc:
         raise CheckpointError(f"optimizer sidecar {opt.name} is missing") from exc
-    state = OptimizerState(net)
-    if (meta.get("kind") != "optimizer" or set(velocity) != set(state.velocity)
-            or any(velocity[k].shape != v.shape for k, v in state.velocity.items())):
+    if meta.get("kind") != "optimizer" or net.param_shapes != {
+            k: v.shape for k, v in velocity.items()}:
         raise CheckpointError(f"{opt.name} is not this network's optimizer sidecar")
+    state = OptimizerState(net)
     state.velocity.update(velocity)
     return net, state
 

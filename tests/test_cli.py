@@ -404,7 +404,7 @@ def test_eval_on_empty_idx_set_exits_3(tmp_path, capsys):
     ckpt = tmp_path / "net.ckpt"
     net.save_checkpoint(net.build_network(parse_config(config).network), ckpt)
     assert cli.main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 3
-    assert "cannot evaluate on an empty dataset" in capsys.readouterr().err
+    assert "the evaluation set is empty" in capsys.readouterr().err
 
 
 def test_missing_checkpoint_exits_3(tmp_path, capsys):
@@ -452,6 +452,25 @@ def test_ill_typed_checkpoint_meta_exits_3(tmp_path, capsys):
     net.write_tensor_file(ckpt, meta, tensors)
     assert cli.main(["inspect", "--checkpoint", str(ckpt)]) == 3
     assert "layer 0 channels is '2', expected int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["inspect", "eval", "sample"])
+def test_checkpoint_whose_config_implies_an_impossible_weight_exits_3(tmp_path, capsys,
+                                                                       command):
+    # a final width numpy refuses to allocate: the load compares shapes, and
+    # draws no weight of that size first
+    config = write_config(tmp_path)
+    ckpt = tmp_path / "huge.ckpt"
+    net.save_checkpoint(net.build_network(parse_config(config).network), ckpt)
+    meta, tensors = net.read_tensor_file(ckpt)
+    meta["layers"][-1]["width"] = meta["num_classes"] = 10**18
+    net.write_tensor_file(ckpt, meta, tensors)
+    argv = {"inspect": [], "eval": ["--config", str(config)],
+            "sample": ["--config", str(config), "--layer", "conv1", "--channel", "0"]}[command]
+    assert cli.main([command, "--checkpoint", str(ckpt)] + argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: parameter dense")
+    assert "config implies (1000000000000000000" in err[0]
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -633,15 +652,16 @@ def test_negative_seed_flag_exits_2_and_names_the_seed(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_gradcheck_takes_its_seed_from_the_config_unless_overridden(tmp_path, capsys,
-                                                                    monkeypatch):
+def test_gradcheck_takes_only_a_seed(tmp_path, capsys, monkeypatch):
     seen = []
     monkeypatch.setattr(checks, "all_suites", lambda seed: seen.append(seed) or [])
-    config = str(write_config(tmp_path))   # [run] seed = 3
-    assert cli.main(["gradcheck", "--config", config]) == 0
-    assert cli.main(["gradcheck", "--config", config, "--seed", "5"]) == 0
-    assert seen == [3, 5]
+    assert cli.main(["gradcheck"]) == 0
+    assert cli.main(["gradcheck", "--seed", "5"]) == 0
+    assert seen == [0, 5]
     assert capsys.readouterr().out.splitlines()[-1] == "checks=0 failures=0"
+    assert cli.main(["gradcheck", "--config", str(write_config(tmp_path))]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert seen == [0, 5]
 
 
 def test_metropolis_off_parses_to_false(tmp_path):

@@ -359,8 +359,12 @@ def _random_stacks(draw):
 @given(_random_stacks())
 def test_reuse_gives_the_bytes_of_a_fresh_pass_on_random_stacks(case):
     # every truncation too; steps from none to large move routing states from
-    # none to all, and an overlapping pool's cell may win several windows
+    # none to all, and an overlapping pool's cell may win several windows.
+    # Then the last gradient against a central difference along a direction
+    # d, at the largest step whose end points keep every routing state: there
+    # each truncation is linear, so a shared adjoint error cannot pass
     shape, layers, seed = case
+    directions = np.random.default_rng([seed, 1])
     network = net.build_network(net.NetworkConfig(shape, net.parse_layers(layers), 3, seed))
     rng = np.random.default_rng(seed)
     for p in network.params.values():
@@ -384,6 +388,22 @@ def test_reuse_gives_the_bytes_of_a_fresh_pass_on_random_stacks(case):
             fresh = net.backward_input(sub, net.forward_batch(sub, x)[1], up)
             assert got.tobytes() == fresh.tobytes(), (layers, sub.names[-1], scale)
             old = cache
+        d = directions.normal(size=x.shape)
+        exact = float(np.sum(fresh * d))
+        here = _routing(sub, x)
+        h = next((h for h in (1e-3, 1e-4, 1e-5, 1e-6)
+                  if _routing(sub, x + h * d) == here == _routing(sub, x - h * d)), None)
+        assert h is not None, (layers, sub.names[-1])
+        f = [np.sum(up * net.forward_batch(sub, x + t * d, keep=False)[0]) for t in (h, -h)]
+        fd = (f[0] - f[1]) / (2 * h)
+        assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact)), (layers, sub.names[-1], h)
+
+
+def _routing(network, x):
+    """Every routing state (ReLU signs, pool winners) of a pass at x."""
+    cache = net.forward_batch(network, x)[1]
+    return [net._KINDS[s.kind].routing(cache.layer_inputs[i], cache.argmax.get(i))
+            for i, s in enumerate(network.layers) if net._KINDS[s.kind].routing]
 
 
 @pytest.mark.parametrize("n", [1, 63, 256, 257])
@@ -706,6 +726,7 @@ def test_checkpoint_meta_must_be_a_json_object(tiny_net, tmp_path, meta_blob, fr
     (None, "input_shape", [1, "6", 6], "input_shape entry is '6'"),
     (None, "num_classes", False, "num_classes is False"),
     (None, "seed", "0", "seed is '0'"),
+    (None, "seed", -1, "seed is -1"),
     (None, "layers", [1], "malformed checkpoint metadata"),
 ])
 def test_checkpoint_with_ill_typed_meta_is_refused(tiny_net, tmp_path, layer, key,

@@ -338,6 +338,27 @@ def test_resume_refuses_when_no_epoch_reads(tmp_path):
         train.resume_training(train_set, cfg, tmp_path)
 
 
+def test_loading_an_epoch_draws_no_initial_values(tmp_path, monkeypatch):
+    train_set, _ = small_sets(n=16)
+    cfg = train.TrainConfig(mode="GG+DG", batch_size=8, epochs=2, pretrain_epochs=1, seed=3)
+    network, _ = train.run_training(build_network(small_config(seed=2)), train_set, cfg,
+                                    out_dir=tmp_path)
+    _, velocity = net.read_tensor_file(tmp_path / "001.opt")
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a load drew from a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    loaded = net.load_checkpoint(tmp_path / "001.ckpt")
+    resumed, state = train._read_epoch(tmp_path / "001.ckpt")
+    monkeypatch.undo()
+    for model in (loaded, resumed):
+        assert list(model.params) == list(network.params)
+        assert all(model.params[k].tobytes() == v.tobytes() for k, v in network.params.items())
+    assert list(state.velocity) == list(network.params)
+    assert all(state.velocity[k].tobytes() == v.tobytes() for k, v in velocity.items())
+
+
 def test_resume_needs_checkpoints(tmp_path):
     train_set, _ = small_sets(n=8)
     with pytest.raises(ConfigError, match="resume"):
