@@ -726,8 +726,8 @@ def test_checkpoint_meta_must_be_a_json_object(tiny_net, tmp_path, meta_blob, fr
     (None, "input_shape", [1, "6", 6], "input_shape entry is '6'"),
     (None, "num_classes", False, "num_classes is False"),
     (None, "seed", "0", "seed is '0'"),
-    (None, "seed", -1, "seed is -1"),
     (None, "layers", [1], "malformed checkpoint metadata"),
+    (None, "seed", -1, "seed is -1"),
 ])
 def test_checkpoint_with_ill_typed_meta_is_refused(tiny_net, tmp_path, layer, key,
                                                    value, fragment):
