@@ -312,9 +312,8 @@ def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int, need_map: boo
     None when need_map is False (no backward will read it).
 
     Works on one strided slice of ``x`` per window offset (i, j), taken in
-    row-major scan order, so no window copy is made (taking a
-    ``sliding_window_view`` costs about 20 us, two thirds of pool1's map-free
-    pass at n=1). ``pooled`` starts as the first view and takes the
+    row-major scan order, so no window copy is made (numpy's sliding window
+    view costs about 20 us, two thirds of pool1's map-free pass at n=1). ``pooled`` starts as the first view and takes the
     elementwise maximum with each later one, in blocks of images (see
     ``_in_blocks``); on a tie ``np.maximum`` keeps its second argument, the
     earlier value, so ``-0.0`` against ``0.0`` yields whichever comes first
