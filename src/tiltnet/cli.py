@@ -8,9 +8,9 @@
     tiltnet inspect   --checkpoint net.ckpt
 
 ``python -m tiltnet.cli <command> ...`` is the same without the script.
-Exit codes: 0 success, 2 config error, 3 IO/data error, 4 numeric failure,
-5 failed correctness check. Output lines are field=value pairs so scripts
-can scrape them.
+Exit codes: 0 success, 2 config error, 3 IO/data/memory error, 4 numeric
+failure, 5 failed correctness check. Output lines are field=value pairs so
+scripts can scrape them.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ def main(argv=None) -> int:
     except (ConfigError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, CheckpointError, OSError) as exc:
+    except (DataError, CheckpointError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericsError as exc:

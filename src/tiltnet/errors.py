@@ -1,10 +1,10 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes, so raising the right class matters:
-ConfigError / ShapeError -> 2, DataError / OSError / CheckpointError -> 3,
-NumericsError -> 4. A ShapeError that reaches the CLI comes from the user's
-layer stack or sample node; load_checkpoint re-raises one from a
-checkpoint's own config as CheckpointError.
+ConfigError / ShapeError -> 2, DataError / OSError / CheckpointError /
+MemoryError -> 3, NumericsError -> 4. A ShapeError that reaches the CLI
+comes from the user's layer stack or sample node; load_checkpoint re-raises
+one from a checkpoint's own config as CheckpointError.
 """
 
 

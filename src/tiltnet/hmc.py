@@ -167,12 +167,16 @@ def sample_node(net: net_mod.Network, layer: str, channel: int,
     The sampled image takes the truncation's input shape
     (``truncate_at(net, layer, channel).config.input_shape``): the network's
     own when the layer is flat, the node's receptive field when it is spatial.
+    Raises MemoryError when that image cannot be allocated.
     """
     config.validate()
     sub = net_mod.truncate_at(net, layer, channel)
     shape = sub.config.input_shape
     rng = np.random.default_rng(config.seed)
-    x0 = rng.normal(0.0, config.init_std, size=shape) if config.init_std else np.zeros(shape)
+    try:  # numpy refuses an absurd shape (MemoryError, or ValueError "array is too big")
+        x0 = rng.normal(0.0, config.init_std, size=shape) if config.init_std else np.zeros(shape)
+    except (MemoryError, ValueError):
+        raise MemoryError(f"cannot allocate a start image of shape {shape}") from None
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         u0, grad, _ = _potential_and_grad(sub, 0, x0, config.sigma)
         if not (np.isfinite(u0) and np.all(np.isfinite(grad))):

@@ -69,7 +69,8 @@ class _Kind:
     out_shape: Callable  # (spec, in_shape) -> out_shape; raises ShapeError
     forward: Callable    # (spec, x, weight, bias, keep) -> (y, pool's ArgmaxMap if keep else None)
     backward: Callable   # (spec, up, x, weight, amap, need_input, need_params) -> (gx, gw, gb)
-    weight: Callable = None  # (spec, in_shape) -> (weight shape, init std); None: no parameters
+    weight: Callable = None  # (spec, in_shape) -> weight shape; None: no parameters
+    init_std: Callable = None  # weight shape -> std of its seeded normal init
     grow: Callable = None  # (spec, out_extent) -> in_extent; None: no spatial inverse
     reads_input: bool = True  # False: its backward gets x None (a kept pass frees it)
     routing: Callable = None  # (x, amap) -> bytes of what its input gradient reads of x
@@ -115,7 +116,8 @@ _KINDS = {
         backward=lambda s, up, x, w, amap, need_input, need_params: (
             tensor.conv2d_backward_batch(up, x, w, s.stride, s.pad, need_input_grad=need_input,
                                          need_param_grad=need_params)),
-        weight=lambda s, shape: ((s.channels, shape[0], s.kernel, s.kernel), 0.01),
+        weight=lambda s, shape: (s.channels, shape[0], s.kernel, s.kernel),
+        init_std=lambda shape: 0.01,
         grow=lambda s, e: (e - 1) * s.stride + s.kernel - 2 * s.pad),
     "maxpool": _Kind(
         stem="pool", out_shape=_pool_shape, token=r"pool:(?P<kernel>\d+)(?:/(?P<stride>\d+))?",
@@ -136,7 +138,8 @@ _KINDS = {
         forward=lambda s, x, w, b, keep: (tensor.dense_forward_batch(x, w, b), None),
         backward=lambda s, up, x, w, amap, need_input, need_params: (
             tensor.dense_backward_batch(up, x, w, need_param_grad=need_params)),
-        weight=lambda s, shape: ((s.width, shape[0]), 1.0 / math.sqrt(shape[0]))),
+        weight=lambda s, shape: (s.width, shape[0]),
+        init_std=lambda shape: 1.0 / math.sqrt(shape[1])),
     "relu": _Kind(
         stem="relu", token="relu", out_shape=lambda s, shape: shape,
         forward=lambda s, x, w, b, keep: (tensor.relu_forward(x), None),
@@ -239,7 +242,7 @@ class Network:
                                      f"got {f.name}={getattr(spec, f.name)!r}")
             in_shape, shape = shape, kind.out_shape(spec, shape)
             if kind.weight is not None:
-                weight = kind.weight(spec, in_shape)[0]
+                weight = kind.weight(spec, in_shape)
                 self.param_shapes |= {name + ".weight": weight, name + ".bias": weight[:1]}
             self.shapes.append(shape)
         if not self.shapes:
@@ -274,11 +277,9 @@ def build_network(config: NetworkConfig) -> Network:
     """Validate the config; draw its weights from one default_rng(seed), biases zero."""
     net = Network(config, {})
     rng = np.random.default_rng(config.seed)
-    in_shapes = [tuple(config.input_shape)] + net.shapes[:-1]
-    for spec, name, in_shape in zip(config.layers, net.names, in_shapes):
-        if (weight := _KINDS[spec.kind].weight) is not None:
-            shape, std = weight(spec, in_shape)
-            net.params[name + ".weight"] = rng.normal(0.0, std, shape)
+    for spec, name in zip(config.layers, net.names):
+        if (shape := net.param_shapes.get(name + ".weight")) is not None:
+            net.params[name + ".weight"] = rng.normal(0.0, _KINDS[spec.kind].init_std(shape), shape)
             net.params[name + ".bias"] = np.zeros(shape[0])
     return net
 
@@ -288,7 +289,7 @@ def forward_batch(net: Network, images, keep: bool = True) -> tuple:
     stack; returns (scores [n, num_outputs], ActivationCache). A batch of 0
     images gives empty scores, and both backward passes take its cache.
 
-    keep=False is the score-only pass (evaluation, the sampler's potential):
+    keep=False is the score-only pass (``evaluate``, ``hmc.potential``):
     no layer input outlives the layer that reads it, no pool layer builds an
     argmax map, the cache is None, and the scores are the same bytes as with
     keep=True.

@@ -103,10 +103,10 @@ def _scatter_index(kh, kw, c_in, hp, wp, stride, b) -> np.ndarray:
 _cached_index = functools.lru_cache(maxsize=8)(_scatter_index)
 
 
-# Column-matrix bytes of the two blocks in flight, half each: one core's L2
-# (4 MiB on the 2-vCPU Xeon the benchmark baseline ran on), so a block's GEMM
-# reads its columns from cache. Whole-batch columns at batch 256 (65.5 MB for
-# LeNet's conv2) made that layer's forward about 1.6x slower there.
+# Column-matrix bytes of the two blocks in flight, half each. Chosen by
+# measurement: a thread's 2 MiB block fills its own core's private 2 MiB L2 on
+# the 2-vCPU Xeon of the benchmark baseline; whole-batch columns at batch 256
+# (65.5 MB for LeNet's conv2) made that layer's forward about 1.6x slower there.
 _BLOCK_BYTES = 4 << 20
 
 def _split_engages() -> bool:
@@ -311,17 +311,16 @@ def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int, need_map: boo
     """Max-pool a batch [n, C, H, W]; returns (pooled, ArgmaxMap), the map
     None when need_map is False (no backward will read it).
 
-    Works on one strided slice of ``x`` per window offset (i, j), taken in
-    row-major scan order, so no window copy is made (numpy's sliding window
-    view costs about 20 us, two thirds of pool1's map-free pass at n=1). ``pooled`` starts as the first view and takes the
-    elementwise maximum with each later one, in blocks of images (see
-    ``_in_blocks``); on a tie ``np.maximum`` keeps its second argument, the
-    earlier value, so ``-0.0`` against ``0.0`` yields whichever comes first
-    in the window. The winner is the first offset whose view equals
-    ``pooled``: the same element ``argmax`` over the window picks. Walking
-    the offsets back from the last, ``r = (v != pooled) * (r + 1)`` ends at
-    it, in three in-place passes per offset, and the map keeps these winners
-    (see ``ArgmaxMap``).
+    Works on one strided slice of ``x`` per window offset (i, j), in row-major
+    scan order, so no window copy is made (numpy's sliding window view costs
+    about 20 us, two thirds of pool1's map-free pass at n=1). Each block of
+    images (see ``_in_blocks``) copies the first view into its rows of
+    ``pooled`` and folds in each later one with ``np.maximum``, which on a tie
+    keeps its second argument, the earlier value (``-0.0`` against ``0.0``
+    yields the first). With a map, the block then finds its rows' winners
+    while they are in cache: the first offset whose view equals ``pooled``, as
+    ``argmax`` over the window picks, by walking the offsets back with
+    ``r = (v != pooled) * (r + 1)``, three in-place passes per offset.
     """
     x = _as_f64(x)
     if x.ndim != 4:
@@ -334,25 +333,23 @@ def maxpool_forward_batch(x: np.ndarray, kernel: int, stride: int, need_map: boo
     views = [x[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
              for i in range(k) for j in range(k)]
     pooled = np.empty((n, c, h_out, w_out))
+    inner = np.zeros(pooled.shape, np.int8 if k * k <= 127 else np.intp) if need_map else None
 
     def block(start, b):
-        np.copyto(pooled[start:start + b], views[0][start:start + b])
+        out = pooled[start:start + b]
+        np.copyto(out, views[0][start:start + b])
         for v in views[1:]:
-            np.maximum(v[start:start + b], pooled[start:start + b], out=pooled[start:start + b])
+            np.maximum(v[start:start + b], out, out=out)
+        if need_map:  # the last offset is never tested: it wins what no earlier one does
+            r, miss = inner[start:start + b], np.empty(out.shape, bool)
+            for v in reversed(views[:-1]):
+                np.not_equal(v[start:start + b], out, out=miss)
+                r += 1
+                r *= miss
 
     _in_blocks(n, c * h * w, block)
     _count("maxpool", pooled.size * k * k)
-
-    if not need_map:
-        return pooled, None
-    # the last offset is never tested: a cell no earlier offset wins goes to it
-    inner = np.zeros(pooled.shape, np.int8 if k * k <= 127 else np.intp)
-    miss = np.empty(pooled.shape, bool)
-    for v in reversed(views[:-1]):
-        np.not_equal(v, pooled, out=miss)
-        inner += 1
-        inner *= miss
-    return pooled, ArgmaxMap(x.shape, inner, k, stride)
+    return pooled, ArgmaxMap(x.shape, inner, k, stride) if need_map else None
 
 
 def maxpool_backward_batch(upstream: np.ndarray, amap: ArgmaxMap) -> np.ndarray:

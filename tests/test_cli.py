@@ -2,6 +2,7 @@
 
 import configparser
 import gzip
+import math
 import os
 import re
 import shutil
@@ -471,6 +472,50 @@ def test_checkpoint_whose_config_implies_an_impossible_weight_exits_3(tmp_path, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: parameter dense")
     assert "config implies (1000000000000000000" in err[0]
+
+
+def _crafted_checkpoint(tmp_path, input_shape, dense):
+    """The base stack's checkpoint at another input shape, cut to its flatten
+    layer, or to its flatten and dense:2 layers with the dense tensors."""
+    ckpt = tmp_path / "crafted.ckpt"
+    net.save_checkpoint(net.build_network(parse_config(write_config(tmp_path)).network), ckpt)
+    meta, tensors = net.read_tensor_file(ckpt)
+    meta["input_shape"] = list(input_shape)
+    if dense:
+        meta["layers"], meta["num_classes"] = meta["layers"][2:], 2
+        tensors = {k: v for k, v in tensors.items() if k.startswith("dense1.")}
+    else:
+        meta["layers"], meta["num_classes"] = meta["layers"][2:3], math.prod(input_shape)
+        tensors = {}
+    net.write_tensor_file(ckpt, meta, tensors)
+    return ckpt
+
+
+@pytest.mark.parametrize("extent", [10**9, 10**10])
+def test_sample_whose_start_image_cannot_be_allocated_exits_3(tmp_path, capsys, extent):
+    # 10^18 float64s fail in malloc before any memory is touched; 10^20
+    # exceed numpy's size limit ("array is too big")
+    ckpt = _crafted_checkpoint(tmp_path, (1, extent, extent), dense=False)
+    argv = ["sample", "--config", str(write_config(tmp_path)), "--checkpoint", str(ckpt),
+            "--layer", "flatten1", "--channel", "0"]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot allocate a start image of shape (1, {extent}, {extent})"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["inspect", "eval", "sample"])
+def test_dense_input_width_beyond_float_range_exits_3(tmp_path, capsys, command):
+    # a flatten width of 10^310 has no float square root: the load needs only
+    # the weight shape, not its init std
+    ckpt = _crafted_checkpoint(tmp_path, (1, 10**155, 10**155), dense=True)
+    config = write_config(tmp_path)
+    argv = {"inspect": [], "eval": ["--config", str(config)],
+            "sample": ["--config", str(config), "--layer", "dense1", "--channel", "0"]}[command]
+    assert cli.main([command, "--checkpoint", str(ckpt)] + argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: parameter dense1.weight has shape (2, ")
+    assert f"config implies (2, {10**310})" in err[0]
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -615,12 +615,17 @@ def _pool_cases(draw):
 
 
 @settings(max_examples=300)
-@given(_pool_cases())
-def test_maxpool_matches_window_argmax(case):
+@given(_pool_cases(), st.integers(1, 2), st.booleans())
+def test_maxpool_matches_window_argmax(case, images, worker):
     # ties, signed zeros, NaN, infinities and overlapping windows; a cell whose
-    # window holds a NaN need only be NaN, its bits and winner unspecified
+    # window holds a NaN need only be NaN, its bits and winner unspecified.
+    # Blocks of one or two images, worker on or off: each block finds its own
+    # winners, so a batch of several blocks checks the search across their edges
     x, k, stride = case
-    pooled, amap = tensor.maxpool_forward_batch(x, k, stride)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "_BLOCK_BYTES", 16 * x[0].size * images + 8)
+        mp.setattr(tensor, "_WORKER", worker)
+        pooled, amap = tensor.maxpool_forward_batch(x, k, stride)
     want, want_idx = _maxpool_reference(x, k, stride)
     assert pooled.shape == want.shape
     assert amap.winners.dtype == (np.int8 if k * k <= 127 else np.intp)
