@@ -17,8 +17,8 @@ from .loss import disc_loss_and_grad, gen_loss_and_grad
 from .net import (LayerSpec, Network, NetworkConfig, backward_input,
                   backward_params, build_network, forward_batch, lenet_config,
                   load_checkpoint, save_checkpoint, truncate_at)
-from .train import (MetricsLog, OptimizerState, TrainConfig, evaluate,
-                    resume_training, run_training, sgd_step)
+from .train import (MetricsLog, TrainConfig, evaluate, resume_training,
+                    run_training, sgd_step)
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,7 @@ __all__ = [
     "LayerSpec", "Network", "NetworkConfig", "backward_input",
     "backward_params", "build_network", "forward_batch", "lenet_config",
     "load_checkpoint", "save_checkpoint", "truncate_at",
-    "MetricsLog", "OptimizerState", "TrainConfig", "evaluate",
-    "resume_training", "run_training", "sgd_step",
+    "MetricsLog", "TrainConfig", "evaluate", "resume_training",
+    "run_training", "sgd_step",
     "__version__",
 ]

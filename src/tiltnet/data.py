@@ -85,7 +85,8 @@ def synthetic_dataset(n: int, classes: int, image_size: int = 28, seed: int = 0,
     """Noisy bright rectangles at class-specific positions; linearly easy.
 
     Deterministic for a given seed. Class k's rectangle sits on a grid cell;
-    geometry that pushes any rectangle outside the image is rejected.
+    geometry that pushes any rectangle outside the image is rejected, and so
+    is a set too large to allocate (DataError).
     """
     if n < classes or classes < 2:
         raise DataError(f"need n >= classes >= 2, got n={n}, classes={classes}")
@@ -99,8 +100,14 @@ def synthetic_dataset(n: int, classes: int, image_size: int = 28, seed: int = 0,
     corners = [((k // grid) * step, (k % grid) * step) for k in range(classes)]
 
     rng = np.random.default_rng(seed)
-    labels = (np.arange(n) % classes).astype(np.int64)
-    images = rng.normal(0.0, noise_std, (n, 1, image_size, image_size))
+    shape = (n, 1, image_size, image_size)
+    try:  # past its size limit numpy raises ValueError, as for a negative noise_std
+        if n * image_size ** 2 > np.iinfo(np.intp).max // 8:   # float64 bytes
+            raise MemoryError
+        labels = (np.arange(n) % classes).astype(np.int64)
+        images = rng.normal(0.0, noise_std, shape)
+    except MemoryError:
+        raise DataError(f"cannot allocate a synthetic set of shape {shape}") from None
     for i, y in enumerate(labels):
         r, c = corners[y]
         images[i, 0, r:r + rect, c:c + rect] += 1.0

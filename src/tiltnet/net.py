@@ -83,8 +83,7 @@ def _spatial(shape, message: str) -> tuple:
 
 
 def _conv_shape(spec, shape) -> tuple:
-    _, h, w = _spatial(shape, f"conv layer {spec.name or spec.kind!r} needs spatial "
-                              f"input, got flat width {shape}")
+    _, h, w = _spatial(shape, f"conv layer needs spatial input, got flat width {shape}")
     if spec.channels < 1 or spec.kernel < 1:
         raise ShapeError("conv layer needs channels >= 1 and kernel >= 1")
     return (spec.channels,
@@ -240,7 +239,10 @@ class Network:
                 if f.name not in takes and getattr(spec, f.name) != f.default:
                     raise ShapeError(f"layer {name!r}: a {spec.kind} layer takes no {f.name}, "
                                      f"got {f.name}={getattr(spec, f.name)!r}")
-            in_shape, shape = shape, kind.out_shape(spec, shape)
+            try:
+                in_shape, shape = shape, kind.out_shape(spec, shape)
+            except ShapeError as exc:
+                raise ShapeError(f"layer {name!r}: {exc}") from None
             if kind.weight is not None:
                 weight = kind.weight(spec, in_shape)
                 self.param_shapes |= {name + ".weight": weight, name + ".bias": weight[:1]}

@@ -74,25 +74,14 @@ class TrainConfig:
                               f"generative loss needs >= 2")
 
 
-class OptimizerState:
-    """Velocity per parameter tensor, mirroring the network's store."""
-
-    def __init__(self, net: net_mod.Network):
-        self.velocity = {k: np.zeros_like(v) for k, v in net.params.items()}
-
-    def reset(self) -> None:
-        for v in self.velocity.values():
-            v[...] = 0.0
-
-
-def sgd_step(net: net_mod.Network, grads: dict, state: OptimizerState,
+def sgd_step(net: net_mod.Network, grads: dict, state: dict,
              lr: float, weight_decay: float, momentum: float) -> None:
     """One momentum ascent step in place; refuses non-finite gradients."""
     if set(grads) != set(net.params):
         missing = set(net.params) ^ set(grads)
         raise ShapeError(f"gradient dict does not match parameters: {sorted(missing)}")
     for name in sorted(grads):
-        g, w, v = grads[name], net.params[name], state.velocity[name]
+        g, w, v = grads[name], net.params[name], state[name]
         with np.errstate(over="ignore", invalid="ignore"):  # a finite sum has finite entries
             finite = np.isfinite(g.sum()) or np.all(np.isfinite(g))
         if not finite:
@@ -204,19 +193,19 @@ def _lr_for_epoch(config: TrainConfig, epoch: int) -> float:
 
 def run_training(net: net_mod.Network, train_set: Dataset, config: TrainConfig,
                  eval_set: Dataset = None, out_dir=None, log: MetricsLog = None,
-                 start_epoch: int = 0, state: OptimizerState = None):
+                 start_epoch: int = 0, state: dict = None):
     """Train in place for config.epochs epochs; returns (net, log).
 
     With out_dir set, writes <epoch>.ckpt plus an optimizer sidecar after
-    every epoch, which resume_training picks up. start_epoch/state exist for
-    that resume path.
+    every epoch, which resume_training picks up. start_epoch and state (the
+    velocity per parameter name; zeros when None) exist for that resume path.
     """
     config.validate()
     config.check_batches(len(train_set))
     if log is None:
         log = MetricsLog()
     if state is None:
-        state = OptimizerState(net)
+        state = {k: np.zeros_like(v) for k, v in net.params.items()}
     if start_epoch == 0:
         log.header("tiltnet-train format=1")
         log.header(f"time={time.strftime('%Y-%m-%dT%H:%M:%S')}")
@@ -227,7 +216,8 @@ def run_training(net: net_mod.Network, train_set: Dataset, config: TrainConfig,
             mode = _mode_for_epoch(config, epoch)
             lr = _lr_for_epoch(config, epoch)
             if config.mode == "GG+DG" and epoch == config.pretrain_epochs:
-                state.reset()
+                for v in state.values():
+                    v[...] = 0.0
                 log.record(event="refine_switch", epoch=epoch, lr=lr)
             t0 = time.perf_counter()
             sum_d = sum_g = 0.0
@@ -276,12 +266,12 @@ def _checkpoint_epoch(net, state, config: TrainConfig, epoch: int, out_dir) -> N
     net_mod.write_tensor_file(out / f"{epoch:03d}.opt",
                               {"kind": "optimizer", "epoch": epoch,
                                "mode": config.mode},
-                              state.velocity)
+                              state)
     net_mod.save_checkpoint(net, out / f"{epoch:03d}.ckpt")
 
 
 def _read_epoch(ckpt: Path):
-    """Network and optimizer state saved after one epoch; CheckpointError
+    """Network and velocity per parameter saved after one epoch; CheckpointError
     when either file is missing or does not verify."""
     net = net_mod.load_checkpoint(ckpt)
     opt = ckpt.with_suffix(".opt")
@@ -292,9 +282,7 @@ def _read_epoch(ckpt: Path):
     if meta.get("kind") != "optimizer" or net.param_shapes != {
             k: v.shape for k, v in velocity.items()}:
         raise CheckpointError(f"{opt.name} is not this network's optimizer sidecar")
-    state = OptimizerState(net)
-    state.velocity.update(velocity)
-    return net, state
+    return net, {k: velocity[k] for k in net.param_shapes}
 
 
 def resume_training(train_set: Dataset, config: TrainConfig, out_dir,

@@ -330,12 +330,21 @@ def test_gradcheck_catches_a_planted_loss_bug(monkeypatch, capsys):
 @pytest.mark.parametrize("text,message", [
     (b"[train]\nwarp_speed = 9\n", "unknown keys"),
     (b"[run]\nout_dir = \xff\xfe\n", "can't decode byte 0xff"),
-], ids=["unknown-key", "not-utf8"])
+    (BASE_CONFIG.replace("conv:2@3", "conv:0@3").encode(),
+     "conv layer needs channels >= 1 and kernel >= 1"),
+    (BASE_CONFIG.replace("conv:2@3", "conv:2@0").encode(),
+     "conv layer needs channels >= 1 and kernel >= 1"),
+    (BASE_CONFIG.replace("dense:2", "dense:0").encode(), "dense layer needs width >= 1"),
+    (with_key(BASE_CONFIG, "train", "batch_size", "0").encode(),
+     "[train]: batch_size must be >= 1"),
+], ids=["unknown-key", "not-utf8", "conv-0-channels", "conv-0-kernel", "dense-0-width",
+        "batch_size-0"])
 def test_bad_config_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"
-    path.write_bytes(text)
+    path.write_bytes(text.replace(b"{out}", str(tmp_path / "out").encode()))
     assert cli.main(["train", "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_exits_3(tmp_path, capsys):
@@ -363,7 +372,9 @@ def test_image_size_other_than_input_shape_exits_2_without_output(tmp_path, caps
     ("n = 64\nclasses = 2", "n = 64\nclasses = 3",
      "the evaluation set has 3 classes, the checkpoint outputs 2"),
     ("image_size = 8", "image_size = 12",
-     "evaluation images are 1x12x12, the checkpoint input_shape is 1x8x8")])
+     "evaluation images are 1x12x12, the checkpoint input_shape is 1x8x8"),
+    ("eval_n = 32", "eval_n = 0",
+     "eval needs test_images/test_labels (idx) or eval_n (synthetic)")])
 def test_eval_refuses_a_set_the_checkpoint_cannot_score(tmp_path, capsys, old, new, fragment):
     ckpt = tmp_path / "net.ckpt"
     net.save_checkpoint(net.build_network(parse_config(write_config(tmp_path)).network), ckpt)
@@ -393,6 +404,21 @@ def test_empty_idx_set_exits_3_without_output(tmp_path, capsys, train_count, tes
     config = write_config(tmp_path, text=text)
     assert cli.main(["train", "--config", str(config)]) == 3
     assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("part,keep,fragment", [
+    (0, slice(0, 10), "truncated IDX header"),
+    (1, slice(0, -1), "payload holds 3 labels, header implies 4"),
+], ids=["images-cut-in-header", "labels-short-of-count"])
+def test_cut_idx_file_exits_3_without_output(tmp_path, capsys, part, keep, fragment):
+    files = write_idx(tmp_path / "train", 4)
+    files[part].write_bytes(files[part].read_bytes()[keep])
+    text = BASE_CONFIG.replace("[data]\n", "[data]\ntrain_images = {}\ntrain_labels = {}\n"
+                               .format(*files))
+    assert cli.main(["train", "--config", str(write_config(tmp_path, text=text))]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and fragment in err[0], err
     assert not (tmp_path / "out").exists()
 
 
@@ -504,6 +530,18 @@ def test_sample_whose_start_image_cannot_be_allocated_exits_3(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key,value,shape", [
+    ("n", 10**20, (10**20, 1, 8, 8)), ("eval_n", 10**20, (10**20, 1, 8, 8)),
+    ("image_size", 10**10, (64, 1, 10**10, 10**10))])
+def test_synthetic_set_that_cannot_be_allocated_exits_3(tmp_path, capsys, key, value, shape):
+    # each size is past numpy's size limit, refused before any memory is touched
+    config = write_config(tmp_path, text=with_key(BASE_CONFIG, "data", key, value))
+    assert cli.main(["train", "--config", str(config)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot allocate a synthetic set of shape {shape}"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["inspect", "eval", "sample"])
 def test_dense_input_width_beyond_float_range_exits_3(tmp_path, capsys, command):
     # a flatten width of 10^310 has no float square root: the load needs only
@@ -523,9 +561,13 @@ def test_dense_input_width_beyond_float_range_exits_3(tmp_path, capsys, command)
     ({"conv1.bias": None}, "checkpoint parameter names do not match its config"),
     ({"dense1.bias": np.zeros(3)}, "parameter dense1.bias has shape (3,), config implies (2,)"),
     (None, "checkpoint has trailing bytes"),
+    ({"layers": []}, "checkpoint describes an invalid network: network needs at least one layer"),
+    ({"input_shape": [0, 6, 6]}, "input shape must be (C, H, W) with positive extents, "
+                                 "got (0, 6, 6)"),
 ])
 def test_checkpoint_that_disagrees_with_its_config_exits_3(tmp_path, capsys, edit, message):
-    # tensors added, dropped (None) or reshaped; or one byte past the last tensor
+    # tensors added, dropped (None) or reshaped, or meta keys replaced, all
+    # re-signed; or one byte past the last tensor
     ckpt = tmp_path / "edited.ckpt"
     net.save_checkpoint(net.build_network(parse_config(write_config(tmp_path)).network), ckpt)
     if edit is None:
@@ -533,7 +575,8 @@ def test_checkpoint_that_disagrees_with_its_config_exits_3(tmp_path, capsys, edi
         ckpt.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))  # re-signed
     else:
         meta, tensors = net.read_tensor_file(ckpt)
-        tensors.update(edit)
+        for key, value in edit.items():
+            (meta if key in meta else tensors)[key] = value
         net.write_tensor_file(ckpt, meta, {k: v for k, v in tensors.items() if v is not None})
     assert cli.main(["inspect", "--checkpoint", str(ckpt)]) == 3
     assert message in capsys.readouterr().err

@@ -151,6 +151,13 @@ def test_synthetic_rejects_impossible_geometry():
         data.synthetic_dataset(10, 9, 4, seed=0)   # 3x3 rects cannot spread on 4x4
     with pytest.raises(DataError, match="n >= classes"):
         data.synthetic_dataset(3, 4, 28, seed=0)
+    # sizes past numpy's limit: nothing is allocated
+    for n, size in ((10**20, 8), (64, 10**10)):
+        with pytest.raises(DataError, match=rf"^cannot allocate a synthetic set of shape "
+                                            rf"\({n}, 1, {size}, {size}\)$"):
+            data.synthetic_dataset(n, 2, size)
+    with pytest.raises(ValueError, match="^scale < 0$"):   # not read as an allocation
+        data.synthetic_dataset(4, 2, 8, noise_std=-1.0)
 
 
 def test_dataset_pairing_validated():

@@ -118,6 +118,30 @@ def test_a_field_its_kind_does_not_take_is_refused(spec, field):
         net.build_network(net.NetworkConfig((1, 6, 6), layers, 4))
 
 
+@pytest.mark.parametrize("layers,message", [
+    ("conv:2@3, conv:2@9, flatten, dense:2",
+     "layer 'conv2': conv height: window 9 exceeds padded extent 6"),
+    ("conv:2@3, flatten, conv:2@1",
+     "layer 'conv2': conv layer needs spatial input, got flat width (72,)"),
+    ("pool:3/2, flatten, dense:2",
+     "layer 'pool1': pool height: stride 2 does not tile extent 8 with window 3"),
+    ("flatten, pool:2", "layer 'pool1': maxpool layer needs spatial input"),
+    ("flatten, flatten", "layer 'flatten2': flatten layer needs spatial input"),
+    ("dense:2", "layer 'dense1': dense layer needs flat input; add a flatten layer"),
+    ("flatten, dense:0", "layer 'dense1': dense layer needs width >= 1"),
+])
+def test_shape_errors_name_their_layer(tmp_path, layers, message):
+    # on a 1x8x8 input; a checkpoint of the same stack is refused with it too
+    config = net.NetworkConfig((1, 8, 8), net.parse_layers(layers), 2)
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        net.build_network(config)
+    ckpt = tmp_path / "stack.ckpt"
+    net.write_tensor_file(ckpt, net._config_to_meta(config), {})
+    with pytest.raises(CheckpointError, match=f"^checkpoint describes an invalid network: "
+                                              f"{re.escape(message)}$"):
+        net.load_checkpoint(ckpt)
+
+
 def test_forward_rejects_wrong_input_shape(tiny_net):
     with pytest.raises(ShapeError, match="configured input"):
         net.forward_batch(tiny_net, np.zeros((2, 1, 7, 7)))

@@ -27,6 +27,12 @@ def small_config(seed=0, classes=2):
     )
 
 
+def zero_velocity(network):
+    """The optimizer state run_training starts from: a zero velocity per
+    parameter."""
+    return {k: np.zeros_like(v) for k, v in network.params.items()}
+
+
 def small_sets(n=32, seed=0):
     return (data.synthetic_dataset(n, 2, 8, seed=seed),
             data.synthetic_dataset(16, 2, 8, seed=seed + 1))
@@ -34,23 +40,23 @@ def small_sets(n=32, seed=0):
 
 def test_sgd_step_formula():
     network = build_network(small_config())
-    state = train.OptimizerState(network)
+    state = zero_velocity(network)
     name = "dense1.weight"
     w0 = network.params[name].copy()
-    state.velocity[name][...] = 0.25
+    state[name][...] = 0.25
     g = np.full_like(w0, 2.0)
     grads = {k: (g if k == name else np.zeros_like(v))
              for k, v in network.params.items()}
     train.sgd_step(network, grads, state, lr=0.1, weight_decay=0.01, momentum=0.9)
     expected_v = 0.9 * 0.25 + 0.1 * (2.0 - 0.01 * w0)
-    np.testing.assert_allclose(state.velocity[name], expected_v, atol=1e-15)
+    np.testing.assert_allclose(state[name], expected_v, atol=1e-15)
     np.testing.assert_allclose(network.params[name], w0 + expected_v, atol=1e-15)
 
 
 def test_sgd_step_is_ascent():
     # a positive gradient with no decay must increase the parameter
     network = build_network(small_config())
-    state = train.OptimizerState(network)
+    state = zero_velocity(network)
     grads = {k: np.ones_like(v) for k, v in network.params.items()}
     before = {k: v.copy() for k, v in network.params.items()}
     train.sgd_step(network, grads, state, lr=0.01, weight_decay=0.0, momentum=0.0)
@@ -60,7 +66,7 @@ def test_sgd_step_is_ascent():
 
 def test_sgd_step_refuses_nonfinite():
     network = build_network(small_config())
-    state = train.OptimizerState(network)
+    state = zero_velocity(network)
     grads = {k: np.zeros_like(v) for k, v in network.params.items()}
     grads["conv1.bias"][0] = np.inf
     with pytest.raises(NumericsError, match="conv1.bias"):
@@ -70,7 +76,7 @@ def test_sgd_step_refuses_nonfinite():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_sgd_step_refuses_each_nonfinite_kind_with_its_name(bad):
     network = build_network(small_config())
-    state = train.OptimizerState(network)
+    state = zero_velocity(network)
     grads = {k: np.ones_like(v) for k, v in network.params.items()}
     grads["dense1.weight"][0, 3] = bad
     with pytest.raises(NumericsError, match="^non-finite gradient for dense1.weight$"):
@@ -79,7 +85,7 @@ def test_sgd_step_refuses_each_nonfinite_kind_with_its_name(bad):
 
 def test_sgd_step_accepts_a_finite_gradient_whose_sum_overflows():
     network = build_network(small_config())
-    state = train.OptimizerState(network)
+    state = zero_velocity(network)
     grads = {k: np.zeros_like(v) for k, v in network.params.items()}
     grads["dense1.weight"][0, :2] = 1e308
     with np.errstate(over="ignore"):
@@ -91,7 +97,7 @@ def test_sgd_step_accepts_a_finite_gradient_whose_sum_overflows():
 def test_sgd_step_bytes_equal_the_longhand_update():
     rng = np.random.default_rng(4)
     network = build_network(small_config())
-    state = train.OptimizerState(network)
+    state = zero_velocity(network)
     params = {k: v.copy() for k, v in network.params.items()}
     velocity = {}
     for step in range(3):
@@ -102,13 +108,13 @@ def test_sgd_step_bytes_equal_the_longhand_update():
             params[k] = params[k] + velocity[k]
     for k in params:
         assert network.params[k].tobytes() == params[k].tobytes(), k
-        assert state.velocity[k].tobytes() == velocity[k].tobytes(), k
+        assert state[k].tobytes() == velocity[k].tobytes(), k
 
 
 def test_sgd_step_invalidates_caches():
     network = build_network(small_config())
     version = network.version
-    state = train.OptimizerState(network)
+    state = zero_velocity(network)
     grads = {k: np.zeros_like(v) for k, v in network.params.items()}
     train.sgd_step(network, grads, state, 0.1, 0.0, 0.9)
     assert network.version == version + 1
@@ -131,7 +137,7 @@ def test_training_modes_cost_the_same_network_work():
     counts = {}
     for mode in ("DG", "GG"):
         network = build_network(small_config())
-        state = train.OptimizerState(network)
+        state = zero_velocity(network)
         before = tensor.op_counts()
         scores, cache = net.forward_batch(network, xb)
         loss_fn = loss.disc_loss_and_grad if mode == "DG" else loss.gen_loss_and_grad
@@ -326,6 +332,26 @@ def test_resume_rewinds_the_log_to_the_resumed_epoch(tmp_path):
     assert not (part_dir / "train.log.tmp").exists()
 
 
+def test_resume_after_a_torn_last_log_line(tmp_path):
+    # a crash while epoch 2's record was being written: its tail and newline
+    # never reached the log, and neither did its checkpoint or sidecar
+    train_set, _ = small_sets(n=32)
+    cfg = train.TrainConfig(mode="GG+DG", batch_size=8, epochs=3,
+                            pretrain_epochs=1, lr=0.02, refine_lr=0.005, seed=5)
+    full_dir, part_dir = tmp_path / "full", tmp_path / "part"
+    for d in (full_dir, part_dir):
+        d.mkdir()
+        train.run_training(build_network(small_config(seed=4)), train_set, cfg,
+                           out_dir=d, log=train.MetricsLog(d / "train.log"))
+    for f in ("002.ckpt", "002.opt"):
+        (part_dir / f).unlink()
+    log_path = part_dir / "train.log"
+    log_path.write_bytes(log_path.read_bytes()[:-5])   # inside the wall= value
+    train.resume_training(train_set, cfg, part_dir, log=train.MetricsLog(log_path))
+    assert _records_without_wall(part_dir) == _records_without_wall(full_dir)
+    assert (part_dir / "002.ckpt").read_bytes() == (full_dir / "002.ckpt").read_bytes()
+
+
 def test_resume_refuses_when_no_epoch_reads(tmp_path):
     train_set, _ = small_sets(n=16)
     cfg = train.TrainConfig(mode="DG", batch_size=8, epochs=2, seed=1)
@@ -355,8 +381,8 @@ def test_loading_an_epoch_draws_no_initial_values(tmp_path, monkeypatch):
     for model in (loaded, resumed):
         assert list(model.params) == list(network.params)
         assert all(model.params[k].tobytes() == v.tobytes() for k, v in network.params.items())
-    assert list(state.velocity) == list(network.params)
-    assert all(state.velocity[k].tobytes() == v.tobytes() for k, v in velocity.items())
+    assert list(state) == list(network.params)
+    assert all(state[k].tobytes() == v.tobytes() for k, v in velocity.items())
 
 
 def test_resume_needs_checkpoints(tmp_path):
