@@ -20,30 +20,12 @@ import sys
 from pathlib import Path
 
 from . import checks as checks_mod
-from . import data as data_mod
 from . import hmc as hmc_mod
 from . import net as net_mod
 from . import train as train_mod
-from .config import DataSpec, RunSpec, parse_config
+from .config import RunSpec, parse_config
 from .errors import (CheckpointError, ConfigError, DataError, NumericsError,
                      ShapeError)
-
-
-def _load_train_set(spec: DataSpec, seed: int) -> data_mod.Dataset:
-    if spec.train_images:
-        return data_mod.read_idx(spec.train_images, spec.train_labels)
-    return data_mod.synthetic_dataset(spec.n, spec.classes, spec.image_size,
-                                      seed=seed, noise_std=spec.noise_std)
-
-
-def _load_eval_set(spec: DataSpec, seed: int):
-    if spec.test_images:
-        return data_mod.read_idx(spec.test_images, spec.test_labels)
-    if spec.train_images or spec.eval_n < 1:
-        return None
-    # a disjoint draw: same geometry, different noise stream
-    return data_mod.synthetic_dataset(spec.eval_n, spec.classes, spec.image_size,
-                                      seed=seed + 1, noise_std=spec.noise_std)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -69,8 +51,8 @@ def cmd_train(spec: RunSpec) -> int:
     _require(spec.network is not None, "train needs a [network] section")
     _require(spec.data is not None, "train needs a [data] section")
     _require(bool(spec.out_dir), "train needs [run] out_dir")
-    train_set = _load_train_set(spec.data, spec.seed)
-    eval_set = _load_eval_set(spec.data, spec.seed)
+    train_set = spec.data.train_set(spec.seed)
+    eval_set = spec.data.eval_set(spec.seed)
     _check_set(train_set, "training", spec.network)
     spec.train.check_batches(len(train_set))
     if eval_set is not None:
@@ -94,7 +76,7 @@ def cmd_train(spec: RunSpec) -> int:
 def cmd_eval(spec: RunSpec, checkpoint) -> int:
     _require(spec.data is not None, "eval needs a [data] section")
     network = net_mod.load_checkpoint(checkpoint)
-    eval_set = _load_eval_set(spec.data, spec.seed)
+    eval_set = spec.data.eval_set(spec.seed)
     if eval_set is None:
         raise ConfigError("eval needs test_images/test_labels (idx) or eval_n "
                           "(synthetic)")

@@ -12,45 +12,20 @@ chain; parse_config's seed argument (the CLI --seed flag) overrides it.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
+from .data import DataSpec
 from .errors import ConfigError
 from .hmc import HmcConfig
-from .net import NetworkConfig, lenet_config, parse_layers
+from .net import NetworkConfig, parse_layers
 from .train import TrainConfig
-
-
-@dataclass(frozen=True)
-class DataSpec:
-    train_images: str = ""       # the IDX paths; given, they select IDX data
-    train_labels: str = ""
-    test_images: str = ""
-    test_labels: str = ""
-    n: int = 512                 # without IDX paths: the generator's arguments
-    classes: int = 2
-    image_size: int = 28
-    noise_std: float = 0.1
-    eval_n: int = 256
-
-    def validate(self) -> None:
-        if bool(self.train_images) != bool(self.train_labels):
-            raise ConfigError("give train_images and train_labels together")
-        if bool(self.test_images) != bool(self.test_labels):
-            raise ConfigError("give test_images and test_labels together")
-        if self.test_images and not self.train_images:
-            raise ConfigError("test_images and test_labels need train_images and train_labels")
-        if self.eval_n < 0:
-            raise ConfigError(f"eval_n must be >= 0, got {self.eval_n}")
-        if not 0 <= self.noise_std < math.inf:
-            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
 
 # sections whose keys are a config dataclass's fields; seed comes from [run]
 _TABLES = {"train": TrainConfig, "data": DataSpec, "hmc": HmcConfig}
 _KEYS = {
-    "network": {"arch", "layers", "input_shape", "classes"},
+    "network": {"layers", "input_shape", "classes"},
     "run": {"out_dir", "seed"},
     **{name: {f.name for f in fields(cls)} - {"seed"} for name, cls in _TABLES.items()},
 }
@@ -117,17 +92,10 @@ def _from_table(section: str, items: dict, seed: int):
 
 
 def _network_from(items: dict, seed: int):
-    arch = items.get("arch", "")
     classes = _get("network", items, "classes", int, 10)
     input_shape = _get("network", items, "input_shape", _parse_shape, (1, 28, 28))
-    if arch:
-        if arch != "lenet":
-            raise ConfigError(f"[network] arch: unknown preset {arch!r}")
-        if "layers" in items:
-            raise ConfigError("[network]: give either arch or layers, not both")
-        return lenet_config(classes, input_shape, seed)
     if "layers" not in items:
-        raise ConfigError("[network]: needs arch or layers")
+        raise ConfigError("[network]: needs layers")
     return NetworkConfig(input_shape, parse_layers(items["layers"]), classes, seed)
 
 

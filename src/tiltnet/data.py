@@ -3,19 +3,20 @@
 Images live as float64 arrays of shape [N, 1, H, W] scaled to [0, 1]; labels
 as int64 vectors. Two sources: the big-endian IDX pair format (optionally
 gzip-compressed, detected by magic bytes) and a seeded synthetic set of noisy
-class-positioned rectangles for desk-scale runs.
+class-positioned rectangles for desk-scale runs. DataSpec ([data]) picks one.
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -105,7 +106,7 @@ def synthetic_dataset(n: int, classes: int, image_size: int = 28, seed: int = 0,
         if n * image_size ** 2 > np.iinfo(np.intp).max // 8:   # float64 bytes
             raise MemoryError
         labels = (np.arange(n) % classes).astype(np.int64)
-        images = rng.normal(0.0, noise_std, shape)
+        images = rng.normal(0.0, noise_std + 0.0, shape)   # numpy refuses -0.0's sign bit
     except MemoryError:
         raise DataError(f"cannot allocate a synthetic set of shape {shape}") from None
     for i, y in enumerate(labels):
@@ -131,3 +132,43 @@ def epoch_batches(dataset: Dataset, batch_size: int, seed: int, epoch: int):
         pick = order[start:start + batch_size]
         yield dataset.images[pick], dataset.labels[pick]
 
+
+@dataclass(frozen=True)
+class DataSpec:
+    train_images: str = ""       # the IDX paths; given, they select IDX data
+    train_labels: str = ""
+    test_images: str = ""
+    test_labels: str = ""
+    n: int = 512                 # without IDX paths: the generator's arguments
+    classes: int = 2
+    image_size: int = 28
+    noise_std: float = 0.1
+    eval_n: int = 256
+
+    def validate(self) -> None:
+        if bool(self.train_images) != bool(self.train_labels):
+            raise ConfigError("give train_images and train_labels together")
+        if bool(self.test_images) != bool(self.test_labels):
+            raise ConfigError("give test_images and test_labels together")
+        if self.test_images and not self.train_images:
+            raise ConfigError("test_images and test_labels need train_images and train_labels")
+        if self.eval_n < 0:
+            raise ConfigError(f"eval_n must be >= 0, got {self.eval_n}")
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+
+    def train_set(self, seed: int) -> Dataset:
+        """The IDX train pair, or n synthetic images drawn from seed."""
+        if self.train_images:
+            return read_idx(self.train_images, self.train_labels)
+        return synthetic_dataset(self.n, self.classes, self.image_size, seed=seed,
+                                 noise_std=self.noise_std)
+
+    def eval_set(self, seed: int) -> Dataset | None:
+        """The IDX test pair, or eval_n synthetic images drawn from seed + 1, or None."""
+        if self.test_images:
+            return read_idx(self.test_images, self.test_labels)
+        if self.train_images or self.eval_n < 1:
+            return None
+        return synthetic_dataset(self.eval_n, self.classes, self.image_size, seed=seed + 1,
+                                 noise_std=self.noise_std)

@@ -17,6 +17,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, fields
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -124,10 +125,11 @@ class MetricsLog:
         self._emit(line)
 
     def rewind(self, epoch: int) -> None:
-        """Cut the file back to its lines from before ``epoch``: headers and
-        the records of earlier epochs, up to the first line that is neither
-        (a record of ``epoch`` or later, or a line torn by a crash). A resumed
-        run that repeats those epochs then logs each of them once."""
+        """Cut ``records`` and the file back to what came before ``epoch``:
+        headers and the records of earlier epochs, up to the first line that
+        is neither (a record of ``epoch`` or later, or a line torn by a crash).
+        A resumed run that repeats those epochs then logs each of them once."""
+        self.records[:] = takewhile(lambda r: r.get("epoch", epoch) < epoch, self.records)
         if self.path is None:
             return
         path = Path(self.path)

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tiltnet import checks, cli, hmc, net
-from tiltnet.config import DataSpec, parse_config, parse_layers
+from tiltnet.config import parse_config, parse_layers
+from tiltnet.data import DataSpec
 from tiltnet.errors import ConfigError
 from tiltnet.hmc import HmcConfig
 from tiltnet.train import TrainConfig
@@ -127,22 +128,20 @@ def test_parse_config_empty_file_gives_defaults(tmp_path):
 
 
 def test_parse_config_lenet_preset(tmp_path):
+    # the README's LeNet layer line is the whole of lenet_config
     path = tmp_path / "lenet.ini"
-    path.write_text("[network]\narch = lenet\n")
-    spec = parse_config(path)
-    kinds = [l.kind for l in spec.network.layers]
-    assert kinds == ["conv", "maxpool", "conv", "maxpool", "flatten",
-                     "dense", "relu", "dense"]
-    assert spec.network.num_classes == 10
+    path.write_text("[network]\nlayers = conv:20@5, pool:2/2, conv:50@5, pool:2/2, flatten, "
+                    "dense:500, relu, dense:10\n")
+    assert parse_config(path).network == net.lenet_config(10, (1, 28, 28), seed=0)
 
 
 @pytest.mark.parametrize("text,fragment", [
     ("[oops]\nx = 1\n", "unknown section"),
     ("[train]\nlearning_rate = 0.1\n", "unknown keys"),
-    ("[network]\narch = lenet\nlayers = dense:2\n", "either arch or layers"),
-    ("[network]\narch = alexnet\n", "unknown preset"),
+    ("[network]\narch = lenet\nlayers = dense:2\n", "unknown keys: arch"),
+    ("[network]\narch = alexnet\n", "unknown keys: arch"),
     ("[network]\nlayers = dense:2\ninput_shape = 28x28\n", "input_shape"),
-    ("[network]\nclasses = 2\n", "needs arch or layers"),
+    ("[network]\nclasses = 2\n", "needs layers"),
     ("[data]\nsource = idx\n", "unknown keys"),
     ("[data]\ntrain_images = a.idx\n", "train_images and train_labels together"),
     ("[data]\ntrain_images = a.idx\ntrain_labels = b.idx\ntest_labels = c.idx\n",
@@ -190,6 +189,24 @@ def test_negative_noise_std_exits_2_before_any_output(tmp_path, capsys):
     assert cli.main(["train", "--config", str(config)]) == 2
     assert "[data]: noise_std must be finite and >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_negative_zero_noise_std_trains_like_zero(tmp_path, capsys):
+    # numpy's normal refuses a scale whose sign bit is set, -0.0's included
+    outs = []
+    for value in ("-0.0", "0"):
+        text = with_key(BASE_CONFIG, "data", "noise_std", value)
+        config = write_config(tmp_path, text=text, name=f"{value}.ini", out=f"out{value}")
+        assert cli.main(["train", "--config", str(config)]) == 0
+        outs.append(tmp_path / f"out{value}")
+    capsys.readouterr()
+    ckpts = [sorted(out.glob("*.ckpt")) for out in outs]
+    assert [p.name for p in ckpts[0]] == [p.name for p in ckpts[1]]
+    assert [p.read_bytes() for p in ckpts[0]] == [p.read_bytes() for p in ckpts[1]]
+    records = [[[t for t in line.split() if not t.startswith("wall=")]
+                for line in (out / "train.log").read_text().splitlines()
+                if not line.startswith("#")] for out in outs]
+    assert records[0] and records[0] == records[1]
 
 
 @pytest.mark.parametrize("lines", [
@@ -337,8 +354,12 @@ def test_gradcheck_catches_a_planted_loss_bug(monkeypatch, capsys):
     (BASE_CONFIG.replace("dense:2", "dense:0").encode(), "dense layer needs width >= 1"),
     (with_key(BASE_CONFIG, "train", "batch_size", "0").encode(),
      "[train]: batch_size must be >= 1"),
+    (BASE_CONFIG.replace("conv:2@3", "conv:2@3/0").encode(),
+     "layer 'conv1': conv height: kernel/stride must be >= 1"),
+    (BASE_CONFIG.replace("pool:2/2", "pool:2/0").encode(),
+     "layer 'pool1': pool height: kernel/stride must be >= 1"),
 ], ids=["unknown-key", "not-utf8", "conv-0-channels", "conv-0-kernel", "dense-0-width",
-        "batch_size-0"])
+        "batch_size-0", "conv-0-stride", "pool-0-stride"])
 def test_bad_config_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"
     path.write_bytes(text.replace(b"{out}", str(tmp_path / "out").encode()))
@@ -797,7 +818,6 @@ _INI = {
                    "dense:0", "softmax", ""],
         "input_shape": ["1x8x8", "3x8x8", "1x6x6", "1x28x28", "8x8", "0x8x8", "1x-8x8"],
         "classes": ["2", "3", "1", "0", "-1", "two"],
-        "arch": ["lenet", "resnet"],
     },
     "train": {
         "mode": ["DG", "GG", "GG+DG", "EM"], "batch_size": ["8", "1", "0"],
@@ -839,8 +859,8 @@ _JUNK_LINES = ["[bogus]", "extra = 1", "no equals sign", "[network", "= 3", "[ru
 @st.composite
 def _ini_texts(draw):
     """(text, style, whether a single float key was spoiled). "clean" texts
-    draw every key but arch (which collides with layers) from its valid
-    values, "one" spoils a single key, "wild" draws every value."""
+    draw every key from its valid values, "one" spoils a single key, "wild"
+    draws every value."""
     style = draw(st.sampled_from(["clean", "one", "wild"]))
     # half the spoiled keys are float keys, whose bad values must exit 2
     spoiled = draw(st.sampled_from(FLOAT_KEYS)
@@ -851,8 +871,7 @@ def _ini_texts(draw):
             continue
         lines.append(f"[{section}]")
         chosen = set(_ALWAYS_KEYS.get(section, ()))
-        drawable = sorted(k for k in keys if (style != "clean" or k != "arch")
-                          and k not in _PATHS)
+        drawable = sorted(k for k in keys if k not in _PATHS)
         chosen |= set(draw(st.lists(st.sampled_from(drawable), max_size=4)))
         if section == "data" and draw(st.booleans()):
             chosen |= set(_PATHS)

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
-from tiltnet import tensor
+from tiltnet import data, loss, net, tensor, train
 from tiltnet.checks import fd_grad, rel_err, tensor_suite
-from tiltnet.errors import ShapeError
+from tiltnet.errors import DataError, ShapeError
 
 from conftest import op_counts_since
 
@@ -66,6 +66,43 @@ def test_conv_rejects_oversized_kernel():
     with pytest.raises(ShapeError, match="exceeds"):
         tensor.conv2d_forward_batch(np.zeros((1, 1, 4, 4)),
                                     np.zeros((1, 1, 5, 5)), np.zeros(1))
+
+
+def _tiny_network():
+    return net.build_network(net.NetworkConfig((1, 4, 4), net.parse_layers("flatten, dense:2"),
+                                               2, 0))
+
+
+@pytest.mark.parametrize("call,error,fragment", [
+    (lambda: tensor.output_extent(8, 3, 0), ShapeError, "kernel/stride must be >= 1"),
+    (lambda: tensor.output_extent(8, 3, 1, -1), ShapeError, "pad >= 0"),
+    (lambda: tensor.conv2d_forward_batch(np.zeros((1, 1, 5, 5)), np.zeros((2, 1, 3, 3)),
+                                         np.zeros(3)), ShapeError, r"bias shape \(3,\)"),
+    (lambda: tensor.conv2d_backward_batch(np.zeros((1, 2, 4, 4)), np.zeros((1, 1, 5, 5)),
+                                          np.zeros((2, 1, 3, 3))),
+     ShapeError, "conv2d backward: upstream"),
+    (lambda: tensor.maxpool_forward_batch(np.zeros((1, 4, 4)), 2, 2),
+     ShapeError, "maxpool: input must be 4-D"),
+    (lambda: tensor.dense_forward_batch(np.zeros((2, 1, 4)), np.zeros((3, 4)), np.zeros(3)),
+     ShapeError, "must be 2-D"),
+    (lambda: tensor.dense_forward_batch(np.zeros((2, 4)), np.zeros((3, 4)), np.zeros(4)),
+     ShapeError, r"bias shape \(4,\)"),
+    (lambda: tensor.dense_backward_batch(np.zeros((2, 4)), np.zeros((2, 4)), np.zeros((3, 4))),
+     ShapeError, "dense backward: upstream"),
+    (lambda: tensor.relu_backward(np.zeros((2, 3)), np.zeros((2, 4))),
+     ShapeError, "relu backward: upstream"),
+    (lambda: train.sgd_step(_tiny_network(), {"dense1.gain": np.zeros(2)}, {}, 0.1, 0.0, 0.9),
+     ShapeError, "gradient dict does not match parameters"),
+    (lambda: next(data.epoch_batches(data.synthetic_dataset(4, 2, 8), 0, 0, 0)),
+     DataError, "batch size must be >= 1"),
+    (lambda: loss.disc_loss_and_grad(np.zeros(3), np.array([0, 1, 0])),
+     ShapeError, "scores must be 2-D"),
+], ids=["extent-stride-0", "extent-pad-negative", "conv-bias", "conv-backward-upstream",
+        "pool-3d-input", "dense-3d-input", "dense-bias", "dense-backward-upstream",
+        "relu-backward-upstream", "sgd-step-names", "epoch-batches-size-0", "loss-1d-scores"])
+def test_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
 
 
 def _refuse_index(monkeypatch):

@@ -310,8 +310,7 @@ def _records_without_wall(out_dir):
 
 
 def test_resume_rewinds_the_log_to_the_resumed_epoch(tmp_path):
-    # a crash mid-write leaves a torn last line; resuming at the refine
-    # switch logs the switch and each later epoch once
+    # resuming at the refine switch logs the switch and each later epoch once
     train_set, _ = small_sets(n=32)
     cfg = train.TrainConfig(mode="GG+DG", batch_size=8, epochs=3,
                             pretrain_epochs=1, lr=0.02, refine_lr=0.005, seed=5)
@@ -322,14 +321,36 @@ def test_resume_rewinds_the_log_to_the_resumed_epoch(tmp_path):
                            out_dir=d, log=train.MetricsLog(d / "train.log"))
     for f in ("001.ckpt", "002.ckpt"):
         (part_dir / f).unlink()
-    with open(part_dir / "train.log", "a") as fh:
-        fh.write("epoch=3 mode=D")
     train.resume_training(train_set, cfg, part_dir,
                           log=train.MetricsLog(part_dir / "train.log"))
     records = _records_without_wall(part_dir)
     assert records == _records_without_wall(full_dir)
     assert sum("event=refine_switch" in r for r in records) == 1
     assert not (part_dir / "train.log.tmp").exists()
+
+
+@pytest.mark.parametrize("on_file", [True, False], ids=["file", "memory"])
+def test_resume_cuts_the_records_back_with_the_file(tmp_path, on_file):
+    # one log object through a run and its resume holds each epoch once, in
+    # its records as in its file
+    train_set, _ = small_sets(n=32)
+    cfg = train.TrainConfig(mode="GG+DG", batch_size=8, epochs=3,
+                            pretrain_epochs=1, lr=0.02, refine_lr=0.005, seed=5)
+    full_dir, part_dir = tmp_path / "full", tmp_path / "part"
+    logs = []
+    for d in (full_dir, part_dir):
+        d.mkdir()
+        logs.append(train.MetricsLog(d / "train.log" if on_file else None))
+        train.run_training(build_network(small_config(seed=4)), train_set, cfg,
+                           out_dir=d, log=logs[-1])
+    for f in ("002.ckpt", "002.opt"):
+        (part_dir / f).unlink()
+    train.resume_training(train_set, cfg, part_dir, log=logs[1])
+    full, part = ([{k: v for k, v in r.items() if k != "wall"} for r in log.records]
+                  for log in logs)
+    assert part == full
+    if on_file:
+        assert _records_without_wall(part_dir) == _records_without_wall(full_dir)
 
 
 def test_resume_after_a_torn_last_log_line(tmp_path):
