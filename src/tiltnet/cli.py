@@ -33,36 +33,16 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _check_set(dataset, what: str, network, source: str = "[network]") -> None:
-    """Refuse a set the network (a NetworkConfig) cannot score, before any
-    output is written: DataError (exit 3) when it is empty, ConfigError (exit
-    2) when it has more classes than the network outputs or its images are
-    not the network's input_shape."""
-    if len(dataset) < 1:
-        raise DataError(f"the {what} set is empty")
-    _require(dataset.num_classes <= network.num_classes, f"the {what} set has "
-             f"{dataset.num_classes} classes, {source} outputs {network.num_classes}")
-    shape, want = dataset.images.shape[1:], tuple(network.input_shape)
-    _require(shape == want, f"{what} images are {'x'.join(map(str, shape))}, "
-                            f"{source} input_shape is {'x'.join(map(str, want))}")
-
-
 def cmd_train(spec: RunSpec) -> int:
     _require(spec.network is not None, "train needs a [network] section")
     _require(spec.data is not None, "train needs a [data] section")
     _require(bool(spec.out_dir), "train needs [run] out_dir")
     train_set = spec.data.train_set(spec.seed)
     eval_set = spec.data.eval_set(spec.seed)
-    _check_set(train_set, "training", spec.network)
-    spec.train.check_batches(len(train_set))
-    if eval_set is not None:
-        _check_set(eval_set, "evaluation", spec.network)
     network = net_mod.build_network(spec.network)
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    log = train_mod.MetricsLog(out / "train.log", echo=True)
-    train_mod.run_training(network, train_set, spec.train, eval_set=eval_set,
-                           out_dir=out, log=log)
+    out = Path(spec.out_dir)   # run_training refuses a set before it makes out
+    train_mod.run_training(network, train_set, spec.train, eval_set=eval_set, out_dir=out,
+                           log=train_mod.MetricsLog(out / "train.log", echo=True))
     # evaluated first: weights whose scores overflow never reach final.ckpt
     print(f"final_train_err={train_mod.evaluate(network, train_set):.6f}")
     if eval_set is not None:
@@ -80,7 +60,6 @@ def cmd_eval(spec: RunSpec, checkpoint) -> int:
     if eval_set is None:
         raise ConfigError("eval needs test_images/test_labels (idx) or eval_n "
                           "(synthetic)")
-    _check_set(eval_set, "evaluation", network.config, "the checkpoint")
     err = train_mod.evaluate(network, eval_set)
     print(f"error_rate={err:.6f} n={len(eval_set)}")
     return 0

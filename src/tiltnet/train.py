@@ -65,15 +65,6 @@ class TrainConfig:
         if not 0 < self.lr_step_factor < math.inf:
             raise ConfigError("lr_step_factor must be positive and finite")
 
-    def check_batches(self, n: int) -> None:
-        """Refuse a run with a GG epoch over n images whose last batch holds
-        one image: the generative loss weighs images against each other."""
-        last = (n - 1) % self.batch_size + 1 if n else 0   # images in the last batch
-        if self.epochs and _mode_for_epoch(self, 0) == "GG" and last == 1:
-            raise ConfigError(f"a GG epoch over n = {n} images in batches of batch_size = "
-                              f"{self.batch_size} ends on a batch of one image; the "
-                              f"generative loss needs >= 2")
-
 
 def sgd_step(net: net_mod.Network, grads: dict, state: dict,
              lr: float, weight_decay: float, momentum: float) -> None:
@@ -97,7 +88,7 @@ def sgd_step(net: net_mod.Network, grads: dict, state: dict,
 
 
 class MetricsLog:
-    """Append-only field=value records, one per line.
+    """Append-only field=value records, one per line; the first line makes the file.
 
     Timestamps appear only in '#' header lines so two runs of the same seed
     produce byte-identical record sections.
@@ -107,8 +98,6 @@ class MetricsLog:
         self.path = path
         self.echo = echo
         self.records: list = []
-        if path is not None:
-            open(path, "a").close()
 
     @staticmethod
     def _fmt(value) -> str:
@@ -130,7 +119,7 @@ class MetricsLog:
         is neither (a record of ``epoch`` or later, or a line torn by a crash).
         A resumed run that repeats those epochs then logs each of them once."""
         self.records[:] = takewhile(lambda r: r.get("epoch", epoch) < epoch, self.records)
-        if self.path is None:
+        if self.path is None or not os.path.exists(self.path):
             return
         path = Path(self.path)
         kept = []
@@ -154,13 +143,27 @@ class MetricsLog:
                 fh.write(line + "\n")
 
 
+def _check_set(net: net_mod.Network, dataset: Dataset, what: str) -> None:
+    """Refuse a set the network cannot score: DataError when it is empty,
+    ShapeError when it has more classes than the network outputs or its
+    images are not the network's input_shape."""
+    if len(dataset) < 1:
+        raise DataError(f"the {what} set is empty")
+    if dataset.num_classes > net.num_outputs:
+        raise ShapeError(f"the {what} set has {dataset.num_classes} classes, "
+                         f"the network outputs {net.num_outputs}")
+    shape, want = dataset.images.shape[1:], tuple(net.config.input_shape)
+    if shape != want:
+        raise ShapeError(f"{what} images are {'x'.join(map(str, shape))}, "
+                         f"the network's input_shape is {'x'.join(map(str, want))}")
+
+
 def evaluate(net: net_mod.Network, dataset: Dataset, batch_size: int = 256) -> float:
     """Classification error rate under argmax of the scores (ties resolve to
     the lowest class index, which is what argmax does). Score-only forward
-    passes: no activation cache is kept. DataError for an empty dataset or a
-    batch size below 1, NumericsError for non-finite scores."""
-    if len(dataset) < 1:
-        raise DataError("cannot evaluate on an empty dataset")
+    passes: no activation cache is kept. Refuses a set the network cannot
+    score, a batch size below 1 (DataError) and non-finite scores (NumericsError)."""
+    _check_set(net, dataset, "evaluation")
     if batch_size < 1:
         raise DataError(f"evaluation batch size must be >= 1, got {batch_size}")
     wrong = 0
@@ -200,10 +203,21 @@ def run_training(net: net_mod.Network, train_set: Dataset, config: TrainConfig,
 
     With out_dir set, writes <epoch>.ckpt plus an optimizer sidecar after
     every epoch, which resume_training picks up. start_epoch and state (the
-    velocity per parameter name; zeros when None) exist for that resume path.
+    velocity per parameter name; zeros when None) exist for that resume path,
+    which rewinds the log where a fresh start writes its header. A set the
+    network cannot score and a GG epoch ending on one image are refused first.
     """
     config.validate()
-    config.check_batches(len(train_set))
+    _check_set(net, train_set, "training")
+    if eval_set is not None:
+        _check_set(net, eval_set, "evaluation")
+    n = len(train_set)
+    if config.epochs and _mode_for_epoch(config, 0) == "GG" and (n - 1) % config.batch_size == 0:
+        raise ConfigError(f"a GG epoch over n = {n} images in batches of batch_size = "
+                          f"{config.batch_size} ends on a batch of one image; the "
+                          f"generative loss needs >= 2")
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     if log is None:
         log = MetricsLog()
     if state is None:
@@ -212,6 +226,8 @@ def run_training(net: net_mod.Network, train_set: Dataset, config: TrainConfig,
         log.header("tiltnet-train format=1")
         log.header(f"time={time.strftime('%Y-%m-%dT%H:%M:%S')}")
         log.header(" ".join(f"{f.name}={getattr(config, f.name)}" for f in fields(config)))
+    else:
+        log.rewind(start_epoch)
 
     with np.errstate(over="ignore", invalid="ignore"):  # losses and sgd_step refuse NaN/inf
         for epoch in range(start_epoch, config.epochs):
@@ -264,7 +280,6 @@ def run_training(net: net_mod.Network, train_set: Dataset, config: TrainConfig,
 def _checkpoint_epoch(net, state, config: TrainConfig, epoch: int, out_dir) -> None:
     # the sidecar goes first: a .ckpt on disk marks a complete epoch
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     net_mod.write_tensor_file(out / f"{epoch:03d}.opt",
                               {"kind": "optimizer", "epoch": epoch,
                                "mode": config.mode},
@@ -292,8 +307,8 @@ def resume_training(train_set: Dataset, config: TrainConfig, out_dir,
     """Continue an interrupted run from the newest epoch in out_dir whose
     checkpoint and optimizer sidecar both verify; bit-identical to the
     uninterrupted run. An epoch with a torn or missing file is passed over.
-    A given log is first rewound to that epoch (``MetricsLog.rewind``), so
-    an epoch logged before its checkpoint tore is not logged twice."""
+    run_training rewinds a given log to that epoch, so an epoch logged
+    before its checkpoint tore is not logged twice."""
     done = sorted(Path(out_dir).glob("[0-9][0-9][0-9].ckpt"), reverse=True)
     if not done:
         raise ConfigError(f"no epoch checkpoints under {out_dir} to resume from")
@@ -304,10 +319,7 @@ def resume_training(train_set: Dataset, config: TrainConfig, out_dir,
         except CheckpointError as exc:
             problems.append(f"{ckpt.name}: {exc}")
             continue
-        start = int(ckpt.stem) + 1
-        if log is not None:
-            log.rewind(start)
         return run_training(net, train_set, config, eval_set=eval_set, out_dir=out_dir,
-                            log=log, start_epoch=start, state=state)
+                            log=log, start_epoch=int(ckpt.stem) + 1, state=state)
     raise CheckpointError(f"no epoch under {out_dir} has a readable checkpoint "
                           f"and sidecar: {'; '.join(problems)}")

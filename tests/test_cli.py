@@ -385,15 +385,16 @@ def test_missing_data_files_exit_3_without_partial_output(tmp_path, capsys):
 def test_image_size_other_than_input_shape_exits_2_without_output(tmp_path, capsys):
     config = write_config(tmp_path, text=BASE_CONFIG.replace("image_size = 8", "image_size = 12"))
     assert cli.main(["train", "--config", str(config)]) == 2
-    assert "training images are 1x12x12, [network] input_shape is 1x8x8" in capsys.readouterr().err
+    assert ("training images are 1x12x12, the network's input_shape is 1x8x8"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("old,new,fragment", [
     ("n = 64\nclasses = 2", "n = 64\nclasses = 3",
-     "the evaluation set has 3 classes, the checkpoint outputs 2"),
+     "the evaluation set has 3 classes, the network outputs 2"),
     ("image_size = 8", "image_size = 12",
-     "evaluation images are 1x12x12, the checkpoint input_shape is 1x8x8"),
+     "evaluation images are 1x12x12, the network's input_shape is 1x8x8"),
     ("eval_n = 32", "eval_n = 0",
      "eval needs test_images/test_labels (idx) or eval_n (synthetic)")])
 def test_eval_refuses_a_set_the_checkpoint_cannot_score(tmp_path, capsys, old, new, fragment):
@@ -405,25 +406,43 @@ def test_eval_refuses_a_set_the_checkpoint_cannot_score(tmp_path, capsys, old, n
     assert fragment in err and "error_rate" not in out
 
 
-def write_idx(path, count):
-    """An IDX image/label pair of `count` 8x8 images, labels alternating 0/1."""
+def write_idx(path, count, size=8, classes=2):
+    """An IDX image/label pair of `count` size x size images, labels cycling
+    through 0 .. classes - 1."""
     images, labels = Path(f"{path}-images"), Path(f"{path}-labels")
-    images.write_bytes(struct.pack(">IIII", 0x803, count, 8, 8) + bytes(64 * count))
-    labels.write_bytes(struct.pack(">II", 0x801, count) + bytes(i % 2 for i in range(count)))
+    images.write_bytes(struct.pack(">IIII", 0x803, count, size, size)
+                       + bytes(size * size * count))
+    labels.write_bytes(struct.pack(">II", 0x801, count)
+                       + bytes(i % classes for i in range(count)))
     return images, labels
+
+
+def idx_config(tmp_path, train_files, test_files):
+    """BASE_CONFIG with IDX train and test pairs in [data]."""
+    return write_config(tmp_path, text=BASE_CONFIG.replace("[data]\n", (
+        "[data]\ntrain_images = {}\ntrain_labels = {}\n"
+        "test_images = {}\ntest_labels = {}\n").format(*train_files, *test_files)))
 
 
 @pytest.mark.parametrize("train_count,test_count,fragment", [
     (0, 4, "the training set is empty"), (4, 0, "the evaluation set is empty")])
 def test_empty_idx_set_exits_3_without_output(tmp_path, capsys, train_count, test_count,
                                                fragment):
-    train_files = write_idx(tmp_path / "train", train_count)
-    test_files = write_idx(tmp_path / "test", test_count)
-    text = BASE_CONFIG.replace("[data]\n", (
-        "[data]\ntrain_images = {}\ntrain_labels = {}\n"
-        "test_images = {}\ntest_labels = {}\n").format(*train_files, *test_files))
-    config = write_config(tmp_path, text=text)
+    config = idx_config(tmp_path, write_idx(tmp_path / "train", train_count),
+                        write_idx(tmp_path / "test", test_count))
     assert cli.main(["train", "--config", str(config)]) == 3
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("size,classes,fragment", [
+    (12, 2, "evaluation images are 1x12x12"), (8, 3, "the evaluation set has 3 classes"),
+], ids=["test-images-12x12", "test-labels-past-classes"])
+def test_idx_test_pair_the_network_cannot_score_exits_2_without_output(tmp_path, capsys, size,
+                                                                        classes, fragment):
+    config = idx_config(tmp_path, write_idx(tmp_path / "train", 4),
+                        write_idx(tmp_path / "test", 4, size, classes))
+    assert cli.main(["train", "--config", str(config)]) == 2
     assert fragment in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -858,9 +877,8 @@ _JUNK_LINES = ["[bogus]", "extra = 1", "no equals sign", "[network", "= 3", "[ru
 
 @st.composite
 def _ini_texts(draw):
-    """(text, style, whether a single float key was spoiled). "clean" texts
-    draw every key from its valid values, "one" spoils a single key, "wild"
-    draws every value."""
+    """(text, style). "clean" texts draw every key from its valid values,
+    "one" spoils a single key, "wild" draws every value."""
     style = draw(st.sampled_from(["clean", "one", "wild"]))
     # half the spoiled keys are float keys, whose bad values must exit 2
     spoiled = draw(st.sampled_from(FLOAT_KEYS)
@@ -883,7 +901,7 @@ def _ini_texts(draw):
             lines.append(f"{key} = {value}")
         if style == "wild":
             lines += draw(st.lists(st.sampled_from(_JUNK_LINES), max_size=1))
-    return "\n".join(lines) + "\n", style, style == "one" and spoiled in FLOAT_KEYS
+    return "\n".join(lines) + "\n", style
 
 
 # each command's required flags with valid values, then drawn extra flags
@@ -933,7 +951,7 @@ def _idx_text(values: dict) -> tuple:
         named = {key for s, key in values if s == section}
         for key in sorted(named | set(_ALWAYS_KEYS.get(section, ()))):
             lines.append(f"{key} = {values.get((section, key), keys[key][0])}")
-    return "\n".join(lines) + "\n", "idx", False
+    return "\n".join(lines) + "\n", "idx"
 
 
 # Drawn texts reach an IDX reader only now and then (IDX paths, a train or
@@ -948,7 +966,7 @@ def _idx_text(values: dict) -> tuple:
 @example(command="eval", flags=[], ini=_idx_text({("data", "test_images"): "{missing}"}))
 @example(command="eval", flags=[], ini=_idx_text({("data", "test_labels"): "{gzjunk}"}))
 def test_cli_maps_every_input_to_an_exit_code(cli_files, command, flags, ini):
-    text, style, float_spoiled = ini
+    text, style = ini
     with open(cli_files["config"], "w") as fh:
         fh.write(text.format(**cli_files))
     shutil.rmtree(cli_files["out"], ignore_errors=True)
@@ -958,5 +976,5 @@ def test_cli_maps_every_input_to_an_exit_code(cli_files, command, flags, ini):
     assert code in (0, 2, 3, 4, 5)
     if style == "clean" and not flags and command != "serve":
         assert code == 0, (argv, text)
-    if float_spoiled and code == 2:
-        assert not Path(cli_files["out"]).exists()   # refused before any output
+    if code in (2, 3):
+        assert not Path(cli_files["out"]).exists(), (argv, text)   # refused before any output

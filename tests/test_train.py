@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tiltnet import data, hmc, loss, net, tensor, train
-from tiltnet.errors import CheckpointError, ConfigError, DataError, NumericsError
+from tiltnet.errors import CheckpointError, ConfigError, DataError, NumericsError, ShapeError
 from tiltnet.net import LayerSpec, NetworkConfig, build_network
 
 from conftest import dataset_log_likelihoods, op_counts_since
@@ -373,6 +373,50 @@ def test_resume_after_a_torn_last_log_line(tmp_path):
     assert (part_dir / "002.ckpt").read_bytes() == (full_dir / "002.ckpt").read_bytes()
 
 
+def unscorable_sets(case):
+    """(train_set, eval_set, error, message): small_sets with one set that
+    small_config's network cannot score."""
+    train_set, eval_set = small_sets(n=32)
+    return {
+        "train-4-classes": (data.synthetic_dataset(32, 4, 8, seed=0), eval_set, ShapeError,
+                            "the training set has 4 classes, the network outputs 2"),
+        "eval-empty": (train_set, data.Dataset(eval_set.images[:0], eval_set.labels[:0], 2),
+                       DataError, "the evaluation set is empty"),
+        "eval-12x12": (train_set, data.synthetic_dataset(16, 2, 12, seed=1), ShapeError,
+                       "evaluation images are 1x12x12, the network's input_shape is 1x8x8"),
+    }[case]
+
+
+UNSCORABLE = ["train-4-classes", "eval-empty", "eval-12x12"]
+
+
+@pytest.mark.parametrize("case", UNSCORABLE)
+def test_run_training_refuses_a_set_before_any_output(tmp_path, case):
+    train_set, eval_set, error, message = unscorable_sets(case)
+    log = train.MetricsLog(tmp_path / "train.log")
+    with pytest.raises(error, match=message):
+        train.run_training(build_network(small_config()), train_set,
+                           train.TrainConfig(batch_size=8, epochs=1), eval_set=eval_set,
+                           out_dir=tmp_path / "out", log=log)
+    assert log.records == [] and sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", UNSCORABLE)
+def test_resume_with_a_set_it_cannot_score_leaves_the_log_as_it_was(tmp_path, case):
+    train_set, eval_set = small_sets(n=32)
+    cfg = train.TrainConfig(batch_size=8, epochs=3, seed=5)
+    log_path = tmp_path / "train.log"
+    train.run_training(build_network(small_config(seed=4)), train_set, cfg, eval_set=eval_set,
+                       out_dir=tmp_path, log=train.MetricsLog(log_path))
+    (tmp_path / "002.ckpt").unlink()   # a resume at epoch 2 would cut epoch 2's record
+    before = log_path.read_bytes()
+    train_set, eval_set, error, message = unscorable_sets(case)
+    with pytest.raises(error, match=message):
+        train.resume_training(train_set, cfg, tmp_path, eval_set=eval_set,
+                              log=train.MetricsLog(log_path))
+    assert log_path.read_bytes() == before
+
+
 def test_resume_refuses_when_no_epoch_reads(tmp_path):
     train_set, _ = small_sets(n=16)
     cfg = train.TrainConfig(mode="DG", batch_size=8, epochs=2, seed=1)
@@ -442,6 +486,12 @@ def test_evaluate_refuses_with_data_error(size, batch_size, fragment):
                        batch_size)
 
 
+def test_evaluate_refuses_more_classes_than_the_network_outputs():
+    with pytest.raises(ShapeError, match="the evaluation set has 4 classes, the network "
+                                         "outputs 2"):
+        train.evaluate(build_network(small_config()), data.synthetic_dataset(16, 4, 8))
+
+
 def test_evaluate_error_matches_cached_forward():
     network = build_network(net.lenet_config(seed=2))
     ds = data.synthetic_dataset(257, 10, 28, seed=2)
@@ -484,6 +534,16 @@ def test_metrics_log_format(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "# demo"
     assert text[1] == "epoch=0 value=0.5 name=x"
+
+
+def test_metrics_log_makes_its_file_at_the_first_line(tmp_path):
+    path = tmp_path / "m.log"
+    log = train.MetricsLog(path)
+    log.records.extend([{"epoch": 0}, {"epoch": 1}])
+    log.rewind(1)   # no file yet: only the records are cut
+    assert log.records == [{"epoch": 0}] and not path.exists()
+    log.record(epoch=1, value=0.5)
+    assert path.read_text() == "epoch=1 value=0.5\n"
 
 
 def test_a_nan_weight_is_refused_before_any_routing_is_read():
