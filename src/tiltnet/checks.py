@@ -17,6 +17,7 @@ from . import hmc as hmc_mod
 from . import loss as loss_mod
 from . import net as net_mod
 from . import tensor
+from . import train as train_mod
 
 
 @dataclass(frozen=True)
@@ -210,17 +211,25 @@ def tensor_suite(seed: int = 0) -> list:
                                (tensor.relu_backward(rprobe, xr),), rprobe)
 
     # the two-way split changes no byte: LeNet's conv2 (forward, gradients),
-    # conv1's gradients (blocks 18+18+18+10) and pool1 at n=64, worker on/off
-    xc, kc, upc, xq, x1 = (rng.normal(0.0, 1.0, s) for s in (
-        (64, 20, 12, 12), (50, 20, 5, 5), (64, 50, 8, 8), (64, 20, 24, 24), (64, 1, 28, 28)))
+    # conv1's gradients (blocks 18+18+18+10), pool1 and dense1's gradients at
+    # n=64, and one optimizer step on LeNet (velocity = gradient), worker on/off
+    xc, kc, upc, xq, x1, xd, upd = (rng.normal(0.0, 1.0, s) for s in (
+        (64, 20, 12, 12), (50, 20, 5, 5), (64, 50, 8, 8), (64, 20, 24, 24), (64, 1, 28, 28),
+        (64, 800), (64, 500)))
+    lenet = net_mod.lenet_config(seed=seed)
+    grads = {k: rng.normal(0.0, 1.0, s) for k, s in net_mod.Network(lenet, {}).param_shapes.items()}
     runs, forced = [], tensor._WORKER
     try:
         for on in (True, False):
             tensor._WORKER = on
             pooled, pmap = tensor.maxpool_forward_batch(xq, 2, 2)
+            stepped, state = net_mod.build_network(lenet), {k: g.copy() for k, g in grads.items()}
+            train_mod.sgd_step(stepped, grads, state, 0.01, 0.0005, 0.9)
             runs.append([pooled, pmap.indices, tensor.conv2d_forward_batch(xc, kc, kc[:, 0, 0, 0]),
                          *tensor.conv2d_backward_batch(upc, xc, kc),
-                         *tensor.conv2d_backward_batch(xq, x1, kc[:20, :1])])
+                         *tensor.conv2d_backward_batch(xq, x1, kc[:20, :1]),
+                         *tensor.dense_backward_batch(upd, xd, grads["dense1.weight"]),
+                         *stepped.params.values(), *state.values()])
     finally:
         tensor._WORKER = forced
     results.append(_res("split-bytes-differ", sum(np.count_nonzero(
@@ -342,9 +351,4 @@ def _adjoint_checks(names, forward, args, grads, probe, note: str = "") -> list:
 
 
 def all_suites(seed: int = 0) -> list:
-    results = []
-    results += tensor_suite(seed)
-    results += loss_suite(seed)
-    results += network_suite(seed)
-    results += hmc_suite(seed)
-    return results
+    return tensor_suite(seed) + loss_suite(seed) + network_suite(seed) + hmc_suite(seed)

@@ -145,10 +145,16 @@ def _in_blocks(n: int, per_image: int, body) -> None:
         for start in todo:
             body(start, min(block, n - start))
 
-    if _WORKER and n > block:
+    _split(part, n > block)  # serially, part(0) runs every block and part(1) none
+
+
+def _split(part, engage: bool = True) -> None:
+    """part(0) and part(1): on the two threads when the split is engaged and
+    ``engage`` holds, else in turn here."""
+    if _WORKER and engage:
         _dispatch(part)
     else:
-        part(0)
+        part(0), part(1)
 
 
 def _dispatch(part) -> None:
@@ -370,9 +376,7 @@ def maxpool_backward_batch(upstream: np.ndarray, amap: ArgmaxMap) -> np.ndarray:
 
 def dense_forward_batch(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Affine map of a flat batch: [n, D] @ [K, D]^T + [K] -> [n, K]."""
-    x = _as_f64(x)
-    weight = _as_f64(weight)
-    bias = _as_f64(bias)
+    x, weight, bias = map(_as_f64, (x, weight, bias))
     if x.ndim != 2 or weight.ndim != 2:
         raise ShapeError("dense: input and weight must be 2-D")
     if x.shape[1] != weight.shape[1]:
@@ -389,21 +393,25 @@ def dense_backward_batch(upstream: np.ndarray, x: np.ndarray, weight: np.ndarray
     """Adjoint of dense_forward_batch; returns (grad_input, grad_weight, grad_bias).
 
     grad_weight and grad_bias are None when need_param_grad is False (saves
-    the outer product when only the input gradient is wanted).
+    the outer product when only the input gradient is wanted). Otherwise, at
+    n > 1 and with the split engaged, the worker computes them while the
+    caller computes grad_input.
     """
-    upstream = _as_f64(upstream)
-    x = _as_f64(x)
-    weight = _as_f64(weight)
+    upstream, x, weight = map(_as_f64, (upstream, x, weight))
     if upstream.shape != (x.shape[0], weight.shape[0]):
         raise ShapeError(
             f"dense backward: upstream {upstream.shape} != {(x.shape[0], weight.shape[0])}")
-    grad_input = upstream @ weight
-    grad_weight = grad_bias = None
-    if need_param_grad:
-        grad_weight = upstream.T @ x
-        grad_bias = upstream.sum(axis=0)
+    grads = [None, None, None]
+
+    def part(t):  # whole products on either thread: the same bytes
+        if t == 0:
+            grads[0] = upstream @ weight
+        elif need_param_grad:
+            grads[1:] = upstream.T @ x, upstream.sum(axis=0)
+
+    _split(part, need_param_grad and x.shape[0] > 1)
     _count("dense_bwd", x.shape[0] * weight.size)
-    return grad_input, grad_weight, grad_bias
+    return tuple(grads)
 
 
 def relu_forward(x) -> np.ndarray:
@@ -418,8 +426,7 @@ def relu_backward(upstream, x) -> np.ndarray:
 
     The subgradient at exactly 0 is taken as 0.
     """
-    upstream = _as_f64(upstream)
-    x = _as_f64(x)
+    upstream, x = _as_f64(upstream), _as_f64(x)
     if upstream.shape != x.shape:
         raise ShapeError(f"relu backward: upstream {upstream.shape} != input {x.shape}")
     _count("relu_bwd", x.size)

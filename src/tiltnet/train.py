@@ -24,6 +24,7 @@ import numpy as np
 
 from . import loss as loss_mod
 from . import net as net_mod
+from . import tensor
 from .data import Dataset, epoch_batches
 from .errors import CheckpointError, ConfigError, DataError, NumericsError, ShapeError
 
@@ -68,22 +69,29 @@ class TrainConfig:
 
 def sgd_step(net: net_mod.Network, grads: dict, state: dict,
              lr: float, weight_decay: float, momentum: float) -> None:
-    """One momentum ascent step in place; refuses non-finite gradients."""
+    """One momentum ascent step in place, or a refusal of non-finite gradients
+    that changes nothing; split engaged, the worker updates each tensor's second half of rows."""
     if set(grads) != set(net.params):
         missing = set(net.params) ^ set(grads)
         raise ShapeError(f"gradient dict does not match parameters: {sorted(missing)}")
-    for name in sorted(grads):
-        g, w, v = grads[name], net.params[name], state[name]
+    names = sorted(grads)
+    for name in names:
         with np.errstate(over="ignore", invalid="ignore"):  # a finite sum has finite entries
-            finite = np.isfinite(g.sum()) or np.all(np.isfinite(g))
-        if not finite:
-            raise NumericsError(f"non-finite gradient for {name}")
-        v *= momentum  # v += lr * (g - weight_decay * w), in place, same order
-        t = w * weight_decay
-        np.subtract(g, t, out=t)
-        t *= lr
-        v += t
-        w += v
+            if not (np.isfinite(grads[name].sum()) or np.all(np.isfinite(grads[name]))):
+                raise NumericsError(f"non-finite gradient for {name}")
+
+    def half(t):
+        for g, w, v in ((grads[k], net.params[k], state[k]) for k in names):
+            cut = (len(w) + 1) // 2
+            g, w, v = (a[cut:] if t else a[:cut] for a in (g, w, v))
+            v *= momentum  # v += lr * (g - weight_decay * w), in place, same order
+            u = w * weight_decay
+            np.subtract(g, u, out=u)
+            u *= lr
+            v += u
+            w += v
+
+    tensor._split(half)
     net.bump_version()
 
 
@@ -196,6 +204,16 @@ def _lr_for_epoch(config: TrainConfig, epoch: int) -> float:
     return base
 
 
+def _keep_heap_mapped() -> None:
+    """Fix glibc's mmap and trim thresholds (process-wide) at its dynamic rule's ceilings,
+    so a step's freed heap stays mapped (see README); a no-op where libc has no mallopt."""
+    import ctypes  # not on import
+    mallopt = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallopt", None)
+    if mallopt:  # M_TRIM_THRESHOLD alone would pin M_MMAP_THRESHOLD at 128 KiB
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def run_training(net: net_mod.Network, train_set: Dataset, config: TrainConfig,
                  eval_set: Dataset = None, out_dir=None, log: MetricsLog = None,
                  start_epoch: int = 0, state: dict = None):
@@ -228,6 +246,7 @@ def run_training(net: net_mod.Network, train_set: Dataset, config: TrainConfig,
         log.header(" ".join(f"{f.name}={getattr(config, f.name)}" for f in fields(config)))
     else:
         log.rewind(start_epoch)
+    _keep_heap_mapped()
 
     with np.errstate(over="ignore", invalid="ignore"):  # losses and sgd_step refuse NaN/inf
         for epoch in range(start_epoch, config.epochs):

@@ -1,5 +1,6 @@
-"""The two-way split inside the conv and pool primitives: the same bytes with
-the worker thread on or off, and invisible to every caller."""
+"""The two-way split inside the conv and pool primitives, the dense backward
+and the optimizer step: the same bytes with the worker thread on or off, and
+invisible to every caller."""
 
 import multiprocessing
 import os
@@ -20,9 +21,11 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # (input [C, H, W], kernels) of LeNet's convs; inputs [C, H, W] of its pools
 LENET_CONVS = [((1, 28, 28), (20, 1, 5, 5)), ((20, 12, 12), (50, 20, 5, 5))]
 LENET_POOLS = [(20, 24, 24), (50, 8, 8)]
+LENET_DENSES = [(800, 500), (500, 10)]  # (input width, output width)
 
 
-def _primitive_calls(rng, n, conv_geometries, pool_shapes, stride=1, pad=0, pool=(2, 2)):
+def _primitive_calls(rng, n, conv_geometries, pool_shapes, stride=1, pad=0, pool=(2, 2),
+                     dense_shapes=LENET_DENSES):
     """Closures, each returning the arrays of one primitive call."""
     calls = []
     for shape, kshape in conv_geometries:
@@ -43,6 +46,12 @@ def _primitive_calls(rng, n, conv_geometries, pool_shapes, stride=1, pad=0, pool
             calls.append(lambda x=x, m=need_map: [
                 a.indices if isinstance(a, tensor.ArgmaxMap) else a
                 for a in tensor.maxpool_forward_batch(x, *pool, need_map=m) if a is not None])
+    for d_in, d_out in dense_shapes:
+        x, w = rng.normal(size=(n, d_in)), rng.normal(size=(d_out, d_in))
+        up = rng.normal(size=(n, d_out))
+        for need_params in (True, False):
+            calls.append(lambda x=x, w=w, up=up, p=need_params: [
+                a for a in tensor.dense_backward_batch(up, x, w, p) if a is not None])
     return calls
 
 
@@ -59,6 +68,27 @@ def _on_and_off(mp, calls):
 def test_worker_on_and_off_are_byte_equal_at_lenet_shapes(monkeypatch, rng, n):
     on, off = _on_and_off(monkeypatch, _primitive_calls(rng, n, LENET_CONVS, LENET_POOLS))
     assert on == off
+
+
+@pytest.mark.parametrize("config", [
+    net.lenet_config(seed=5),
+    # odd row counts, and a one-row bias whose second half is empty
+    net.NetworkConfig((1, 8, 8), net.parse_layers("conv:1@3, pool:2, flatten, dense:7, "
+                                                  "relu, dense:3"), 3, seed=5)],
+    ids=["lenet", "odd-rows"])
+def test_sgd_step_with_the_worker_on_and_off_is_byte_equal(monkeypatch, rng, config):
+    # five steps, so the momentum term is live
+    shapes = net.build_network(config).param_shapes
+    grads = [{k: rng.normal(size=s) for k, s in shapes.items()} for _ in range(5)]
+    runs = []
+    for on in (True, False):
+        monkeypatch.setattr(tensor, "_WORKER", on)
+        network = net.build_network(config)
+        state = {k: np.zeros_like(v) for k, v in network.params.items()}
+        for g in grads:
+            train.sgd_step(network, g, state, 0.01, 0.0005, 0.9)
+        runs.append({k: (v.tobytes(), state[k].tobytes()) for k, v in network.params.items()})
+    assert runs[0] == runs[1]
 
 
 @st.composite
@@ -90,7 +120,7 @@ def test_worker_on_and_off_are_byte_equal_on_any_geometry(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor, "_BLOCK_BYTES", 16 * c_in * k * k * h_out * w_out * images)
         calls = _primitive_calls(np.random.default_rng(seed), n, [conv], [pool_shape],
-                                 stride, pad, pool)
+                                 stride, pad, pool, [(c_in * k, images)])
         on, off = _on_and_off(mp, calls)
     assert on == off
 

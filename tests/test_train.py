@@ -1,7 +1,12 @@
 """Optimizer arithmetic, schedule mechanics, determinism, resume, and the
 cost parity between the two training modes."""
 
+import ctypes
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +86,22 @@ def test_sgd_step_refuses_each_nonfinite_kind_with_its_name(bad):
     grads["dense1.weight"][0, 3] = bad
     with pytest.raises(NumericsError, match="^non-finite gradient for dense1.weight$"):
         train.sgd_step(network, grads, state, 0.1, 0.0005, 0.9)
+
+
+@pytest.mark.parametrize("worker", [True, False], ids=["worker", "serial"])
+def test_a_refused_sgd_step_changes_no_tensor_and_keeps_the_version(monkeypatch, worker):
+    # dense2.weight sorts last: every other tensor would be updated before its check
+    monkeypatch.setattr(tensor, "_WORKER", worker)
+    network = build_network(net.lenet_config(seed=0))
+    state = {k: np.full_like(v, 0.5) for k, v in network.params.items()}
+    grads = {k: np.ones_like(v) for k, v in network.params.items()}
+    grads["dense2.weight"][9, 499] = np.nan
+    before = {k: (v.tobytes(), state[k].tobytes()) for k, v in network.params.items()}
+    version = network.version
+    with pytest.raises(NumericsError, match="dense2.weight"):
+        train.sgd_step(network, grads, state, 0.1, 0.0005, 0.9)
+    assert {k: (v.tobytes(), state[k].tobytes()) for k, v in network.params.items()} == before
+    assert network.version == version
 
 
 def test_sgd_step_accepts_a_finite_gradient_whose_sum_overflows():
@@ -563,3 +584,34 @@ def test_a_nan_weight_is_refused_before_any_routing_is_read():
         train.run_training(network, train_set, train.TrainConfig(batch_size=16, epochs=1))
     with pytest.raises(NumericsError, match="network's score"):
         hmc.sample_node(network, "dense1", 0, hmc.HmcConfig(iterations=1, leapfrog_steps=1))
+
+
+def _has_mallopt() -> bool:
+    return os.name == "posix" and hasattr(ctypes.CDLL(None), "mallopt")
+
+
+FAULT_PROBE = """
+import resource
+from tiltnet import data, net, train
+train_set = data.synthetic_dataset(320, 10, 28, seed=1)
+config = train.TrainConfig(mode="GG+DG", batch_size=64, epochs=2, pretrain_epochs=1)
+for seed in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train.run_training(net.build_network(net.lenet_config(seed=seed)), train_set, config)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_training_steps_fault_no_pages_once_the_heap_has_grown():
+    # LeNet GG+DG at batch 64, BLAS pinned: the third run's 10 steps reuse the
+    # heap the first two grew; with glibc's dynamic thresholds a step faulted
+    # 1,300-2,100 pages back in
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MALLOC_TOP_PAD_",
+                        "MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_")}
+    env.update(OMP_NUM_THREADS="1", PYTHONPATH=src + os.pathsep + env.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert float(out) <= 50
