@@ -2,8 +2,8 @@
 
 The keys of [train], [data] and [hmc] are the fields of TrainConfig,
 DataSpec and HmcConfig (all but seed): each value is converted by its
-field's type, an absent key takes the field's default, and the dataclass's
-own validate() checks the result. Unknown sections or keys are rejected
+field's type, an absent key takes the field's default, and the dataclass
+refuses a bad result when it is made. Unknown sections or keys are rejected
 outright; values carry their section and key in every complaint. One master
 seed under [run] feeds network initialization, shuffling, and the sampler
 chain; parse_config's seed argument (the CLI --seed flag) overrides it.
@@ -75,20 +75,18 @@ _CONVERTERS = {int: int, float: float, str: str, bool: _parse_bool, tuple: _pars
 
 
 def _from_table(section: str, items: dict, seed: int):
-    """The section's dataclass from its items, validated; the fields named
-    in items are converted by their declared types, the rest keep defaults."""
+    """The section's dataclass from its items; the fields named in items are
+    converted by their declared types, the rest keep defaults."""
     cls = _TABLES[section]
     types = get_type_hints(cls)
     values = {key: _get(section, items, key, _CONVERTERS[types[key]], None)
               for key in items}
     if "seed" in types:
         values["seed"] = seed
-    spec = cls(**values)
     try:
-        spec.validate()
-    except ValueError as exc:
+        return cls(**values)
+    except ConfigError as exc:
         raise ConfigError(f"[{section}]: {exc}") from exc
-    return spec
 
 
 def _network_from(items: dict, seed: int):

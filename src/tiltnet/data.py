@@ -145,7 +145,7 @@ class DataSpec:
     noise_std: float = 0.1
     eval_n: int = 256
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if bool(self.train_images) != bool(self.train_labels):
             raise ConfigError("give train_images and train_labels together")
         if bool(self.test_images) != bool(self.test_labels):

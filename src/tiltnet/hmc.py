@@ -38,7 +38,7 @@ class HmcConfig:
     seed: int = 0
     snapshots: tuple = ()      # iteration indices to record; () = default set
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not all(0 < v < math.inf for v in (self.sigma, self.mass, self.step_size)):
             raise ConfigError("sigma, mass, and step_size must be positive and finite")
         if self.leapfrog_steps < 1:
@@ -169,7 +169,6 @@ def sample_node(net: net_mod.Network, layer: str, channel: int,
     own when the layer is flat, the node's receptive field when it is spatial.
     Raises MemoryError when that image cannot be allocated.
     """
-    config.validate()
     sub = net_mod.truncate_at(net, layer, channel)
     shape = sub.config.input_shape
     rng = np.random.default_rng(config.seed)

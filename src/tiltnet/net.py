@@ -36,7 +36,6 @@ from .errors import CacheError, CheckpointError, ConfigError, ShapeError
 class LayerSpec:
     """One layer of the stack. Fields its kind does not take keep their defaults."""
     kind: str
-    name: str = ""
     channels: int = 0   # conv output channels
     kernel: int = 0     # conv / maxpool square window edge
     stride: int = 1
@@ -182,22 +181,6 @@ def lenet_config(num_classes: int = 10, input_shape=(1, 28, 28), seed: int = 0) 
                          num_classes, seed)
 
 
-def _resolve_names(layers) -> list:
-    counters: dict = {}
-    names = []
-    for spec in layers:
-        if spec.name:
-            name = spec.name
-        else:
-            stem = _kind(spec).stem
-            counters[stem] = counters.get(stem, 0) + 1
-            name = f"{stem}{counters[stem]}"
-        if name in names:
-            raise ShapeError(f"duplicate layer name {name!r}")
-        names.append(name)
-    return names
-
-
 @dataclass
 class ActivationCache:
     """Per-layer forward inputs (None where the backward reads none: pool
@@ -229,13 +212,14 @@ class Network:
                              f"got {config.input_shape}")
         self.config = config
         self.layers = list(config.layers)
-        self.names = _resolve_names(config.layers)
+        stems = [_kind(spec).stem for spec in config.layers]   # layer k of a stem is <stem><k>
+        self.names = [f"{stem}{stems[:i + 1].count(stem)}" for i, stem in enumerate(stems)]
         self.shapes, self.param_shapes = [], {}
         shape = tuple(int(d) for d in config.input_shape)
         for spec, name in zip(config.layers, self.names):
             kind = _kind(spec)
             takes = re.compile(kind.token).groupindex
-            for f in fields(LayerSpec)[2:]:   # all but kind and name
+            for f in fields(LayerSpec)[1:]:   # all but kind
                 if f.name not in takes and getattr(spec, f.name) != f.default:
                     raise ShapeError(f"layer {name!r}: a {spec.kind} layer takes no {f.name}, "
                                      f"got {f.name}={getattr(spec, f.name)!r}")
@@ -509,10 +493,12 @@ def _check_meta_type(what: str, value, want: type) -> None:
 
 def _config_from_meta(meta: dict) -> NetworkConfig:
     try:
-        # files saved before two fields were retired still carry their keys:
-        # the config's init is not read and each layer's input width is
-        # dropped; the stored tensors replace the init either way
-        layers = tuple(LayerSpec(**{k: v for k, v in d.items() if k != "in_width"})
+        # files saved before three fields were retired still carry their keys:
+        # the config's init is not read and each layer's input width and empty
+        # name are dropped (any other name is an unknown key, as tiltnet never
+        # wrote one); the stored tensors replace the init either way
+        layers = tuple(LayerSpec(**{k: v for k, v in d.items()
+                                    if k != "in_width" and (k, v) != ("name", "")})
                        for d in meta["layers"])
         config = NetworkConfig(tuple(meta["input_shape"]), layers,
                                meta["num_classes"], meta["seed"])

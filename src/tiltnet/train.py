@@ -45,7 +45,7 @@ class TrainConfig:
     lr_step_factor: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         if self.batch_size < 1 or self.epochs < 0:
@@ -67,13 +67,22 @@ class TrainConfig:
             raise ConfigError("lr_step_factor must be positive and finite")
 
 
+def _check_fit(net: net_mod.Network, tensors: dict, what: str) -> None:
+    """Refuse a dict whose names or shapes are not those of net.params (ShapeError)."""
+    want = {k: w.shape for k, w in net.params.items()}
+    if (got := {k: np.shape(v) for k, v in tensors.items()}) != want:
+        bad = sorted(k for k in want.keys() | got.keys() if got.get(k) != want.get(k))
+        raise ShapeError(f"{what} dict does not match parameters: {bad}")
+
+
 def sgd_step(net: net_mod.Network, grads: dict, state: dict,
              lr: float, weight_decay: float, momentum: float) -> None:
-    """One momentum ascent step in place, or a refusal of non-finite gradients
-    that changes nothing; split engaged, the worker updates each tensor's second half of rows."""
-    if set(grads) != set(net.params):
-        missing = set(net.params) ^ set(grads)
-        raise ShapeError(f"gradient dict does not match parameters: {sorted(missing)}")
+    """One momentum ascent step in place, or a refusal that changes nothing: of
+    grads or state unlike net.params in names or shapes (ShapeError), or of a
+    non-finite gradient (NumericsError). Split engaged, the worker updates each
+    tensor's second half of rows."""
+    _check_fit(net, grads, "gradient")
+    _check_fit(net, state, "velocity")
     names = sorted(grads)
     for name in names:
         with np.errstate(over="ignore", invalid="ignore"):  # a finite sum has finite entries
@@ -222,10 +231,15 @@ def run_training(net: net_mod.Network, train_set: Dataset, config: TrainConfig,
     With out_dir set, writes <epoch>.ckpt plus an optimizer sidecar after
     every epoch, which resume_training picks up. start_epoch and state (the
     velocity per parameter name; zeros when None) exist for that resume path,
-    which rewinds the log where a fresh start writes its header. A set the
-    network cannot score and a GG epoch ending on one image are refused first.
+    which rewinds the log where a fresh start writes its header. A network
+    with fewer than 2 score columns, a state that sgd_step would refuse, a set
+    the network cannot score and a GG epoch ending on one image are refused first.
     """
-    config.validate()
+    if net.num_outputs < 2:
+        raise ShapeError(f"training needs >= 2 score columns, the network has {net.num_outputs}")
+    if state is None:
+        state = {k: np.zeros_like(v) for k, v in net.params.items()}
+    _check_fit(net, state, "velocity")
     _check_set(net, train_set, "training")
     if eval_set is not None:
         _check_set(net, eval_set, "evaluation")
@@ -238,8 +252,6 @@ def run_training(net: net_mod.Network, train_set: Dataset, config: TrainConfig,
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     if log is None:
         log = MetricsLog()
-    if state is None:
-        state = {k: np.zeros_like(v) for k, v in net.params.items()}
     if start_epoch == 0:
         log.header("tiltnet-train format=1")
         log.header(f"time={time.strftime('%Y-%m-%dT%H:%M:%S')}")

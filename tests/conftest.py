@@ -1,4 +1,6 @@
 import os
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import settings
 
 from tiltnet import loss, tensor
 from tiltnet.data import epoch_batches
+from tiltnet.errors import ConfigError
 from tiltnet.net import LayerSpec, NetworkConfig, build_network, forward_batch, parse_layers
 
 _MNIST_FILES = {
@@ -132,3 +135,12 @@ def read_image(path):
     channels = 1 if magic == b"P5" else 3
     pixels = np.frombuffer(body, dtype=np.uint8).reshape(h, w, channels)
     return pixels.transpose(2, 0, 1).astype(np.float64)
+
+
+def assert_refused_when_made(cls, rows):
+    """Each (fields, message) row: cls(**fields) and replace(cls(), **fields)
+    both raise ConfigError whose text is exactly message."""
+    for values, message in rows:
+        for make in (lambda: cls(**values), lambda: replace(cls(), **values)):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                make()

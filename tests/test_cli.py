@@ -447,6 +447,16 @@ def test_idx_test_pair_the_network_cannot_score_exits_2_without_output(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def test_network_with_one_score_column_exits_2_without_output(tmp_path, capsys):
+    text = BASE_CONFIG.replace("classes = 2\n", "classes = 1\n", 1).replace("dense:2", "dense:1")
+    text = text.replace("[data]\n", "[data]\ntrain_images = {}\ntrain_labels = {}\n"
+                        .format(*write_idx(tmp_path / "train", 8, classes=1)))
+    assert cli.main(["train", "--config", str(write_config(tmp_path, text=text))]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: training needs >= 2 score columns, the network has 1"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("part,keep,fragment", [
     (0, slice(0, 10), "truncated IDX header"),
     (1, slice(0, -1), "payload holds 3 labels, header implies 4"),
@@ -623,15 +633,17 @@ def test_checkpoint_that_disagrees_with_its_config_exits_3(tmp_path, capsys, edi
 
 
 def test_checkpoint_with_retired_meta_keys_still_loads(tmp_path, capsys):
-    # the meta as written before LayerSpec.in_width and NetworkConfig.init
-    # were retired: the same keys plus those two
+    # the meta as written before LayerSpec.in_width, LayerSpec.name and
+    # NetworkConfig.init were retired: the same keys plus those three
     new, old, resaved = tmp_path / "new.ckpt", tmp_path / "old.ckpt", tmp_path / "re.ckpt"
     network = net.build_network(parse_config(write_config(tmp_path)).network)
     net.save_checkpoint(network, new)
     meta, tensors = net.read_tensor_file(new)
     meta["init"] = "gaussian"
     for layer in meta["layers"]:
+        assert "name" not in layer
         layer["in_width"] = 0
+        layer["name"] = ""
     net.write_tensor_file(old, meta, tensors)
     loaded = net.load_checkpoint(old)
     assert loaded.config == network.config
@@ -648,6 +660,21 @@ def test_checkpoint_with_retired_meta_keys_still_loads(tmp_path, capsys):
     net.write_tensor_file(old, meta, tensors)
     assert cli.main(["inspect", "--checkpoint", str(old)]) == 3
     assert "dilation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index,name", [(0, "mid"), (1, "p")], ids=["conv", "pool"])
+def test_checkpoint_with_a_hand_named_layer_exits_3(tmp_path, capsys, index, name):
+    # layers are named <stem><k> only; a name, even with its tensors renamed
+    # to match, would otherwise load a layer under another name
+    ckpt = tmp_path / "named.ckpt"
+    net.save_checkpoint(net.build_network(parse_config(write_config(tmp_path)).network), ckpt)
+    meta, tensors = net.read_tensor_file(ckpt)
+    stem = meta["layers"][index]["kind"].replace("maxpool", "pool")
+    meta["layers"][index]["name"] = name
+    tensors = {k.replace(f"{stem}1.", f"{name}."): v for k, v in tensors.items()}
+    net.write_tensor_file(ckpt, meta, tensors)
+    assert cli.main(["inspect", "--checkpoint", str(ckpt)]) == 3
+    assert "unexpected keyword argument 'name'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("layer,channel,fragment", [

@@ -1,5 +1,5 @@
 """IDX parsing against hand-built fixtures, the synthetic set's geometry,
-and the batch partition property."""
+DataSpec's refusals, and the batch partition property."""
 
 import gzip
 import struct
@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from tiltnet import data
 from tiltnet.errors import DataError
+
+from conftest import assert_refused_when_made
 
 
 def idx_images_bytes(arr: np.ndarray) -> bytes:
@@ -158,6 +160,23 @@ def test_synthetic_rejects_impossible_geometry():
             data.synthetic_dataset(n, 2, size)
     with pytest.raises(ValueError, match="^scale < 0$"):   # not read as an allocation
         data.synthetic_dataset(4, 2, 8, noise_std=-1.0)
+
+
+def test_data_spec_validation():
+    noise = "noise_std must be finite and >= 0, got "
+    assert_refused_when_made(data.DataSpec, [
+        ({"train_images": "a.idx"}, "give train_images and train_labels together"),
+        ({"train_labels": "b.idx"}, "give train_images and train_labels together"),
+        ({"train_images": "a.idx", "train_labels": "b.idx", "test_labels": "d.idx"},
+         "give test_images and test_labels together"),
+        ({"test_images": "c.idx", "test_labels": "d.idx"},
+         "test_images and test_labels need train_images and train_labels"),
+        ({"eval_n": -1}, "eval_n must be >= 0, got -1"),
+        ({"noise_std": -1.0}, noise + "-1.0"),
+        ({"noise_std": float("nan")}, noise + "nan"),
+        ({"noise_std": float("inf")}, noise + "inf"),
+    ])
+    data.DataSpec(noise_std=0.0, eval_n=0)
 
 
 def test_dataset_pairing_validated():

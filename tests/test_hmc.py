@@ -7,9 +7,10 @@ import pytest
 from tiltnet import hmc, tensor
 from tiltnet import net as net_mod
 from tiltnet.checks import fd_grad, hmc_suite
-from tiltnet.errors import ConfigError, NumericsError, ShapeError
+from tiltnet.errors import NumericsError, ShapeError
 
-from conftest import op_counts_since, read_image, routed_net, tiny_config
+from conftest import (assert_refused_when_made, op_counts_since, read_image, routed_net,
+                      tiny_config)
 
 
 def zero_net(classes=3):
@@ -314,20 +315,21 @@ def test_cached_gradient_chain_matches_recomputing_chain_bytes(tiny_net, layer):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        hmc.HmcConfig(step_size=0.0).validate()
-    with pytest.raises(ConfigError):
-        hmc.HmcConfig(leapfrog_steps=0).validate()
-    with pytest.raises(ConfigError):
-        hmc.HmcConfig(iterations=-1).validate()
-    for init_std in (-1.0, float("nan")):
-        with pytest.raises(ConfigError, match="init_std"):
-            hmc.HmcConfig(init_std=init_std).validate()
-    for outside in ((4,), (-1,), (2, -4, 99)):
-        with pytest.raises(ConfigError, match="snapshots outside"):
-            hmc.HmcConfig(iterations=3, snapshots=outside).validate()
-    hmc.HmcConfig(iterations=3, snapshots=(0, 3)).validate()
-    hmc.HmcConfig().validate()
+    scales = "sigma, mass, and step_size must be positive and finite"
+    assert_refused_when_made(hmc.HmcConfig, [
+        ({"step_size": 0.0}, scales), ({"sigma": float("nan")}, scales),
+        ({"mass": float("inf")}, scales), ({"mass": -1.0}, scales),
+        ({"leapfrog_steps": 0}, "leapfrog_steps must be >= 1"),
+        ({"iterations": -1}, "iterations must be >= 0"),
+        ({"init_std": -1.0}, "init_std must be finite and >= 0"),
+        ({"init_std": float("nan")}, "init_std must be finite and >= 0"),
+        ({"iterations": 3, "snapshots": (4,)}, "snapshots outside [0, iterations = 3]: [4]"),
+        ({"iterations": 3, "snapshots": (-1,)}, "snapshots outside [0, iterations = 3]: [-1]"),
+        ({"iterations": 3, "snapshots": (2, -4, 99)},
+         "snapshots outside [0, iterations = 3]: [-4, 99]"),
+    ])
+    hmc.HmcConfig(iterations=3, snapshots=(0, 3))
+    hmc.HmcConfig(init_std=0.0)
 
 
 # ---------------------------------------------------------------------------

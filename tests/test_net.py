@@ -48,27 +48,8 @@ def test_bad_configs_rejected():
         net.build_network(net.NetworkConfig(
             (1, 6, 6),
             (net.LayerSpec("flatten"), net.LayerSpec("dense", width=5)), 4))
-    with pytest.raises(ShapeError, match="duplicate"):
-        net.build_network(net.NetworkConfig(
-            (1, 6, 6),
-            (net.LayerSpec("flatten", name="a"),
-             net.LayerSpec("dense", width=4, name="a")), 4))
-    for unknown in (net.LayerSpec("softmax"), net.LayerSpec("softmax", name="s")):
-        with pytest.raises(ShapeError, match="unknown layer kind 'softmax'"):
-            net.build_network(net.NetworkConfig((1, 6, 6), (unknown,), 4))
-
-
-def test_auto_names_count_only_unnamed_layers():
-    network = net.build_network(net.NetworkConfig((1, 7, 7), (
-        net.LayerSpec("conv", channels=2, kernel=3),
-        net.LayerSpec("conv", channels=2, kernel=3, name="mid"),
-        net.LayerSpec("conv", channels=2, kernel=3),
-        net.LayerSpec("flatten"),
-        net.LayerSpec("dense", width=2)), 2))
-    assert network.names == ["conv1", "mid", "conv2", "flatten1", "dense1"]
-    assert list(network.params) == [
-        "conv1.weight", "conv1.bias", "mid.weight", "mid.bias",
-        "conv2.weight", "conv2.bias", "dense1.weight", "dense1.bias"]
+    with pytest.raises(ShapeError, match="unknown layer kind 'softmax'"):
+        net.build_network(net.NetworkConfig((1, 6, 6), (net.LayerSpec("softmax"),), 4))
 
 
 # LeNet as literal specs; lenet_config parses all but the last layer
@@ -101,7 +82,7 @@ def test_each_kind_token_parses_to_exactly_its_named_fields():
         assert record.token
         (spec,) = net.parse_layers(_SAMPLE_TOKENS[kind])
         assert spec.kind == kind
-        set_fields = {f.name for f in fields(net.LayerSpec)[2:]
+        set_fields = {f.name for f in fields(net.LayerSpec)[1:]
                       if getattr(spec, f.name) != f.default}
         assert set_fields == set(re.compile(record.token).groupindex)
 

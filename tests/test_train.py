@@ -2,7 +2,9 @@
 cost parity between the two training modes."""
 
 import ctypes
+import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -15,7 +17,7 @@ from tiltnet import data, hmc, loss, net, tensor, train
 from tiltnet.errors import CheckpointError, ConfigError, DataError, NumericsError, ShapeError
 from tiltnet.net import LayerSpec, NetworkConfig, build_network
 
-from conftest import dataset_log_likelihoods, op_counts_since
+from conftest import assert_refused_when_made, dataset_log_likelihoods, op_counts_since
 
 
 def small_config(seed=0, classes=2):
@@ -93,15 +95,28 @@ def test_a_refused_sgd_step_changes_no_tensor_and_keeps_the_version(monkeypatch,
     # dense2.weight sorts last: every other tensor would be updated before its check
     monkeypatch.setattr(tensor, "_WORKER", worker)
     network = build_network(net.lenet_config(seed=0))
-    state = {k: np.full_like(v, 0.5) for k, v in network.params.items()}
-    grads = {k: np.ones_like(v) for k, v in network.params.items()}
-    grads["dense2.weight"][9, 499] = np.nan
-    before = {k: (v.tobytes(), state[k].tobytes()) for k, v in network.params.items()}
-    version = network.version
-    with pytest.raises(NumericsError, match="dense2.weight"):
-        train.sgd_step(network, grads, state, 0.1, 0.0005, 0.9)
-    assert {k: (v.tobytes(), state[k].tobytes()) for k, v in network.params.items()} == before
-    assert network.version == version
+    nan = np.ones((10, 500))
+    nan[9, 499] = np.nan
+    unfit = "dict does not match parameters: ['dense2.weight']"
+
+    def snapshot():
+        return [{k: v.tobytes() for k, v in d.items()} for d in (network.params, *dicts.values())]
+
+    for which, value, error, message in [
+            ("gradient", nan, NumericsError, "non-finite gradient for dense2.weight"),
+            ("gradient", np.ones((10, 499)), ShapeError, f"gradient {unfit}"),
+            ("velocity", np.ones((10, 499)), ShapeError, f"velocity {unfit}"),
+            ("velocity", None, ShapeError, f"velocity {unfit}")]:   # None: the key is missing
+        dicts = {"gradient": {k: np.ones_like(v) for k, v in network.params.items()},
+                 "velocity": {k: np.full_like(v, 0.5) for k, v in network.params.items()}}
+        dicts[which]["dense2.weight"] = value
+        if value is None:
+            del dicts[which]["dense2.weight"]
+        before, version = snapshot(), network.version
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            train.sgd_step(network, dicts["gradient"], dicts["velocity"], 0.1, 0.0005, 0.9)
+        assert snapshot() == before, message
+        assert network.version == version
 
 
 def test_sgd_step_accepts_a_finite_gradient_whose_sum_overflows():
@@ -142,13 +157,23 @@ def test_sgd_step_invalidates_caches():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError, match="mode"):
-        train.TrainConfig(mode="XX").validate()
-    with pytest.raises(ConfigError, match="momentum"):
-        train.TrainConfig(momentum=1.0).validate()
-    with pytest.raises(ConfigError, match="pretrain"):
-        train.TrainConfig(mode="GG+DG", epochs=5, pretrain_epochs=5).validate()
-    train.TrainConfig(mode="GG+DG", epochs=5, pretrain_epochs=0).validate()
+    rates = "learning rates must be positive and finite"
+    assert_refused_when_made(train.TrainConfig, [
+        ({"mode": "XX"}, "mode must be one of DG, GG, GG+DG, got 'XX'"),
+        ({"batch_size": 0}, "batch_size must be >= 1 and epochs >= 0"),
+        ({"epochs": -1}, "batch_size must be >= 1 and epochs >= 0"),
+        ({"lr": 0.0}, rates), ({"lr": float("nan")}, rates), ({"refine_lr": math.inf}, rates),
+        ({"momentum": 1.0}, "momentum must lie in [0, 1)"),
+        ({"momentum": -0.1}, "momentum must lie in [0, 1)"),
+        ({"weight_decay": -1.0}, "weight_decay must be finite and >= 0"),
+        ({"mode": "GG+DG", "epochs": 5, "pretrain_epochs": 5},
+         "pretrain_epochs must lie in [0, epochs), got 5 with epochs=5"),
+        ({"lr_step_every": -1}, "lr_step_every must be >= 0, got -1"),
+        ({"lr_step_factor": 0.5}, "lr_step_factor needs lr_step_every >= 1"),
+        ({"lr_step_every": 2, "lr_step_factor": 0.0}, "lr_step_factor must be positive and finite"),
+    ])
+    train.TrainConfig(mode="GG+DG", epochs=5, pretrain_epochs=0)
+    train.TrainConfig(mode="GG", epochs=5, pretrain_epochs=5)   # only GG+DG reads it
 
 
 def test_training_modes_cost_the_same_network_work():
@@ -420,6 +445,30 @@ def test_run_training_refuses_a_set_before_any_output(tmp_path, case):
                            train.TrainConfig(batch_size=8, epochs=1), eval_set=eval_set,
                            out_dir=tmp_path / "out", log=log)
     assert log.records == [] and sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["one-score-column", "velocity-missing", "velocity-shape"])
+def test_run_training_refuses_a_network_or_state_before_any_output(tmp_path, case):
+    train_set, _ = small_sets(n=32)
+    network = build_network(small_config())
+    state = zero_velocity(network)
+    message = "velocity dict does not match parameters: ['dense1.weight']"
+    if case == "one-score-column":   # a one-class set it can score
+        network = build_network(small_config(classes=1))
+        train_set = data.Dataset(train_set.images, np.zeros(len(train_set), np.int64), 1)
+        state = None
+        message = "training needs >= 2 score columns, the network has 1"
+    elif case == "velocity-missing":
+        del state["dense1.weight"]
+    else:
+        state["dense1.weight"] = state["dense1.weight"][:, :-1].copy()
+    before = {k: v.tobytes() for k, v in network.params.items()}
+    log = train.MetricsLog(tmp_path / "train.log")
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        train.run_training(network, train_set, train.TrainConfig(batch_size=8, epochs=1),
+                           out_dir=tmp_path / "out", log=log, state=state)
+    assert log.records == [] and sorted(tmp_path.iterdir()) == []
+    assert {k: v.tobytes() for k, v in network.params.items()} == before
 
 
 @pytest.mark.parametrize("case", UNSCORABLE)
