@@ -249,7 +249,6 @@ def network_suite(seed: int = 0) -> list:
             net_mod.LayerSpec("flatten"),
             net_mod.LayerSpec("dense", width=3),
         ),
-        num_classes=3,
         seed=seed,
     )
     network = net_mod.build_network(config)
@@ -293,8 +292,7 @@ def hmc_suite(seed: int = 0) -> list:
     # zero network: scores vanish, so U is exactly quadratic
     config = net_mod.NetworkConfig(
         input_shape=(1, 2, 2),
-        layers=(net_mod.LayerSpec("flatten"), net_mod.LayerSpec("dense", width=2)),
-        num_classes=2, seed=0)
+        layers=(net_mod.LayerSpec("flatten"), net_mod.LayerSpec("dense", width=2)), seed=0)
     quad = net_mod.build_network(config)
     for p in quad.params.values():
         p[...] = 0.0
@@ -325,7 +323,7 @@ def hmc_suite(seed: int = 0) -> list:
                                note="|dH(eps)| / |dH(eps/2)|, band 3.5..4.5"))
     # the sampler's path, each pass reusing the last one's cache, against fresh passes
     routed = net_mod.build_network(net_mod.NetworkConfig((1, 6, 6), net_mod.parse_layers(
-        "conv:3@3, pool:2/2, flatten, dense:8, relu, dense:2"), 2, seed))
+        "conv:3@3, pool:2/2, flatten, dense:8, relu, dense:2"), seed))
     (x, phi), cache, differ = rng.normal(0.0, 1.0, (2, 1, 6, 6)), None, 0
     for _ in range(20):
         _, grad, cache = hmc_mod._potential_and_grad(routed, 0, x, 1.0, cache)

@@ -109,7 +109,7 @@ def cmd_inspect(checkpoint) -> int:
     network = net_mod.load_checkpoint(checkpoint)
     cfg = network.config
     print(f"input_shape={'x'.join(str(d) for d in cfg.input_shape)}")
-    print(f"classes={cfg.num_classes}")
+    print(f"classes={network.num_outputs}")
     for name, spec_, shape in zip(network.names, network.layers, network.shapes):
         print(f"layer={name} kind={spec_.kind} out={'x'.join(str(d) for d in shape)}")
     for name in sorted(network.params):

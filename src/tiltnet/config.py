@@ -25,7 +25,7 @@ from .train import TrainConfig
 # sections whose keys are a config dataclass's fields; seed comes from [run]
 _TABLES = {"train": TrainConfig, "data": DataSpec, "hmc": HmcConfig}
 _KEYS = {
-    "network": {"layers", "input_shape", "classes"},
+    "network": {"layers", "input_shape"},
     "run": {"out_dir", "seed"},
     **{name: {f.name for f in fields(cls)} - {"seed"} for name, cls in _TABLES.items()},
 }
@@ -90,11 +90,10 @@ def _from_table(section: str, items: dict, seed: int):
 
 
 def _network_from(items: dict, seed: int):
-    classes = _get("network", items, "classes", int, 10)
     input_shape = _get("network", items, "input_shape", _parse_shape, (1, 28, 28))
     if "layers" not in items:
         raise ConfigError("[network]: needs layers")
-    return NetworkConfig(input_shape, parse_layers(items["layers"]), classes, seed)
+    return NetworkConfig(input_shape, parse_layers(items["layers"]), seed)
 
 
 def parse_config(path, seed=None) -> RunSpec:

@@ -25,16 +25,26 @@ IDX_LABELS_MAGIC = 0x00000801
 @dataclass
 class Dataset:
     images: np.ndarray   # [N, 1, H, W] float64 in [0, 1]
-    labels: np.ndarray   # [N] int64
-    num_classes: int
+    labels: np.ndarray   # [N] integers >= 0, int64 from both sources
 
     def __post_init__(self):
-        if self.images.ndim != 4 or self.images.shape[0] != self.labels.shape[0]:
-            raise DataError(f"images {self.images.shape} and labels "
-                            f"{self.labels.shape} do not pair up")
+        labels = self.labels   # what no loss can read is refused here, not at a step
+        if not (isinstance(labels, np.ndarray) and labels.ndim == 1 and labels.dtype.kind in "iu"):
+            kind = getattr(labels, "dtype", type(labels).__name__)
+            raise DataError(f"labels must be a 1-D integer array, got {kind} of shape "
+                            f"{np.shape(labels)}")
+        if labels.size and labels.min() < 0:
+            raise DataError(f"labels must be >= 0, got {labels.min()}")
+        if self.images.ndim != 4 or self.images.shape[0] != labels.shape[0]:
+            raise DataError(f"images {self.images.shape} and labels {labels.shape} do not pair up")
 
     def __len__(self) -> int:
         return int(self.images.shape[0])
+
+    @property
+    def num_classes(self) -> int:
+        """The classes the labels need: the largest label + 1, 0 for an empty set."""
+        return int(self.labels.max()) + 1 if len(self.labels) else 0
 
 
 def _read_maybe_gzip(path) -> bytes:
@@ -76,9 +86,7 @@ def read_idx(images_path, labels_path) -> Dataset:
                         f"header implies {lcount}")
     if lcount != count:
         raise DataError(f"image count {count} != label count {lcount}")
-    labels = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
-    num_classes = int(labels.max()) + 1 if count else 0
-    return Dataset(images, labels, num_classes)
+    return Dataset(images, np.frombuffer(payload, dtype=np.uint8).astype(np.int64))
 
 
 def synthetic_dataset(n: int, classes: int, image_size: int = 28, seed: int = 0,
@@ -113,7 +121,7 @@ def synthetic_dataset(n: int, classes: int, image_size: int = 28, seed: int = 0,
         r, c = corners[y]
         images[i, 0, r:r + rect, c:c + rect] += 1.0
     np.clip(images, 0.0, 1.0, out=images)
-    return Dataset(images, labels, classes)
+    return Dataset(images, labels)
 
 
 def epoch_permutation(n: int, seed: int, epoch: int) -> np.ndarray:

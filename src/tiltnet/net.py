@@ -46,8 +46,7 @@ class LayerSpec:
 @dataclass(frozen=True)
 class NetworkConfig:
     input_shape: tuple          # (C, H, W)
-    layers: tuple               # of LayerSpec
-    num_classes: int
+    layers: tuple               # of LayerSpec; a full stack's last width is its class count
     seed: int = 0
 
 
@@ -178,7 +177,7 @@ def lenet_config(num_classes: int = 10, input_shape=(1, 28, 28), seed: int = 0) 
     """The reference stack: the README's layer line, then dense(num_classes)."""
     layers = parse_layers("conv:20@5, pool:2/2, conv:50@5, pool:2/2, flatten, dense:500, relu")
     return NetworkConfig(tuple(input_shape), layers + (LayerSpec("dense", width=num_classes),),
-                         num_classes, seed)
+                         seed)
 
 
 @dataclass
@@ -201,10 +200,10 @@ class ActivationCache:
 class Network:
     """The config's layer stack with its resolved names and output shapes (no
     batch axis; ShapeError when the kinds do not chain, a layer sets a field
-    its kind does not take, or an untruncated stack does not end flat at
-    num_classes), the parameter shapes it implies (``param_shapes``, name to
-    shape in layer order, each weight before its bias), a parameter store,
-    and optionally a truncation head exposing one channel of the last layer."""
+    its kind does not take, or an untruncated stack does not end flat), the
+    parameter shapes it implies (``param_shapes``, name to shape in layer
+    order, each weight before its bias), a parameter store, and optionally a
+    truncation head exposing one channel of the last layer."""
 
     def __init__(self, config: NetworkConfig, params, head=None, version_cell=None):
         if len(config.input_shape) != 3 or any(d < 1 for d in config.input_shape):
@@ -233,9 +232,8 @@ class Network:
             self.shapes.append(shape)
         if not self.shapes:
             raise ShapeError("network needs at least one layer")
-        if head is None and self.shapes[-1] != (config.num_classes,):
-            raise ShapeError(f"final layer produces {self.shapes[-1]}, "
-                             f"expected flat width {config.num_classes}")
+        if head is None and len(self.shapes[-1]) != 1:
+            raise ShapeError(f"final layer produces {self.shapes[-1]}, expected a flat width")
         self.params = params
         self.head = head  # None for full nets, else selected channel (int)
         self._version = version_cell if version_cell is not None else [0]
@@ -250,9 +248,9 @@ class Network:
 
     @property
     def num_outputs(self) -> int:
-        """Score columns: 1 for a truncation, whose config keeps the parent's
-        num_classes, else num_classes."""
-        return 1 if self.head is not None else self.config.num_classes
+        """Score columns: 1 for a truncation, else the last layer's width,
+        which is the class count."""
+        return 1 if self.head is not None else self.shapes[-1][0]
 
     def param_count(self) -> int:
         """Parameters of this network's own layers, not its parent's whole store."""
@@ -500,8 +498,7 @@ def _config_from_meta(meta: dict) -> NetworkConfig:
         layers = tuple(LayerSpec(**{k: v for k, v in d.items()
                                     if k != "in_width" and (k, v) != ("name", "")})
                        for d in meta["layers"])
-        config = NetworkConfig(tuple(meta["input_shape"]), layers,
-                               meta["num_classes"], meta["seed"])
+        config = NetworkConfig(tuple(meta["input_shape"]), layers, meta["seed"])
     except (AttributeError, KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed checkpoint metadata: {exc}") from exc
     for i, spec in enumerate(layers):
@@ -510,7 +507,6 @@ def _config_from_meta(meta: dict) -> NetworkConfig:
                              str if f.type == "str" else int)
     for extent in config.input_shape:
         _check_meta_type("input_shape entry", extent, int)
-    _check_meta_type("num_classes", config.num_classes, int)
     _check_meta_type("seed", config.seed, int)
     if config.seed < 0:
         raise CheckpointError(f"malformed checkpoint metadata: seed is {config.seed}")
@@ -533,6 +529,10 @@ def load_checkpoint(path) -> Network:
         net = Network(_config_from_meta(meta), {})
     except ShapeError as exc:
         raise CheckpointError(f"checkpoint describes an invalid network: {exc}") from exc
+    stored = meta.get("num_classes", net.num_outputs)   # files before the count was derived
+    if type(stored) is not int or stored != net.num_outputs:
+        raise CheckpointError(f"malformed checkpoint metadata: num_classes is {stored!r}, "
+                              f"the layers output {net.num_outputs}")
     if set(tensors) != set(net.param_shapes):
         raise CheckpointError("checkpoint parameter names do not match its config")
     for name, arr in tensors.items():

@@ -68,19 +68,24 @@ class TrainConfig:
 
 
 def _check_fit(net: net_mod.Network, tensors: dict, what: str) -> None:
-    """Refuse a dict whose names or shapes are not those of net.params (ShapeError)."""
+    """Refuse a dict whose names or shapes are not those of net.params, or a
+    velocity dict whose arrays cannot be updated in place (ShapeError)."""
     want = {k: w.shape for k, w in net.params.items()}
     if (got := {k: np.shape(v) for k, v in tensors.items()}) != want:
         bad = sorted(k for k in want.keys() | got.keys() if got.get(k) != want.get(k))
         raise ShapeError(f"{what} dict does not match parameters: {bad}")
+    if what == "velocity" and (bad := sorted(k for k, v in tensors.items() if not (
+            isinstance(v, np.ndarray) and v.dtype == np.float64 and v.flags.writeable))):
+        raise ShapeError(f"velocity arrays are not writeable float64: {bad}")
 
 
 def sgd_step(net: net_mod.Network, grads: dict, state: dict,
              lr: float, weight_decay: float, momentum: float) -> None:
     """One momentum ascent step in place, or a refusal that changes nothing: of
-    grads or state unlike net.params in names or shapes (ShapeError), or of a
-    non-finite gradient (NumericsError). Split engaged, the worker updates each
-    tensor's second half of rows."""
+    grads or state unlike net.params in names or shapes or of state not
+    writeable float64 (ShapeError), or of a non-finite gradient
+    (NumericsError). Split engaged, the worker updates each tensor's second
+    half of rows."""
     _check_fit(net, grads, "gradient")
     _check_fit(net, state, "velocity")
     names = sorted(grads)

@@ -80,7 +80,6 @@ def tiny_config(seed=0, classes=3):
             LayerSpec("flatten"),
             LayerSpec("dense", width=classes),
         ),
-        num_classes=classes,
         seed=seed,
     )
 
@@ -100,7 +99,7 @@ def routed_net(seed=4):
     """LeNet's layer kinds in LeNet's order at 14x14, with parameters large
     enough that ReLU signs and pool winners move along a sampler chain."""
     config = NetworkConfig((1, 14, 14), parse_layers(
-        "conv:4@3, pool:2/2, conv:6@3, pool:2/2, flatten, dense:16, relu, dense:3"), 3, seed)
+        "conv:4@3, pool:2/2, conv:6@3, pool:2/2, flatten, dense:16, relu, dense:3"), seed)
     net = build_network(config)
     gen = np.random.default_rng(seed)
     for p in net.params.values():

@@ -36,8 +36,7 @@ def flat_dense_net(input_shape=(1, 2, 2), classes=2, tilt=None):
     density is then N(sigma^2 tilt, sigma^2 I) exactly; without a tilt every
     score is 0 and it is the reference Gaussian."""
     cfg = NetworkConfig(input_shape,
-                        (LayerSpec("flatten"), LayerSpec("dense", width=classes)),
-                        classes, seed=0)
+                        (LayerSpec("flatten"), LayerSpec("dense", width=classes)), seed=0)
     net = net_mod.build_network(cfg)
     for p in net.params.values():
         p[...] = 0.0

@@ -2,7 +2,6 @@
 
 import configparser
 import gzip
-import math
 import os
 import re
 import shutil
@@ -31,7 +30,6 @@ BASE_CONFIG = """\
 [network]
 layers = conv:2@3, pool:2/2, flatten, dense:2
 input_shape = 1x8x8
-classes = 2
 
 [train]
 mode = DG
@@ -109,7 +107,7 @@ def test_parse_config_round_trip(tmp_path):
     spec = parse_config(write_config(tmp_path))
     assert spec.seed == 3
     assert spec.network.input_shape == (1, 8, 8)
-    assert spec.network.num_classes == 2
+    assert net.build_network(spec.network).num_outputs == 2
     assert spec.train.batch_size == 16
     assert spec.data.n == 64
     assert spec.hmc.snapshots == (2,)
@@ -141,7 +139,8 @@ def test_parse_config_lenet_preset(tmp_path):
     ("[network]\narch = lenet\nlayers = dense:2\n", "unknown keys: arch"),
     ("[network]\narch = alexnet\n", "unknown keys: arch"),
     ("[network]\nlayers = dense:2\ninput_shape = 28x28\n", "input_shape"),
-    ("[network]\nclasses = 2\n", "needs layers"),
+    ("[network]\ninput_shape = 1x8x8\n", "needs layers"),
+    ("[network]\nclasses = 2\n", "unknown keys: classes"),
     ("[data]\nsource = idx\n", "unknown keys"),
     ("[data]\ntrain_images = a.idx\n", "train_images and train_labels together"),
     ("[data]\ntrain_images = a.idx\ntrain_labels = b.idx\ntest_labels = c.idx\n",
@@ -228,7 +227,7 @@ def test_readme_config_parses_and_lists_every_key(tmp_path):
     path = tmp_path / "readme.ini"
     path.write_text(block)
     spec = parse_config(path)
-    assert spec.data.train_images and spec.network.num_classes == 10
+    assert spec.data.train_images and net.build_network(spec.network).num_outputs == 10
     listed = configparser.ConfigParser(interpolation=None)
     listed.optionxform = str
     listed.read_string(block)
@@ -447,8 +446,20 @@ def test_idx_test_pair_the_network_cannot_score_exits_2_without_output(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("width", [2, 3])
+def test_the_last_layer_width_is_the_class_count(tmp_path, capsys, width):
+    # [network] states no count: a stack ending in dense:2 or dense:3 trains
+    # on [data]'s two generated classes, and the checkpoint reports its width
+    text = BASE_CONFIG.replace("dense:2", f"dense:{width}")
+    assert "classes" not in text.split("[train]")[0]
+    assert cli.main(["train", "--config", str(write_config(tmp_path, text=text))]) == 0
+    capsys.readouterr()
+    assert cli.main(["inspect", "--checkpoint", str(tmp_path / "out" / "final.ckpt")]) == 0
+    assert f"\nclasses={width}\n" in capsys.readouterr().out
+
+
 def test_network_with_one_score_column_exits_2_without_output(tmp_path, capsys):
-    text = BASE_CONFIG.replace("classes = 2\n", "classes = 1\n", 1).replace("dense:2", "dense:1")
+    text = BASE_CONFIG.replace("dense:2", "dense:1")
     text = text.replace("[data]\n", "[data]\ntrain_images = {}\ntrain_labels = {}\n"
                         .format(*write_idx(tmp_path / "train", 8, classes=1)))
     assert cli.main(["train", "--config", str(write_config(tmp_path, text=text))]) == 2
@@ -540,7 +551,7 @@ def test_checkpoint_whose_config_implies_an_impossible_weight_exits_3(tmp_path, 
     ckpt = tmp_path / "huge.ckpt"
     net.save_checkpoint(net.build_network(parse_config(config).network), ckpt)
     meta, tensors = net.read_tensor_file(ckpt)
-    meta["layers"][-1]["width"] = meta["num_classes"] = 10**18
+    meta["layers"][-1]["width"] = 10**18
     net.write_tensor_file(ckpt, meta, tensors)
     argv = {"inspect": [], "eval": ["--config", str(config)],
             "sample": ["--config", str(config), "--layer", "conv1", "--channel", "0"]}[command]
@@ -558,11 +569,10 @@ def _crafted_checkpoint(tmp_path, input_shape, dense):
     meta, tensors = net.read_tensor_file(ckpt)
     meta["input_shape"] = list(input_shape)
     if dense:
-        meta["layers"], meta["num_classes"] = meta["layers"][2:], 2
+        meta["layers"] = meta["layers"][2:]
         tensors = {k: v for k, v in tensors.items() if k.startswith("dense1.")}
     else:
-        meta["layers"], meta["num_classes"] = meta["layers"][2:3], math.prod(input_shape)
-        tensors = {}
+        meta["layers"], tensors = meta["layers"][2:3], {}
     net.write_tensor_file(ckpt, meta, tensors)
     return ckpt
 
@@ -633,13 +643,15 @@ def test_checkpoint_that_disagrees_with_its_config_exits_3(tmp_path, capsys, edi
 
 
 def test_checkpoint_with_retired_meta_keys_still_loads(tmp_path, capsys):
-    # the meta as written before LayerSpec.in_width, LayerSpec.name and
-    # NetworkConfig.init were retired: the same keys plus those three
+    # the meta as written before LayerSpec.in_width, LayerSpec.name,
+    # NetworkConfig.init and NetworkConfig.num_classes were retired: the same
+    # keys plus those four, the stored count agreeing with the layers
     new, old, resaved = tmp_path / "new.ckpt", tmp_path / "old.ckpt", tmp_path / "re.ckpt"
     network = net.build_network(parse_config(write_config(tmp_path)).network)
     net.save_checkpoint(network, new)
     meta, tensors = net.read_tensor_file(new)
-    meta["init"] = "gaussian"
+    assert "num_classes" not in meta
+    meta["init"], meta["num_classes"] = "gaussian", 2
     for layer in meta["layers"]:
         assert "name" not in layer
         layer["in_width"] = 0
@@ -655,6 +667,12 @@ def test_checkpoint_with_retired_meta_keys_still_loads(tmp_path, capsys):
     want = capsys.readouterr().out
     assert cli.main(["inspect", "--checkpoint", str(old)]) == 0
     assert capsys.readouterr().out == want
+    # a stored count other than the layers' width is refused
+    for count in (3, True):
+        net.write_tensor_file(old, {**meta, "num_classes": count}, tensors)
+        assert cli.main(["inspect", "--checkpoint", str(old)]) == 3
+        assert capsys.readouterr().err == (f"error: malformed checkpoint metadata: num_classes "
+                                           f"is {count}, the layers output 2\n")
     # any other unknown layer key is still refused
     meta["layers"][0]["dilation"] = 1
     net.write_tensor_file(old, meta, tensors)
@@ -863,7 +881,6 @@ _INI = {
                    "pool:3, flatten, dense:2", "conv:2@9, flatten, dense:2", "conv:1@1p2, dense:2",
                    "dense:0", "softmax", ""],
         "input_shape": ["1x8x8", "3x8x8", "1x6x6", "1x28x28", "8x8", "0x8x8", "1x-8x8"],
-        "classes": ["2", "3", "1", "0", "-1", "two"],
     },
     "train": {
         "mode": ["DG", "GG", "GG+DG", "EM"], "batch_size": ["8", "1", "0"],
@@ -895,7 +912,7 @@ for _section, _key in FLOAT_KEYS:   # every float key also meets these
 # data sources and a spoiled path meets the other three about half the time.
 # The network and data shapes and out_dir are written too, so a clean text is
 # a config that every command runs to exit 0.
-_ALWAYS_KEYS = {"network": ("layers", "input_shape", "classes"), "train": ("epochs",),
+_ALWAYS_KEYS = {"network": ("layers", "input_shape"), "train": ("epochs",),
               "data": ("n", "eval_n", "classes", "image_size"),
               "hmc": ("iterations", "leapfrog_steps"), "run": ("out_dir",)}
 _PATHS = ("train_images", "train_labels", "test_images", "test_labels")

@@ -2,6 +2,7 @@
 DataSpec's refusals, and the batch partition property."""
 
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -181,7 +182,21 @@ def test_data_spec_validation():
 
 def test_dataset_pairing_validated():
     with pytest.raises(DataError, match="pair"):
-        data.Dataset(np.zeros((3, 1, 4, 4)), np.zeros(2, dtype=np.int64), 2)
+        data.Dataset(np.zeros((3, 1, 4, 4)), np.zeros(2, dtype=np.int64))
+
+
+@pytest.mark.parametrize("labels,message", [
+    (np.array([-1, 0, 1, 0]), "labels must be >= 0, got -1"),
+    (np.array([0.0, 1.0, 0.0, 1.0]),
+     "labels must be a 1-D integer array, got float64 of shape (4,)"),
+    (np.zeros((4, 1), np.int64), "labels must be a 1-D integer array, got int64 of shape (4, 1)"),
+    ([0, 1, 0, 1], "labels must be a 1-D integer array, got list of shape (4,)"),
+], ids=["negative", "float", "2-d", "list"])
+def test_dataset_refuses_labels_no_loss_can_read(labels, message):
+    # made, a set can neither start a training run that fails at its first
+    # step nor give evaluate an error rate
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        data.Dataset(np.zeros((4, 1, 4, 4)), labels)
 
 
 @settings(deadline=None, max_examples=40)

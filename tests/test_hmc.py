@@ -222,7 +222,7 @@ def test_prefix_without_valid_input_size_names_the_cause():
     network = net_mod.build_network(net_mod.NetworkConfig((1, 6, 6), (
         net_mod.LayerSpec("conv", channels=2, kernel=1, pad=1),
         net_mod.LayerSpec("flatten"),
-        net_mod.LayerSpec("dense", width=2)), 2))
+        net_mod.LayerSpec("dense", width=2))))
     with pytest.raises(ShapeError, match="padding swallows the window"):
         hmc.sample_node(network, "conv1", 0, small_chain_config(iterations=1))
 

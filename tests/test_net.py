@@ -2,8 +2,10 @@
 shape, and checkpoint round-trips."""
 
 import re
+import tempfile
 import weakref
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,14 +44,13 @@ def test_shape_propagation_reference_stack():
 
 def test_bad_configs_rejected():
     with pytest.raises(ShapeError, match="flat"):
-        net.build_network(net.NetworkConfig(
-            (1, 6, 6), (net.LayerSpec("dense", width=4),), 4))
-    with pytest.raises(ShapeError, match="final layer"):
-        net.build_network(net.NetworkConfig(
-            (1, 6, 6),
-            (net.LayerSpec("flatten"), net.LayerSpec("dense", width=5)), 4))
+        net.build_network(net.NetworkConfig((1, 6, 6), (net.LayerSpec("dense", width=4),)))
+    with pytest.raises(ShapeError, match=re.escape(
+            "final layer produces (2, 4, 4), expected a flat width")):
+        net.build_network(net.NetworkConfig((1, 6, 6), (net.LayerSpec("conv", channels=2,
+                                                                         kernel=3),)))
     with pytest.raises(ShapeError, match="unknown layer kind 'softmax'"):
-        net.build_network(net.NetworkConfig((1, 6, 6), (net.LayerSpec("softmax"),), 4))
+        net.build_network(net.NetworkConfig((1, 6, 6), (net.LayerSpec("softmax"),)))
 
 
 # LeNet as literal specs; lenet_config parses all but the last layer
@@ -68,7 +69,7 @@ LENET_FEATURES = (
 def test_lenet_config_is_the_literal_stack(classes):
     config = net.lenet_config(classes, (3, 32, 32), seed=4)
     assert config == net.NetworkConfig(
-        (3, 32, 32), LENET_FEATURES + (net.LayerSpec("dense", width=classes),), classes, 4)
+        (3, 32, 32), LENET_FEATURES + (net.LayerSpec("dense", width=classes),), 4)
 
 
 # one token per kind, every optional group given a non-default value
@@ -96,7 +97,7 @@ def test_a_field_its_kind_does_not_take_is_refused(spec, field):
     # on its own the pool would silently drop the pad: 6x6 -> 4x4
     layers = (net.LayerSpec("flatten"), spec) if spec.kind == "dense" else (spec,)
     with pytest.raises(ShapeError, match=rf"layer '\w+1': a {spec.kind} layer takes no {field}"):
-        net.build_network(net.NetworkConfig((1, 6, 6), layers, 4))
+        net.build_network(net.NetworkConfig((1, 6, 6), layers))
 
 
 @pytest.mark.parametrize("layers,message", [
@@ -113,7 +114,7 @@ def test_a_field_its_kind_does_not_take_is_refused(spec, field):
 ])
 def test_shape_errors_name_their_layer(tmp_path, layers, message):
     # on a 1x8x8 input; a checkpoint of the same stack is refused with it too
-    config = net.NetworkConfig((1, 8, 8), net.parse_layers(layers), 2)
+    config = net.NetworkConfig((1, 8, 8), net.parse_layers(layers))
     with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
         net.build_network(config)
     ckpt = tmp_path / "stack.ckpt"
@@ -200,7 +201,7 @@ def test_every_kind_stack_gradients_match_fd(rng):
         net.LayerSpec("flatten"),
         net.LayerSpec("dense", width=5),
         net.LayerSpec("relu"),
-        net.LayerSpec("dense", width=3)), 3, seed=1))
+        net.LayerSpec("dense", width=3)), seed=1))
     assert [s.kind for s in network.layers] == ["conv", "maxpool", "flatten",
                                                  "dense", "relu", "dense"]
     for p in network.params.values():
@@ -338,7 +339,8 @@ def test_a_reused_result_is_never_an_array_the_caller_holds(rng):
 def _random_stacks(draw):
     """Layers from the grammar on 1-2 channels of 6-12 pixels: strided and
     padded convs, some with a relu after, and pools that overlap when their
-    stride is below their kernel; then flatten and one or two dense."""
+    stride is below their kernel; then flatten and one or two dense, the last
+    1-4 wide."""
     shape = (draw(st.integers(1, 2)),) + (draw(st.integers(6, 12)),) * 2
     tokens, e = [], shape[1]
     for _ in range(draw(st.integers(1, 3))):
@@ -357,7 +359,8 @@ def _random_stacks(draw):
     tokens.append("flatten")
     if draw(st.booleans()):
         tokens += [f"dense:{draw(st.integers(2, 6))}", "relu"]
-    return shape, ", ".join(tokens + ["dense:3"]), draw(st.integers(0, 2**32 - 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return shape, ", ".join(tokens + [f"dense:{draw(st.integers(1, 4))}"]), seed
 
 
 @settings(max_examples=25)
@@ -370,7 +373,7 @@ def test_reuse_gives_the_bytes_of_a_fresh_pass_on_random_stacks(case):
     # each truncation is linear, so a shared adjoint error cannot pass
     shape, layers, seed = case
     directions = np.random.default_rng([seed, 1])
-    network = net.build_network(net.NetworkConfig(shape, net.parse_layers(layers), 3, seed))
+    network = net.build_network(net.NetworkConfig(shape, net.parse_layers(layers), seed))
     rng = np.random.default_rng(seed)
     for p in network.params.values():
         p += rng.normal(0.0, 0.3, p.shape)
@@ -402,6 +405,24 @@ def test_reuse_gives_the_bytes_of_a_fresh_pass_on_random_stacks(case):
         f = [np.sum(up * net.forward_batch(sub, x + t * d, keep=False)[0]) for t in (h, -h)]
         fd = (f[0] - f[1]) / (2 * h)
         assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact)), (layers, sub.names[-1], h)
+
+
+@settings(max_examples=25)
+@given(_random_stacks())
+def test_random_stacks_output_their_last_width_and_save_without_a_count(case):
+    # the class count is the last layer's width, stated nowhere else: not in
+    # the config, not in a checkpoint's meta, and a load derives it again
+    shape, layers, seed = case
+    network = net.build_network(net.NetworkConfig(shape, net.parse_layers(layers), seed))
+    assert network.num_outputs == network.shapes[-1][0] == int(layers.rsplit(":", 1)[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        first, again = Path(tmp, "first.ckpt"), Path(tmp, "again.ckpt")
+        net.save_checkpoint(network, first)
+        loaded = net.load_checkpoint(first)
+        net.save_checkpoint(loaded, again)
+        assert again.read_bytes() == first.read_bytes()
+        assert "num_classes" not in net.read_tensor_file(first)[0]
+    assert loaded.config == network.config and loaded.num_outputs == network.num_outputs
 
 
 def _routing(network, x):
@@ -584,7 +605,7 @@ def test_spatial_truncation_shapes_describe_its_own_input():
     sub = net.truncate_at(network, "conv2", 7)
     assert sub.names == ["conv1", "pool1", "conv2"]
     assert sub.shapes == [(20, 10, 10), (20, 5, 5), (50, 1, 1)]
-    assert sub.config.num_classes == 10 and sub.num_outputs == 1
+    assert network.num_outputs == 10 and sub.num_outputs == 1
     assert isinstance(sub.config.layers, tuple)
 
 
@@ -603,7 +624,7 @@ def test_required_input_shape_strided_padded_conv(rng):
         net.LayerSpec("conv", channels=2, kernel=3),
         net.LayerSpec("conv", channels=2, kernel=1, pad=1),
         net.LayerSpec("flatten"),
-        net.LayerSpec("dense", width=2)), 2))
+        net.LayerSpec("dense", width=2))))
     # conv2 needs 3x3; conv1 (k3, s2, p1) maps 5x5 onto 3x3
     assert input_shape(network, "conv1") == (3, 1, 1)
     assert input_shape(network, "conv2") == (3, 5, 5)

@@ -74,7 +74,7 @@ def test_worker_on_and_off_are_byte_equal_at_lenet_shapes(monkeypatch, rng, n):
     net.lenet_config(seed=5),
     # odd row counts, and a one-row bias whose second half is empty
     net.NetworkConfig((1, 8, 8), net.parse_layers("conv:1@3, pool:2, flatten, dense:7, "
-                                                  "relu, dense:3"), 3, seed=5)],
+                                                  "relu, dense:3"), seed=5)],
     ids=["lenet", "odd-rows"])
 def test_sgd_step_with_the_worker_on_and_off_is_byte_equal(monkeypatch, rng, config):
     # five steps, so the momentum term is live

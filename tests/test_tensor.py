@@ -69,8 +69,7 @@ def test_conv_rejects_oversized_kernel():
 
 
 def _tiny_network():
-    return net.build_network(net.NetworkConfig((1, 4, 4), net.parse_layers("flatten, dense:2"),
-                                               2, 0))
+    return net.build_network(net.NetworkConfig((1, 4, 4), net.parse_layers("flatten, dense:2")))
 
 
 @pytest.mark.parametrize("call,error,fragment", [

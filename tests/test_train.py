@@ -29,7 +29,6 @@ def small_config(seed=0, classes=2):
             LayerSpec("flatten"),
             LayerSpec("dense", width=classes),
         ),
-        num_classes=classes,
         seed=seed,
     )
 
@@ -102,11 +101,16 @@ def test_a_refused_sgd_step_changes_no_tensor_and_keeps_the_version(monkeypatch,
     def snapshot():
         return [{k: v.tobytes() for k, v in d.items()} for d in (network.params, *dicts.values())]
 
+    frozen = np.full((10, 500), 0.5)
+    frozen.flags.writeable = False
+    unwritable = "velocity arrays are not writeable float64: ['dense2.weight']"
     for which, value, error, message in [
             ("gradient", nan, NumericsError, "non-finite gradient for dense2.weight"),
             ("gradient", np.ones((10, 499)), ShapeError, f"gradient {unfit}"),
             ("velocity", np.ones((10, 499)), ShapeError, f"velocity {unfit}"),
-            ("velocity", None, ShapeError, f"velocity {unfit}")]:   # None: the key is missing
+            ("velocity", None, ShapeError, f"velocity {unfit}"),   # None: the key is missing
+            ("velocity", np.ones((10, 500), np.int64), ShapeError, unwritable),
+            ("velocity", frozen, ShapeError, unwritable)]:
         dicts = {"gradient": {k: np.ones_like(v) for k, v in network.params.items()},
                  "velocity": {k: np.full_like(v, 0.5) for k, v in network.params.items()}}
         dicts[which]["dense2.weight"] = value
@@ -426,14 +430,16 @@ def unscorable_sets(case):
     return {
         "train-4-classes": (data.synthetic_dataset(32, 4, 8, seed=0), eval_set, ShapeError,
                             "the training set has 4 classes, the network outputs 2"),
-        "eval-empty": (train_set, data.Dataset(eval_set.images[:0], eval_set.labels[:0], 2),
+        "eval-labels-0-3": (train_set, data.Dataset(eval_set.images, np.arange(16) % 4),
+                            ShapeError, "the evaluation set has 4 classes, the network outputs 2"),
+        "eval-empty": (train_set, data.Dataset(eval_set.images[:0], eval_set.labels[:0]),
                        DataError, "the evaluation set is empty"),
         "eval-12x12": (train_set, data.synthetic_dataset(16, 2, 12, seed=1), ShapeError,
                        "evaluation images are 1x12x12, the network's input_shape is 1x8x8"),
     }[case]
 
 
-UNSCORABLE = ["train-4-classes", "eval-empty", "eval-12x12"]
+UNSCORABLE = ["train-4-classes", "eval-labels-0-3", "eval-empty", "eval-12x12"]
 
 
 @pytest.mark.parametrize("case", UNSCORABLE)
@@ -447,15 +453,19 @@ def test_run_training_refuses_a_set_before_any_output(tmp_path, case):
     assert log.records == [] and sorted(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("case", ["one-score-column", "velocity-missing", "velocity-shape"])
+@pytest.mark.parametrize("case", ["one-score-column", "velocity-missing", "velocity-shape",
+                                  "velocity-int64"])
 def test_run_training_refuses_a_network_or_state_before_any_output(tmp_path, case):
     train_set, _ = small_sets(n=32)
     network = build_network(small_config())
     state = zero_velocity(network)
     message = "velocity dict does not match parameters: ['dense1.weight']"
-    if case == "one-score-column":   # a one-class set it can score
+    if case == "velocity-int64":
+        state["dense1.weight"] = state["dense1.weight"].astype(np.int64)
+        message = "velocity arrays are not writeable float64: ['dense1.weight']"
+    elif case == "one-score-column":   # a one-class set it can score
         network = build_network(small_config(classes=1))
-        train_set = data.Dataset(train_set.images, np.zeros(len(train_set), np.int64), 1)
+        train_set = data.Dataset(train_set.images, np.zeros(len(train_set), np.int64))
         state = None
         message = "training needs >= 2 score columns, the network has 1"
     elif case == "velocity-missing":
@@ -541,7 +551,8 @@ def test_evaluate_breaks_ties_toward_lower_index():
 def test_evaluate_rejects_empty():
     network = build_network(small_config())
     ds = data.synthetic_dataset(4, 2, 8, seed=0)
-    empty = data.Dataset(ds.images[:0], ds.labels[:0], 2)
+    empty = data.Dataset(ds.images[:0], ds.labels[:0])
+    assert empty.num_classes == 0
     with pytest.raises(ValueError, match="empty"):
         train.evaluate(network, empty)
 
@@ -552,14 +563,19 @@ def test_evaluate_refuses_with_data_error(size, batch_size, fragment):
     network = build_network(small_config())
     ds = data.synthetic_dataset(4, 2, 8, seed=0)
     with pytest.raises(DataError, match=fragment):
-        train.evaluate(network, data.Dataset(ds.images[:size], ds.labels[:size], 2),
+        train.evaluate(network, data.Dataset(ds.images[:size], ds.labels[:size]),
                        batch_size)
 
 
 def test_evaluate_refuses_more_classes_than_the_network_outputs():
-    with pytest.raises(ShapeError, match="the evaluation set has 4 classes, the network "
-                                         "outputs 2"):
-        train.evaluate(build_network(small_config()), data.synthetic_dataset(16, 4, 8))
+    # a set made from labels 0-3 counts the 4 classes they need: no count is
+    # stated beside them, so none can understate them
+    four = data.synthetic_dataset(16, 4, 8)
+    for ds in (four, data.Dataset(four.images, np.arange(16) % 4)):
+        assert ds.num_classes == 4
+        with pytest.raises(ShapeError, match="the evaluation set has 4 classes, the network "
+                                             "outputs 2"):
+            train.evaluate(build_network(small_config()), ds)
 
 
 def test_evaluate_error_matches_cached_forward():
