@@ -34,12 +34,13 @@ def _require(condition: bool, message: str) -> None:
 
 
 def cmd_train(spec: RunSpec) -> int:
-    _require(spec.network is not None, "train needs a [network] section")
+    _require(spec.layers is not None, "train needs a [network] section")
     _require(spec.data is not None, "train needs a [data] section")
     _require(bool(spec.out_dir), "train needs [run] out_dir")
     train_set = spec.data.train_set(spec.seed)
     eval_set = spec.data.eval_set(spec.seed)
-    network = net_mod.build_network(spec.network)
+    network = net_mod.build_network(
+        net_mod.NetworkConfig(train_set.images.shape[1:], spec.layers, spec.seed))
     out = Path(spec.out_dir)   # run_training refuses a set before it makes out
     train_mod.run_training(network, train_set, spec.train, eval_set=eval_set, out_dir=out,
                            log=train_mod.MetricsLog(out / "train.log", echo=True))

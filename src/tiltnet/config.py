@@ -3,10 +3,12 @@
 The keys of [train], [data] and [hmc] are the fields of TrainConfig,
 DataSpec and HmcConfig (all but seed): each value is converted by its
 field's type, an absent key takes the field's default, and the dataclass
-refuses a bad result when it is made. Unknown sections or keys are rejected
-outright; values carry their section and key in every complaint. One master
-seed under [run] feeds network initialization, shuffling, and the sampler
-chain; parse_config's seed argument (the CLI --seed flag) overrides it.
+refuses a bad result when it is made. [network] takes only the layer line:
+a network's input shape is its training images' shape. Unknown sections or
+keys are rejected outright; values carry their section and key in every
+complaint. One master seed under [run] feeds network initialization,
+shuffling, and the sampler chain; parse_config's seed argument (the CLI
+--seed flag) overrides it.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ from typing import get_type_hints
 from .data import DataSpec
 from .errors import ConfigError
 from .hmc import HmcConfig
-from .net import NetworkConfig, parse_layers
+from .net import parse_layers
 from .train import TrainConfig
 
 
 # sections whose keys are a config dataclass's fields; seed comes from [run]
 _TABLES = {"train": TrainConfig, "data": DataSpec, "hmc": HmcConfig}
 _KEYS = {
-    "network": {"layers", "input_shape"},
+    "network": {"layers"},
     "run": {"out_dir", "seed"},
     **{name: {f.name for f in fields(cls)} - {"seed"} for name, cls in _TABLES.items()},
 }
@@ -33,7 +35,7 @@ _KEYS = {
 
 @dataclass(frozen=True)
 class RunSpec:
-    network: object    # NetworkConfig or None when [network] absent
+    layers: object     # tuple of LayerSpec, or None when [network] absent
     train: TrainConfig
     data: object       # DataSpec or None when [data] absent
     hmc: HmcConfig
@@ -60,13 +62,6 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_shape(raw: str) -> tuple:
-    parts = raw.lower().split("x")
-    if len(parts) != 3:
-        raise ValueError("expected CxHxW, e.g. 1x28x28")
-    return tuple(int(p) for p in parts)
-
-
 def _parse_ints(raw: str) -> tuple:
     return tuple(int(p) for p in raw.split(",") if p.strip())
 
@@ -87,13 +82,6 @@ def _from_table(section: str, items: dict, seed: int):
         return cls(**values)
     except ConfigError as exc:
         raise ConfigError(f"[{section}]: {exc}") from exc
-
-
-def _network_from(items: dict, seed: int):
-    input_shape = _get("network", items, "input_shape", _parse_shape, (1, 28, 28))
-    if "layers" not in items:
-        raise ConfigError("[network]: needs layers")
-    return NetworkConfig(input_shape, parse_layers(items["layers"]), seed)
 
 
 def parse_config(path, seed=None) -> RunSpec:
@@ -123,10 +111,12 @@ def parse_config(path, seed=None) -> RunSpec:
     seed = file_seed if seed is None else seed
     out_dir = run.get("out_dir", "")
 
-    network = None
+    layers = None
     if "network" in sections:
-        network = _network_from(sections["network"], seed)
+        if "layers" not in sections["network"]:
+            raise ConfigError("[network]: needs layers")
+        layers = parse_layers(sections["network"]["layers"])
     train = _from_table("train", sections.get("train", {}), seed)
     data = _from_table("data", sections["data"], seed) if "data" in sections else None
     hmc = _from_table("hmc", sections.get("hmc", {}), seed)
-    return RunSpec(network, train, data, hmc, out_dir, seed)
+    return RunSpec(layers, train, data, hmc, out_dir, seed)

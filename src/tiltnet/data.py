@@ -35,7 +35,10 @@ class Dataset:
                             f"{np.shape(labels)}")
         if labels.size and labels.min() < 0:
             raise DataError(f"labels must be >= 0, got {labels.min()}")
-        if self.images.ndim != 4 or self.images.shape[0] != labels.shape[0]:
+        if not (isinstance(self.images, np.ndarray) and self.images.ndim == 4):
+            got = getattr(self.images, "shape", type(self.images).__name__)
+            raise DataError(f"images must be a 4-D array [N, C, H, W], got {got}")
+        if self.images.shape[0] != labels.shape[0]:
             raise DataError(f"images {self.images.shape} and labels {labels.shape} do not pair up")
 
     def __len__(self) -> int:

@@ -39,8 +39,7 @@ class HmcConfig:
     snapshots: tuple = ()      # iteration indices to record; () = default set
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.sigma, self.mass, self.step_size)):
-            raise ConfigError("sigma, mass, and step_size must be positive and finite")
+        _check_scales("sigma, mass, and step_size", self.sigma, self.mass, self.step_size)
         if self.leapfrog_steps < 1:
             raise ConfigError("leapfrog_steps must be >= 1")
         if self.iterations < 0:
@@ -50,6 +49,12 @@ class HmcConfig:
         outside = [i for i in self.snapshots if not 0 <= i <= self.iterations]
         if outside:
             raise ConfigError(f"snapshots outside [0, iterations = {self.iterations}]: {outside}")
+
+
+def _check_scales(names: str, *values: float) -> None:
+    """The rule HmcConfig and _energy share for scales (ConfigError)."""
+    if not all(0 < v < math.inf for v in values):
+        raise ConfigError(f"{names} must be positive and finite")
 
 
 @dataclass
@@ -74,7 +79,9 @@ class SampleRecord:
 
 
 def _energy(scores, node: int, x: np.ndarray, sigma: float) -> float:
-    """U for the first image of a forward pass, refusing a node outside it."""
+    """U for the first image of a forward pass, refusing a node outside it
+    and a sigma HmcConfig refuses."""
+    _check_scales("sigma", sigma)
     if not 0 <= node < scores.shape[1]:
         raise ShapeError(f"node {node} out of range for {scores.shape[1]} outputs")
     return float(-scores[0, node] + np.square(x).sum() / (2.0 * sigma * sigma))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericsError, ShapeError
+from .errors import DataError, NumericsError, ShapeError
 
 
 def _validate(scores, labels):
@@ -30,7 +30,7 @@ def _validate(scores, labels):
     if not np.issubdtype(y.dtype, np.integer):
         raise ShapeError("labels must be integers")
     if y.size and (y.min() < 0 or y.max() >= c):
-        raise ValueError(f"labels must lie in [0, {c}), got range [{y.min()}, {y.max()}]")
+        raise DataError(f"labels must lie in [0, {c}), got range [{y.min()}, {y.max()}]")
     return f, y.astype(np.int64)
 
 
@@ -73,7 +73,7 @@ def gen_loss_and_grad(scores, labels):
     f, y = _validate(scores, labels)
     n, c = f.shape
     if n < 2:
-        raise ValueError("generative loss needs a batch of n >= 2 examples")
+        raise ShapeError("generative loss needs a batch of n >= 2 examples")
     log_batch_softmax, weights = _softmax(f, 0)
     ll = float((log_batch_softmax[np.arange(n), y] + np.log(n)).sum())
     counts = np.bincount(y, minlength=c).astype(np.float64)

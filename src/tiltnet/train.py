@@ -50,12 +50,7 @@ class TrainConfig:
             raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if not (0 < self.lr < math.inf and 0 < self.refine_lr < math.inf):
-            raise ConfigError("learning rates must be positive and finite")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ConfigError("weight_decay must be finite and >= 0")
+        _check_rates(self.weight_decay, self.momentum, self.lr, self.refine_lr)
         if self.mode == "GG+DG" and not 0 <= self.pretrain_epochs < max(self.epochs, 1):
             raise ConfigError(f"pretrain_epochs must lie in [0, epochs), got "
                               f"{self.pretrain_epochs} with epochs={self.epochs}")
@@ -65,6 +60,16 @@ class TrainConfig:
             raise ConfigError("lr_step_factor needs lr_step_every >= 1")
         if not 0 < self.lr_step_factor < math.inf:
             raise ConfigError("lr_step_factor must be positive and finite")
+
+
+def _check_rates(weight_decay: float, momentum: float, *lrs: float) -> None:
+    """The rule TrainConfig and sgd_step share for their rates (ConfigError)."""
+    if not all(0 < lr < math.inf for lr in lrs):
+        raise ConfigError("learning rates must be positive and finite")
+    if not 0.0 <= momentum < 1.0:
+        raise ConfigError("momentum must lie in [0, 1)")
+    if not 0 <= weight_decay < math.inf:
+        raise ConfigError("weight_decay must be finite and >= 0")
 
 
 def _check_fit(net: net_mod.Network, tensors: dict, what: str) -> None:
@@ -82,10 +87,11 @@ def _check_fit(net: net_mod.Network, tensors: dict, what: str) -> None:
 def sgd_step(net: net_mod.Network, grads: dict, state: dict,
              lr: float, weight_decay: float, momentum: float) -> None:
     """One momentum ascent step in place, or a refusal that changes nothing: of
-    grads or state unlike net.params in names or shapes or of state not
-    writeable float64 (ShapeError), or of a non-finite gradient
-    (NumericsError). Split engaged, the worker updates each tensor's second
-    half of rows."""
+    rates TrainConfig refuses (ConfigError), of grads or state unlike
+    net.params in names or shapes or of state not writeable float64
+    (ShapeError), or of a non-finite gradient (NumericsError). Split engaged,
+    the worker updates each tensor's second half of rows."""
+    _check_rates(weight_decay, momentum, lr)
     _check_fit(net, grads, "gradient")
     _check_fit(net, state, "velocity")
     names = sorted(grads)
@@ -166,9 +172,14 @@ class MetricsLog:
 
 
 def _check_set(net: net_mod.Network, dataset: Dataset, what: str) -> None:
-    """Refuse a set the network cannot score: DataError when it is empty,
+    """Refuse a set the network cannot score: DataError when it is empty or
+    its arrays, changed since it was made, would no longer make a Dataset;
     ShapeError when it has more classes than the network outputs or its
     images are not the network's input_shape."""
+    try:
+        Dataset(dataset.images, dataset.labels)
+    except DataError as exc:
+        raise DataError(f"the {what} set: {exc}") from exc
     if len(dataset) < 1:
         raise DataError(f"the {what} set is empty")
     if dataset.num_classes > net.num_outputs:

@@ -29,7 +29,6 @@ from conftest import read_image
 BASE_CONFIG = """\
 [network]
 layers = conv:2@3, pool:2/2, flatten, dense:2
-input_shape = 1x8x8
 
 [train]
 mode = DG
@@ -63,6 +62,12 @@ def write_config(tmp_path, text=None, name="run.ini", out="out"):
     path = tmp_path / name
     path.write_text((text or BASE_CONFIG).format(out=tmp_path / out))
     return path
+
+
+def network_of(config, channels=1):
+    """The network of config's layers and seed on channels x 8 x 8 images."""
+    spec = parse_config(config)
+    return net.build_network(net.NetworkConfig((channels, 8, 8), spec.layers, spec.seed))
 
 
 # the config dataclass behind each section whose keys are its fields
@@ -106,8 +111,8 @@ def test_parse_layers_rejects_junk():
 def test_parse_config_round_trip(tmp_path):
     spec = parse_config(write_config(tmp_path))
     assert spec.seed == 3
-    assert spec.network.input_shape == (1, 8, 8)
-    assert net.build_network(spec.network).num_outputs == 2
+    assert spec.layers == parse_layers("conv:2@3, pool:2/2, flatten, dense:2")
+    assert net.build_network(net.NetworkConfig((1, 8, 8), spec.layers, spec.seed)).num_outputs == 2
     assert spec.train.batch_size == 16
     assert spec.data.n == 64
     assert spec.hmc.snapshots == (2,)
@@ -119,7 +124,7 @@ def test_parse_config_empty_file_gives_defaults(tmp_path):
     path = tmp_path / "empty.ini"
     path.write_text("")
     spec = parse_config(path)
-    assert spec.network is None and spec.data is None
+    assert spec.layers is None and spec.data is None
     assert spec.train.mode == "DG" and spec.train.epochs == 25
     assert spec.hmc.iterations == 300
     assert spec.seed == 0
@@ -130,7 +135,7 @@ def test_parse_config_lenet_preset(tmp_path):
     path = tmp_path / "lenet.ini"
     path.write_text("[network]\nlayers = conv:20@5, pool:2/2, conv:50@5, pool:2/2, flatten, "
                     "dense:500, relu, dense:10\n")
-    assert parse_config(path).network == net.lenet_config(10, (1, 28, 28), seed=0)
+    assert parse_config(path).layers == net.lenet_config(10, (1, 28, 28), seed=0).layers
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -138,8 +143,8 @@ def test_parse_config_lenet_preset(tmp_path):
     ("[train]\nlearning_rate = 0.1\n", "unknown keys"),
     ("[network]\narch = lenet\nlayers = dense:2\n", "unknown keys: arch"),
     ("[network]\narch = alexnet\n", "unknown keys: arch"),
-    ("[network]\nlayers = dense:2\ninput_shape = 28x28\n", "input_shape"),
-    ("[network]\ninput_shape = 1x8x8\n", "needs layers"),
+    ("[network]\nlayers = dense:2\ninput_shape = 28x28\n", "input_shape"),   # an unknown key
+    ("[network]\n", "needs layers"),
     ("[network]\nclasses = 2\n", "unknown keys: classes"),
     ("[data]\nsource = idx\n", "unknown keys"),
     ("[data]\ntrain_images = a.idx\n", "train_images and train_labels together"),
@@ -227,7 +232,8 @@ def test_readme_config_parses_and_lists_every_key(tmp_path):
     path = tmp_path / "readme.ini"
     path.write_text(block)
     spec = parse_config(path)
-    assert spec.data.train_images and net.build_network(spec.network).num_outputs == 10
+    network = net.build_network(net.NetworkConfig((1, 28, 28), spec.layers, spec.seed))
+    assert spec.data.train_images and network.num_outputs == 10
     listed = configparser.ConfigParser(interpolation=None)
     listed.optionxform = str
     listed.read_string(block)
@@ -238,7 +244,6 @@ def test_readme_config_parses_and_lists_every_key(tmp_path):
 def test_seed_override_replaces_every_component(tmp_path):
     spec = parse_config(write_config(tmp_path), seed=99)
     assert spec.seed == 99
-    assert spec.network.seed == 99
     assert spec.train.seed == 99
     assert spec.hmc.seed == 99
     # the file's own seed is still checked under an override
@@ -381,11 +386,27 @@ def test_missing_data_files_exit_3_without_partial_output(tmp_path, capsys):
     assert not (tmp_path / "out").exists()   # data is read before any mkdir
 
 
-def test_image_size_other_than_input_shape_exits_2_without_output(tmp_path, capsys):
+def test_the_network_takes_the_training_images_shape(tmp_path, capsys):
+    # [network] states no input shape: the stack trains on 12x12 images too
     config = write_config(tmp_path, text=BASE_CONFIG.replace("image_size = 8", "image_size = 12"))
+    assert cli.main(["train", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert cli.main(["inspect", "--checkpoint", str(tmp_path / "out" / "final.ckpt")]) == 0
+    assert "input_shape=1x12x12\n" in capsys.readouterr().out
+
+
+def test_a_stated_input_shape_exits_2_without_output(tmp_path, capsys):
+    text = with_key(BASE_CONFIG, "network", "input_shape", "1x8x8")
+    assert cli.main(["train", "--config", str(write_config(tmp_path, text=text))]) == 2
+    assert capsys.readouterr().err == "error: [network]: unknown keys: input_shape\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_stack_the_images_cannot_fill_exits_2_naming_the_layer(tmp_path, capsys):
+    # 9x9 images: conv:2@3 leaves 7x7, which pool:2/2 cannot tile
+    config = write_config(tmp_path, text=BASE_CONFIG.replace("image_size = 8", "image_size = 9"))
     assert cli.main(["train", "--config", str(config)]) == 2
-    assert ("training images are 1x12x12, the network's input_shape is 1x8x8"
-            in capsys.readouterr().err)
+    assert capsys.readouterr().err.startswith("error: layer 'pool1': ")
     assert not (tmp_path / "out").exists()
 
 
@@ -398,7 +419,7 @@ def test_image_size_other_than_input_shape_exits_2_without_output(tmp_path, caps
      "eval needs test_images/test_labels (idx) or eval_n (synthetic)")])
 def test_eval_refuses_a_set_the_checkpoint_cannot_score(tmp_path, capsys, old, new, fragment):
     ckpt = tmp_path / "net.ckpt"
-    net.save_checkpoint(net.build_network(parse_config(write_config(tmp_path)).network), ckpt)
+    net.save_checkpoint(network_of(write_config(tmp_path)), ckpt)
     config = write_config(tmp_path, text=BASE_CONFIG.replace(old, new), name="eval.ini")
     assert cli.main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 2
     out, err = capsys.readouterr()
@@ -490,7 +511,7 @@ def test_eval_on_empty_idx_set_exits_3(tmp_path, capsys):
         "test_images = {0}\ntest_labels = {1}\n").format(*test_files))
     config = write_config(tmp_path, text=text)
     ckpt = tmp_path / "net.ckpt"
-    net.save_checkpoint(net.build_network(parse_config(config).network), ckpt)
+    net.save_checkpoint(network_of(config), ckpt)
     assert cli.main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 3
     assert "the evaluation set is empty" in capsys.readouterr().err
 
@@ -512,7 +533,7 @@ def test_corrupt_checkpoint_exits_3(tmp_path, capsys):
 
 def test_unknown_layer_kind_in_checkpoint_exits_3(tmp_path, capsys):
     bogus = tmp_path / "bogus.ckpt"
-    network = net.build_network(parse_config(write_config(tmp_path)).network)
+    network = network_of(write_config(tmp_path))
     net.save_checkpoint(network, bogus)
     meta, tensors = net.read_tensor_file(bogus)
     meta["layers"][0]["kind"] = "bogus"
@@ -523,7 +544,7 @@ def test_unknown_layer_kind_in_checkpoint_exits_3(tmp_path, capsys):
 
 def test_checkpoint_layer_with_a_field_its_kind_does_not_take_exits_3(tmp_path, capsys):
     ckpt = tmp_path / "padded.ckpt"
-    net.save_checkpoint(net.build_network(parse_config(write_config(tmp_path)).network), ckpt)
+    net.save_checkpoint(network_of(write_config(tmp_path)), ckpt)
     meta, tensors = net.read_tensor_file(ckpt)
     assert meta["layers"][1]["kind"] == "maxpool"
     meta["layers"][1]["pad"] = 1
@@ -534,7 +555,7 @@ def test_checkpoint_layer_with_a_field_its_kind_does_not_take_exits_3(tmp_path, 
 
 def test_ill_typed_checkpoint_meta_exits_3(tmp_path, capsys):
     ckpt = tmp_path / "typed.ckpt"
-    net.save_checkpoint(net.build_network(parse_config(write_config(tmp_path)).network), ckpt)
+    net.save_checkpoint(network_of(write_config(tmp_path)), ckpt)
     meta, tensors = net.read_tensor_file(ckpt)
     meta["layers"][0]["channels"] = "2"
     net.write_tensor_file(ckpt, meta, tensors)
@@ -549,7 +570,7 @@ def test_checkpoint_whose_config_implies_an_impossible_weight_exits_3(tmp_path, 
     # draws no weight of that size first
     config = write_config(tmp_path)
     ckpt = tmp_path / "huge.ckpt"
-    net.save_checkpoint(net.build_network(parse_config(config).network), ckpt)
+    net.save_checkpoint(network_of(config), ckpt)
     meta, tensors = net.read_tensor_file(ckpt)
     meta["layers"][-1]["width"] = 10**18
     net.write_tensor_file(ckpt, meta, tensors)
@@ -565,7 +586,7 @@ def _crafted_checkpoint(tmp_path, input_shape, dense):
     """The base stack's checkpoint at another input shape, cut to its flatten
     layer, or to its flatten and dense:2 layers with the dense tensors."""
     ckpt = tmp_path / "crafted.ckpt"
-    net.save_checkpoint(net.build_network(parse_config(write_config(tmp_path)).network), ckpt)
+    net.save_checkpoint(network_of(write_config(tmp_path)), ckpt)
     meta, tensors = net.read_tensor_file(ckpt)
     meta["input_shape"] = list(input_shape)
     if dense:
@@ -629,7 +650,7 @@ def test_checkpoint_that_disagrees_with_its_config_exits_3(tmp_path, capsys, edi
     # tensors added, dropped (None) or reshaped, or meta keys replaced, all
     # re-signed; or one byte past the last tensor
     ckpt = tmp_path / "edited.ckpt"
-    net.save_checkpoint(net.build_network(parse_config(write_config(tmp_path)).network), ckpt)
+    net.save_checkpoint(network_of(write_config(tmp_path)), ckpt)
     if edit is None:
         blob = ckpt.read_bytes()[:-4] + b"\0"
         ckpt.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))  # re-signed
@@ -647,7 +668,7 @@ def test_checkpoint_with_retired_meta_keys_still_loads(tmp_path, capsys):
     # NetworkConfig.init and NetworkConfig.num_classes were retired: the same
     # keys plus those four, the stored count agreeing with the layers
     new, old, resaved = tmp_path / "new.ckpt", tmp_path / "old.ckpt", tmp_path / "re.ckpt"
-    network = net.build_network(parse_config(write_config(tmp_path)).network)
+    network = network_of(write_config(tmp_path))
     net.save_checkpoint(network, new)
     meta, tensors = net.read_tensor_file(new)
     assert "num_classes" not in meta
@@ -685,7 +706,7 @@ def test_checkpoint_with_a_hand_named_layer_exits_3(tmp_path, capsys, index, nam
     # layers are named <stem><k> only; a name, even with its tensors renamed
     # to match, would otherwise load a layer under another name
     ckpt = tmp_path / "named.ckpt"
-    net.save_checkpoint(net.build_network(parse_config(write_config(tmp_path)).network), ckpt)
+    net.save_checkpoint(network_of(write_config(tmp_path)), ckpt)
     meta, tensors = net.read_tensor_file(ckpt)
     stem = meta["layers"][index]["kind"].replace("maxpool", "pool")
     meta["layers"][index]["name"] = name
@@ -703,7 +724,7 @@ def test_checkpoint_with_a_hand_named_layer_exits_3(tmp_path, capsys, index, nam
 def test_bad_sample_node_exits_2(tmp_path, capsys, layer, channel, fragment):
     config = write_config(tmp_path)
     ckpt = tmp_path / "net.ckpt"
-    net.save_checkpoint(net.build_network(parse_config(config).network), ckpt)
+    net.save_checkpoint(network_of(config), ckpt)
     assert cli.main(["sample", "--config", str(config), "--checkpoint", str(ckpt),
                      "--layer", layer, "--channel", channel]) == 2
     assert fragment in capsys.readouterr().err
@@ -711,7 +732,7 @@ def test_bad_sample_node_exits_2(tmp_path, capsys, layer, channel, fragment):
 
 def test_out_of_range_snapshots_exit_2_without_output(tmp_path, capsys):
     ckpt = tmp_path / "net.ckpt"
-    net.save_checkpoint(net.build_network(parse_config(write_config(tmp_path)).network), ckpt)
+    net.save_checkpoint(network_of(write_config(tmp_path)), ckpt)
     text = with_key(with_key(BASE_CONFIG, "hmc", "iterations", "3"), "hmc", "snapshots",
                     "2, -4, 99")
     config = write_config(tmp_path, text=text)
@@ -744,10 +765,9 @@ def test_gg_batch_of_one_exits_2_without_output(tmp_path, capsys, mode):
 
 
 def test_unrenderable_channel_count_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
-    text = BASE_CONFIG.replace("input_shape = 1x8x8", "input_shape = 2x8x8")
-    config = write_config(tmp_path, text=text)
+    config = write_config(tmp_path)
     ckpt = tmp_path / "net.ckpt"
-    net.save_checkpoint(net.build_network(parse_config(config).network), ckpt)
+    net.save_checkpoint(network_of(config, channels=2), ckpt)
     calls = []
     monkeypatch.setattr(hmc, "sample_node", lambda *a, **k: calls.append(a))
     assert cli.main(["sample", "--config", str(config), "--checkpoint", str(ckpt),
@@ -792,7 +812,7 @@ def test_diverged_run_exits_4_with_one_error_line(tmp_path, capsys, command, sec
             shutil.rmtree(tmp_path / "out")
             capsys.readouterr()
         else:
-            net.save_checkpoint(net.build_network(parse_config(config).network), ckpt)
+            net.save_checkpoint(network_of(config), ckpt)
         argv += ["--checkpoint", str(ckpt), "--layer", "dense1", "--channel", "0"]
     assert cli.main(argv) == 4
     err = capsys.readouterr().err.splitlines()
@@ -804,10 +824,9 @@ def test_diverged_run_exits_4_with_one_error_line(tmp_path, capsys, command, sec
 
 
 def test_sample_renders_three_channel_images_as_ppm(tmp_path, capsys):
-    config = write_config(tmp_path, text=BASE_CONFIG.replace("input_shape = 1x8x8",
-                                                             "input_shape = 3x8x8"))
+    config = write_config(tmp_path)
     ckpt = tmp_path / "net.ckpt"
-    net.save_checkpoint(net.build_network(parse_config(config).network), ckpt)
+    net.save_checkpoint(network_of(config, channels=3), ckpt)
     assert cli.main(["sample", "--config", str(config), "--checkpoint", str(ckpt),
                      "--layer", "dense1", "--channel", "0"]) == 0
     capsys.readouterr()
@@ -845,7 +864,7 @@ def test_metropolis_off_parses_to_false(tmp_path):
 @pytest.mark.parametrize("flag", [["--config", "run.ini"], ["--seed", "3"]])
 def test_inspect_takes_only_a_checkpoint(tmp_path, capsys, flag):
     ckpt = tmp_path / "net.ckpt"
-    net.save_checkpoint(net.build_network(parse_config(write_config(tmp_path)).network), ckpt)
+    net.save_checkpoint(network_of(write_config(tmp_path)), ckpt)
     assert cli.main(["inspect", "--checkpoint", str(ckpt)] + flag) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -880,7 +899,6 @@ _INI = {
         "layers": ["conv:2@3, pool:2/2, flatten, dense:2", "conv:1@3/2p1, relu, flatten, dense:3",
                    "pool:3, flatten, dense:2", "conv:2@9, flatten, dense:2", "conv:1@1p2, dense:2",
                    "dense:0", "softmax", ""],
-        "input_shape": ["1x8x8", "3x8x8", "1x6x6", "1x28x28", "8x8", "0x8x8", "1x-8x8"],
     },
     "train": {
         "mode": ["DG", "GG", "GG+DG", "EM"], "batch_size": ["8", "1", "0"],
@@ -910,13 +928,16 @@ for _section, _key in FLOAT_KEYS:   # every float key also meets these
 # the others are left out only from wild texts. The four IDX paths are one
 # group, written all or none by a drawn boolean, so clean texts reach both
 # data sources and a spoiled path meets the other three about half the time.
-# The network and data shapes and out_dir are written too, so a clean text is
-# a config that every command runs to exit 0.
-_ALWAYS_KEYS = {"network": ("layers", "input_shape"), "train": ("epochs",),
+# The layers, the data shapes and out_dir are written too, so a clean text is
+# a config that every command runs to exit 0; the network takes the data's
+# 8x8 shape, that of the IDX files too. A wild text may end a section with
+# the retired input_shape, an unknown key in every section.
+_ALWAYS_KEYS = {"network": ("layers",), "train": ("epochs",),
               "data": ("n", "eval_n", "classes", "image_size"),
               "hmc": ("iterations", "leapfrog_steps"), "run": ("out_dir",)}
 _PATHS = ("train_images", "train_labels", "test_images", "test_labels")
-_JUNK_LINES = ["[bogus]", "extra = 1", "no equals sign", "[network", "= 3", "[run]"]
+_JUNK_LINES = ["[bogus]", "extra = 1", "no equals sign", "[network", "= 3", "[run]",
+               "input_shape = 1x8x8"]
 
 
 @st.composite
@@ -973,7 +994,7 @@ _FLAGS = st.sampled_from([
 def cli_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("exit_codes")
     ckpt = root / "net.ckpt"
-    net.save_checkpoint(net.build_network(parse_config(write_config(root)).network), ckpt)
+    net.save_checkpoint(network_of(write_config(root)), ckpt)
     (root / "junk").write_bytes(b"\x00garbage\n[network\n")
     (root / "gzjunk").write_bytes(gzip.compress(b"\x00" * 256)[:-8])   # no trailer
     (root / "latin1.ini").write_bytes(b"[run]\nseed = \xff\n")   # not UTF-8

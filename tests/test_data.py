@@ -185,6 +185,15 @@ def test_dataset_pairing_validated():
         data.Dataset(np.zeros((3, 1, 4, 4)), np.zeros(2, dtype=np.int64))
 
 
+@pytest.mark.parametrize("images,got", [
+    ([[0]], "list"), (np.zeros((1, 4, 4)), "(1, 4, 4)"), (np.float64(0.5), "()")],
+    ids=["list", "3-d", "scalar"])
+def test_dataset_refuses_images_that_are_not_a_4d_array(images, got):
+    message = f"images must be a 4-D array [N, C, H, W], got {got}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        data.Dataset(images, np.array([0]))
+
+
 @pytest.mark.parametrize("labels,message", [
     (np.array([-1, 0, 1, 0]), "labels must be >= 0, got -1"),
     (np.array([0.0, 1.0, 0.0, 1.0]),

@@ -7,7 +7,7 @@ import pytest
 from tiltnet import hmc, tensor
 from tiltnet import net as net_mod
 from tiltnet.checks import fd_grad, hmc_suite
-from tiltnet.errors import NumericsError, ShapeError
+from tiltnet.errors import ConfigError, NumericsError, ShapeError
 
 from conftest import (assert_refused_when_made, op_counts_since, read_image, routed_net,
                       tiny_config)
@@ -48,6 +48,14 @@ def test_potential_rejects_bad_node(tiny_net, rng):
         hmc.potential(tiny_net, 3, x, 1.0)
     with pytest.raises(ShapeError):
         hmc.potential_grad(tiny_net, -1, x, 1.0)
+
+
+@pytest.mark.parametrize("fn", [hmc.potential, hmc.potential_grad])
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+def test_potential_refuses_the_sigma_hmc_config_refuses(tiny_net, rng, fn, sigma):
+    # refused before any division: tier-1 turns a divide-by-zero warning into an error
+    with pytest.raises(ConfigError, match=r"^sigma must be positive and finite$"):
+        fn(tiny_net, 0, rng.normal(0.0, 1.0, (1, 6, 6)), sigma)
 
 
 # ---------------------------------------------------------------------------

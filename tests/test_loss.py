@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from tiltnet import loss
 from tiltnet.checks import (disc_loss_loops, fd_grad, gen_grad_closed_form_error,
                             gen_grad_loops, gen_loss_loops, loss_suite, rel_err)
-from tiltnet.errors import NumericsError, ShapeError
+from tiltnet.errors import DataError, NumericsError, ShapeError
 
 # strategy: a well-scaled score matrix and matching labels
 @st.composite
@@ -175,13 +175,13 @@ def test_validation_errors():
     y = np.array([0, 1, 0])
     with pytest.raises(NumericsError, match="non-finite"):
         loss.disc_loss_and_grad(f * np.nan, y)
-    with pytest.raises(ValueError, match="labels"):
+    with pytest.raises(DataError, match=r"^labels must lie in \[0, 2\), got range \[0, 5\]$"):
         loss.disc_loss_and_grad(f, np.array([0, 1, 5]))
     with pytest.raises(ShapeError):
         loss.disc_loss_and_grad(f, np.array([0, 1]))
     with pytest.raises(ShapeError):
         loss.disc_loss_and_grad(np.zeros((3, 1)), y)
-    with pytest.raises(ValueError, match="n >= 2"):
+    with pytest.raises(ShapeError, match="n >= 2"):
         loss.gen_loss_and_grad(np.zeros((1, 2)), np.array([0]))
     with pytest.raises(ShapeError, match="integers"):
         loss.disc_loss_and_grad(f, np.array([0.0, 1.0, 0.0]))

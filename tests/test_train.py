@@ -104,21 +104,31 @@ def test_a_refused_sgd_step_changes_no_tensor_and_keeps_the_version(monkeypatch,
     frozen = np.full((10, 500), 0.5)
     frozen.flags.writeable = False
     unwritable = "velocity arrays are not writeable float64: ['dense2.weight']"
+    rates = {"lr": 0.1, "weight_decay": 0.0005, "momentum": 0.9}
+    lrs = "learning rates must be positive and finite"
     for which, value, error, message in [
             ("gradient", nan, NumericsError, "non-finite gradient for dense2.weight"),
             ("gradient", np.ones((10, 499)), ShapeError, f"gradient {unfit}"),
             ("velocity", np.ones((10, 499)), ShapeError, f"velocity {unfit}"),
             ("velocity", None, ShapeError, f"velocity {unfit}"),   # None: the key is missing
             ("velocity", np.ones((10, 500), np.int64), ShapeError, unwritable),
-            ("velocity", frozen, ShapeError, unwritable)]:
+            ("velocity", frozen, ShapeError, unwritable),
+            # the rates TrainConfig refuses
+            ("lr", np.nan, ConfigError, lrs), ("lr", 0.0, ConfigError, lrs),
+            ("momentum", 5.0, ConfigError, "momentum must lie in [0, 1)"),
+            ("weight_decay", -1.0, ConfigError, "weight_decay must be finite and >= 0")]:
         dicts = {"gradient": {k: np.ones_like(v) for k, v in network.params.items()},
                  "velocity": {k: np.full_like(v, 0.5) for k, v in network.params.items()}}
-        dicts[which]["dense2.weight"] = value
-        if value is None:
-            del dicts[which]["dense2.weight"]
+        if which in rates:
+            step = {**rates, which: value}
+        else:
+            step = rates
+            dicts[which]["dense2.weight"] = value
+            if value is None:
+                del dicts[which]["dense2.weight"]
         before, version = snapshot(), network.version
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            train.sgd_step(network, dicts["gradient"], dicts["velocity"], 0.1, 0.0005, 0.9)
+            train.sgd_step(network, dicts["gradient"], dicts["velocity"], **step)
         assert snapshot() == before, message
         assert network.version == version
 
@@ -436,10 +446,23 @@ def unscorable_sets(case):
                        DataError, "the evaluation set is empty"),
         "eval-12x12": (train_set, data.synthetic_dataset(16, 2, 12, seed=1), ShapeError,
                        "evaluation images are 1x12x12, the network's input_shape is 1x8x8"),
+        # labels changed in place after the set was made
+        "train-label-set-to-minus-1": (relabeled(train_set, -1), eval_set, DataError,
+                                       "the training set: labels must be >= 0, got -1"),
+        "eval-label-set-to-minus-1": (train_set, relabeled(eval_set, -1), DataError,
+                                      "the evaluation set: labels must be >= 0, got -1"),
     }[case]
 
 
-UNSCORABLE = ["train-4-classes", "eval-labels-0-3", "eval-empty", "eval-12x12"]
+def relabeled(dataset, label):
+    """A copy of dataset whose first label was set to label after it was made."""
+    copy = data.Dataset(dataset.images, dataset.labels.copy())
+    copy.labels[0] = label
+    return copy
+
+
+UNSCORABLE = ["train-4-classes", "eval-labels-0-3", "eval-empty", "eval-12x12",
+              "train-label-set-to-minus-1", "eval-label-set-to-minus-1"]
 
 
 @pytest.mark.parametrize("case", UNSCORABLE)
@@ -557,14 +580,18 @@ def test_evaluate_rejects_empty():
         train.evaluate(network, empty)
 
 
-@pytest.mark.parametrize("size,batch_size,fragment", [
-    (0, 256, "empty"), (4, 0, "batch size"), (4, -1, "batch size")])
-def test_evaluate_refuses_with_data_error(size, batch_size, fragment):
+@pytest.mark.parametrize("size,batch_size,label,fragment", [
+    (0, 256, 0, "empty"), (4, 0, 0, "batch size"), (4, -1, 0, "batch size"),
+    (4, 256, -1, "the evaluation set: labels must be >= 0, got -1")],
+    ids=["0-256-empty", "4-0-batch size", "4--1-batch size", "4-256-label-set-to-minus-1"])
+def test_evaluate_refuses_with_data_error(size, batch_size, label, fragment):
     network = build_network(small_config())
     ds = data.synthetic_dataset(4, 2, 8, seed=0)
-    with pytest.raises(DataError, match=fragment):
-        train.evaluate(network, data.Dataset(ds.images[:size], ds.labels[:size]),
-                       batch_size)
+    ds = data.Dataset(ds.images[:size], ds.labels[:size])
+    if label:
+        ds = relabeled(ds, label)
+    with pytest.raises(DataError, match=re.escape(fragment)):
+        train.evaluate(network, ds, batch_size)
 
 
 def test_evaluate_refuses_more_classes_than_the_network_outputs():
