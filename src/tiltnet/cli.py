@@ -22,6 +22,7 @@ from pathlib import Path
 from . import checks as checks_mod
 from . import hmc as hmc_mod
 from . import net as net_mod
+from . import tensor
 from . import train as train_mod
 from .config import RunSpec, parse_config
 from .errors import (CheckpointError, ConfigError, DataError, NumericsError,
@@ -184,6 +185,7 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    tensor._WORKER = tensor._split_engages(pin=True)  # the CLI's one layout; main() sets nothing
     raise SystemExit(main(sys.argv[1:]))
 
 

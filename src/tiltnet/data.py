@@ -1,6 +1,6 @@
 """Datasets and batching.
 
-Images live as float64 arrays of shape [N, 1, H, W] scaled to [0, 1]; labels
+Images live as float64 arrays of shape [N, C, H, W] scaled to [0, 1]; labels
 as int64 vectors. Two sources: the big-endian IDX pair format (optionally
 gzip-compressed, detected by magic bytes) and a seeded synthetic set of noisy
 class-positioned rectangles for desk-scale runs. DataSpec ([data]) picks one.
@@ -24,15 +24,18 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass
 class Dataset:
-    images: np.ndarray   # [N, 1, H, W] float64 in [0, 1]
+    images: np.ndarray   # [N, C, H, W] float64 in [0, 1]
     labels: np.ndarray   # [N] integers >= 0, int64 from both sources
 
     def __post_init__(self):
         labels = self.labels   # what no loss can read is refused here, not at a step
         if not (isinstance(labels, np.ndarray) and labels.ndim == 1 and labels.dtype.kind in "iu"):
-            kind = getattr(labels, "dtype", type(labels).__name__)
-            raise DataError(f"labels must be a 1-D integer array, got {kind} of shape "
-                            f"{np.shape(labels)}")
+            got = getattr(labels, "dtype", type(labels).__name__)
+            try:   # numpy gives a ragged sequence no shape
+                got = f"{got} of shape {np.shape(labels)}"
+            except ValueError:
+                pass
+            raise DataError(f"labels must be a 1-D integer array, got {got}")
         if labels.size and labels.min() < 0:
             raise DataError(f"labels must be >= 0, got {labels.min()}")
         if not (isinstance(self.images, np.ndarray) and self.images.ndim == 4):

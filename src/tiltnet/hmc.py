@@ -74,8 +74,11 @@ class SampleRecord:
     image: np.ndarray
     potential: float
     kinetic: float
-    hamiltonian: float
     accepted: object = None  # None for the initialization record
+
+    @property
+    def hamiltonian(self) -> float:
+        return self.potential + self.kinetic
 
 
 def _energy(scores, node: int, x: np.ndarray, sigma: float) -> float:
@@ -194,13 +197,12 @@ def sample_node(net: net_mod.Network, layer: str, channel: int,
     state = ChainState(x0, np.zeros(shape), u0, 0, grad=grad)
     marks = set(config.snapshots) if config.snapshots else set(default_snapshots(config.iterations))
     marks |= {0, config.iterations}
-    records = [SampleRecord(0, x0.copy(), u0, 0.0, u0, None)]
+    records = [SampleRecord(0, x0.copy(), u0, 0.0)]
     for it in range(1, config.iterations + 1):
         state, accepted = hmc_iterate(state, sub, 0, config, rng)
         if it in marks:
             k = float(np.square(state.phi).sum() / (2.0 * config.mass))
-            records.append(SampleRecord(it, state.x.copy(), state.potential, k,
-                                        state.potential + k, accepted))
+            records.append(SampleRecord(it, state.x.copy(), state.potential, k, accepted))
     return records
 
 

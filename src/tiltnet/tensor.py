@@ -12,6 +12,7 @@ payload are unspecified, and so is any routing through it.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import functools
 import os
 from collections import Counter
@@ -109,15 +110,21 @@ _cached_index = functools.lru_cache(maxsize=8)(_scatter_index)
 # (65.5 MB for LeNet's conv2) made that layer's forward about 1.6x slower there.
 _BLOCK_BYTES = 4 << 20
 
-def _split_engages() -> bool:
-    """At least 2 CPUs, and OpenBLAS runs one thread: the first variable it
-    reads that holds a positive count says 1 (read here, never set)."""
-    counts = [int(v) for v in map(os.environ.get, (
-        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
-        if v and v.strip().isdigit() and int(v) > 0]
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    return counts[:1] == [1] and len(cpus) >= 2
+def _blas_threads(pin: bool = False) -> int:
+    """OpenBLAS's thread count, set to 1 first if ``pin``; 0 where numpy's BLAS has no getter."""
+    lib = ctypes.CDLL((getattr(np, "_core", None) or np.core)._multiarray_umath.__file__)
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        if hasattr(lib, name.format("get")):
+            if pin:
+                getattr(lib, name.format("set"))(ctypes.c_int(1))
+            return getattr(lib, name.format("get"))()
+    return 0
 
+
+def _split_engages(pin: bool = False) -> bool:
+    """At least 2 CPUs, and OpenBLAS reports one thread (after ``_blas_threads(pin)``)."""
+    return _blas_threads(pin) == 1 and len(getattr(os, "sched_getaffinity", lambda _: ())(0)) >= 2
 
 _WORKER = _split_engages()  # tests and checks force it on or off
 _workers = {}  # pid -> its one-thread executor: a forked child starts its own

@@ -200,7 +200,8 @@ def test_dataset_refuses_images_that_are_not_a_4d_array(images, got):
      "labels must be a 1-D integer array, got float64 of shape (4,)"),
     (np.zeros((4, 1), np.int64), "labels must be a 1-D integer array, got int64 of shape (4, 1)"),
     ([0, 1, 0, 1], "labels must be a 1-D integer array, got list of shape (4,)"),
-], ids=["negative", "float", "2-d", "list"])
+    ([[0], [0, 1], [1], [0]], "labels must be a 1-D integer array, got list"),
+], ids=["negative", "float", "2-d", "list", "ragged"])
 def test_dataset_refuses_labels_no_loss_can_read(labels, message):
     # made, a set can neither start a training run that fails at its first
     # step nor give evaluate an error rate

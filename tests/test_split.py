@@ -2,6 +2,7 @@
 and the optimizer step: the same bytes with the worker thread on or off, and
 invisible to every caller."""
 
+import hashlib
 import multiprocessing
 import os
 import subprocess
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiltnet import data, hmc, loss, net, tensor, train
+from tiltnet import cli, data, hmc, loss, net, tensor, train
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -340,9 +341,14 @@ def test_a_forked_child_starts_its_own_worker(monkeypatch):
 
 
 def _python(code: str, **blas) -> list:
+    return _run("-c", code, **blas)
+
+
+def _run(*args: str, **blas) -> list:
+    """stdout words of ``python *args`` with only the given BLAS variables set."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-c", code], env=dict(env, **blas), check=True,
+    return subprocess.run([sys.executable, *args], env=dict(env, **blas), check=True,
                           capture_output=True, text=True, timeout=120).stdout.split()
 
 
@@ -369,3 +375,67 @@ def test_import_starts_no_thread_and_no_heavy_modules():
     assert _python("import sys, threading, tiltnet\n"
                    "print(threading.active_count(), 'concurrent.futures' in sys.modules,"
                    " 'logging' in sys.modules)") == ["1", "False", "False"]
+
+
+def test_the_cli_pins_one_blas_thread_and_engages_the_worker():
+    # entry() sets the layout itself, with every BLAS variable unset
+    cpus = len(getattr(os, "sched_getaffinity", lambda _: ())(0))
+    assert _python("from tiltnet import cli, tensor\n"
+                   "try:\n    cli.entry()\nexcept SystemExit:\n    pass\n"
+                   "print(tensor._blas_threads(), tensor._WORKER)") == ["1", str(cpus >= 2)]
+
+
+def test_without_a_blas_getter_the_split_stays_off_and_nothing_is_pinned(monkeypatch):
+    threads = tensor._blas_threads()
+    monkeypatch.setattr(tensor, "_blas_threads", lambda pin=False: 0)
+    monkeypatch.setattr(tensor, "_WORKER", True)
+    monkeypatch.setattr(sys, "argv", ["tiltnet", "--help"])
+    assert tensor._split_engages() is False
+    with pytest.raises(SystemExit):
+        cli.entry()
+    assert tensor._WORKER is False
+    monkeypatch.undo()
+    assert tensor._blas_threads() == threads
+
+
+CROSS_RUN = """\
+[network]
+layers = conv:20@5, pool:2/2, conv:50@5, pool:2/2, flatten, dense:500, relu, dense:10
+[train]
+mode = GG
+batch_size = 32
+epochs = 1
+[data]
+n = 64
+classes = 10
+image_size = 28
+[hmc]
+iterations = 20
+leapfrog_steps = 10
+[run]
+out_dir = {out}
+seed = 5
+"""
+
+
+def test_cli_bytes_do_not_depend_on_the_blas_setting(tmp_path):
+    # OpenBLAS's own threads and the worker split sum a GEMM in different
+    # orders; the CLI runs one layout, so the environment cannot choose
+    runs = {}
+    for setting, blas in [("one", {"OPENBLAS_NUM_THREADS": "1"}),
+                          ("two", {"OPENBLAS_NUM_THREADS": "2"}), ("unset", {})]:
+        base = tmp_path / setting
+        base.mkdir()
+        ckpt = ["--checkpoint", str(base / "train" / "final.ckpt")]
+        for step, args in [("train", ["train"]),
+                           ("conv2", ["sample", *ckpt, "--layer", "conv2", "--channel", "7"]),
+                           ("dense2", ["sample", *ckpt, "--layer", "dense2", "--channel", "3"])]:
+            ini = base / f"{step}.ini"
+            ini.write_text(CROSS_RUN.format(out=base / step))
+            _run("-m", "tiltnet.cli", *args, "--config", str(ini), **blas)
+        runs[setting] = {p.relative_to(base).as_posix(): hashlib.md5(p.read_bytes()).hexdigest()
+                         for p in base.rglob("*") if p.suffix in (".ckpt", ".opt", ".pgm", ".txt")}
+    assert {"train/000.ckpt", "train/000.opt", "train/final.ckpt", "conv2/manifest.txt",
+            "dense2/manifest.txt"} <= set(runs["one"])
+    assert runs["two"] == runs["one"]
+    assert runs["unset"] == runs["one"]
