@@ -112,7 +112,11 @@ _BLOCK_BYTES = 4 << 20
 
 def _blas_threads(pin: bool = False) -> int:
     """OpenBLAS's thread count, set to 1 first if ``pin``; 0 where numpy's BLAS has no getter."""
-    lib = ctypes.CDLL((getattr(np, "_core", None) or np.core)._multiarray_umath.__file__)
+    try:   # np.core warns on numpy 2; numpy 1's np._core, where present, is a stub
+        core = np._core if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else np.core
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    except (OSError, AttributeError):   # no library to ask: no split, nothing pinned
+        return 0
     for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
                  "openblas_{}_num_threads"):
         if hasattr(lib, name.format("get")):

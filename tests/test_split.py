@@ -386,16 +386,34 @@ def test_the_cli_pins_one_blas_thread_and_engages_the_worker():
 
 
 def test_without_a_blas_getter_the_split_stays_off_and_nothing_is_pinned(monkeypatch):
-    threads = tensor._blas_threads()
-    monkeypatch.setattr(tensor, "_blas_threads", lambda pin=False: 0)
+    asked = []
+
+    class Library:   # loads, but holds none of OpenBLAS's thread symbols
+        def __init__(self, path):
+            pass
+
+        def __getattr__(self, name):
+            asked.append(name)
+            raise AttributeError(name)
+
+    monkeypatch.setattr(tensor.ctypes, "CDLL", Library)
     monkeypatch.setattr(tensor, "_WORKER", True)
     monkeypatch.setattr(sys, "argv", ["tiltnet", "--help"])
-    assert tensor._split_engages() is False
+    assert tensor._blas_threads(pin=True) == 0
     with pytest.raises(SystemExit):
         cli.entry()
     assert tensor._WORKER is False
-    monkeypatch.undo()
-    assert tensor._blas_threads() == threads
+    assert "scipy_openblas_get_num_threads64_" in asked
+    assert not [name for name in asked if "_set_" in name]
+
+
+def test_a_blas_library_that_will_not_load_reads_zero_threads(monkeypatch):
+    def refuse(path):
+        raise OSError(path)
+
+    monkeypatch.setattr(tensor.ctypes, "CDLL", refuse)
+    assert tensor._blas_threads(pin=True) == 0
+    assert tensor._split_engages(pin=True) is False
 
 
 CROSS_RUN = """\
